@@ -11,8 +11,8 @@ from .dataset import (LabeledDataset, ProjectionParams, ScaleParams, SplitSpec,
 from .generative import (GaussianModel, GenerativeModelSet, asymptotic_error_mc,
                          bias_integrand, bias_matrix, density,
                          fit_gaussian_models, hessian, log_density)
-from .local_metric import (MetricMatrix, SpectralSolution,
-                           compute_all_local_metrics, interpolate_with_euclidean,
+from .local_metric import (MetricMatrix, SpectralSolution, compute_all_local_metrics,
+                           interpolate_with_euclidean, local_metric_stack,
                            regional_metrics, solve_local_metric, spectral_split)
 from .global_metric import (DensityEstimator, TransformFactor,
                             density_weighted_combination, fixed_point_residual,

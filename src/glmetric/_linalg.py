@@ -3,7 +3,7 @@ import numpy as np
 
 
 def symmetrize(a):
-    return 0.5 * (a + a.T)
+    return 0.5 * (a + np.swapaxes(a, -1, -2))
 
 
 def sym_sqrt(m):
@@ -17,8 +17,8 @@ def sym_sqrt(m):
 
 
 def det_normalize_eigs(w):
-    """Rescale positive eigenvalues so their product is 1, in log space."""
-    return w / np.exp(np.mean(np.log(w)))
+    """Rescale positive eigenvalues (per stack row) to unit product, in log space."""
+    return w / np.exp(np.mean(np.log(w), axis=-1, keepdims=True))
 
 
 def det_normalize(m):

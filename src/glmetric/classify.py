@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._linalg import pairwise_sq_dists
-from .generative import fit_gaussian_models, bias_matrices
-from .local_metric import MetricMatrix, interpolate_with_euclidean, solve_local_metric
+from .generative import fit_gaussian_models
+from .local_metric import MetricMatrix, compute_all_local_metrics, interpolate_with_euclidean
 
 __all__ = [
     "KnnConfig",
@@ -141,6 +141,12 @@ def _class_energy(d_row, labels, class_count, k, margin):
     return energies
 
 
+def _energy_labels(d, labels, class_count, k, margin):
+    """Lowest-energy class for every row of a query-to-train distance matrix."""
+    return np.array([int(np.argmin(_class_energy(row, labels, class_count, k, margin)))
+                     for row in d], dtype=int)
+
+
 def energy_predict_batch(train, cfg: EnergyConfig, queries):
     """Labels minimizing the neighbor-distance-plus-hinge energy.
 
@@ -154,11 +160,7 @@ def energy_predict_batch(train, cfg: EnergyConfig, queries):
         raise ValueError("every class needs at least k members")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     d = pairwise_sq_dists(queries, train.features, cfg.metric.matrix)
-    out = np.empty(len(queries), dtype=int)
-    for i in range(len(queries)):
-        energies = _class_energy(d[i], train.labels, train.class_count, cfg.k, cfg.margin)
-        out[i] = int(np.argmin(energies))
-    return out
+    return _energy_labels(d, train.labels, train.class_count, cfg.k, cfg.margin)
 
 
 def energy_predict(train, cfg: EnergyConfig, x):
@@ -192,20 +194,9 @@ def evaluate_error(predictor, test):
     return float(np.mean(pred != test.labels))
 
 
-def _local_query_metrics(queries, ms, eps_rel):
-    biases, degenerate = bias_matrices(queries, ms, scale_free=True)
-    metrics = []
-    for bias, bad in zip(biases, degenerate):
-        if bad:
-            metrics.append(MetricMatrix.identity(biases.shape[1], "local:query", degenerate=True))
-        else:
-            metrics.append(solve_local_metric(bias, eps_rel, provenance="local:query"))
-    return metrics
-
-
 def _glm_int_errors(train, queries, labels, ms, k_grid, lam_grid, eps_rel):
     """Error per (k, lam) using a per-query interpolated local metric."""
-    base = _local_query_metrics(queries.features, ms, eps_rel)
+    base = compute_all_local_metrics(queries, ms, eps_rel)
     errors = {}
     for lam in lam_grid:
         d = np.empty((queries.n, train.n))
@@ -278,10 +269,7 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
             if k > max_k:
                 continue
             for beta, margin in zip(beta_grid, margins):
-                pred = np.array([
-                    int(np.argmin(_class_energy(dval[i], train.labels,
-                                                train.class_count, k, margin)))
-                    for i in range(validation.n)])
+                pred = _energy_labels(dval, train.labels, train.class_count, k, margin)
                 err = float(np.mean(pred != validation.labels))
                 grid.append({"k": k, "beta": beta, "margin": margin,
                              "validation_error": err})

@@ -6,6 +6,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -254,7 +255,8 @@ def _run_repeat(cfg, full, repeat):
         try:
             result = _run_method(entry, train, validation, test, cfg, seed)
         except Exception as exc:  # recorded per method, run continues
-            result = {"kind": "failed", "error": f"{type(exc).__name__}: {exc}"}
+            result = {"kind": "failed", "error": f"{type(exc).__name__}: {exc}",
+                      "traceback": traceback.format_exc()}
         result["timing"] = {"wall_s": time.perf_counter() - t0}
         out[_method_key(entry)] = result
     return out
@@ -293,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
         for r in range(n_repeats):
             cell = results[r][key]
             if cell["kind"] == "failed":
-                errors.append({"repeat": r, "error": cell["error"]})
+                errors.append({"repeat": r, "error": cell["error"], "traceback": cell["traceback"]})
             else:
                 values.append(cell["value"])
                 chosen.append(cell.get("chosen", {}))

@@ -16,7 +16,7 @@ from ._linalg import pairwise_sq_dists, sym_sqrt, symmetrize
 from .classify import KnnConfig, knn_predict_batch
 from .dataset import LabeledDataset
 from .generative import GenerativeModelSet, _log_density_batch, fit_gaussian_models, bias_matrices
-from .local_metric import MetricMatrix, compute_all_local_metrics
+from .local_metric import MetricMatrix, local_metric_stack
 
 __all__ = [
     "TransformFactor",
@@ -159,8 +159,7 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     ms = fit_gaussian_models(train, lam_cov)
-    locals_ = compute_all_local_metrics(train, ms)
-    stack = np.stack([m.matrix for m in locals_])
+    stack, _ = local_metric_stack(train.features, ms)
     x = train.features.copy()
     v = validation.features.copy()
     labels = train.labels.copy()
@@ -234,31 +233,24 @@ def fixed_point_residual(train, metric: MetricMatrix, lam_cov=0.0, eps_rel=1e-9)
     scale = np.exp(2.0 * logdet_l / d)
 
     ms_x = fit_gaussian_models(train, lam_cov)
-    locals_x = compute_all_local_metrics(train, ms_x, eps_rel)
+    locals_x, degen_x = local_metric_stack(train.features, ms_x, eps_rel)
 
     z = train.features @ factor
-    train_z = train.with_features(z)
-    ms_z = fit_gaussian_models(train_z, lam_cov)
+    ms_z = fit_gaussian_models(train.with_features(z), lam_cov)
     biases_z, degen_z = bias_matrices(z, ms_z, scale_free=True)
 
-    mapped = []
-    violations = 0
-    for i, m in enumerate(locals_x):
-        if m.degenerate or degen_z[i]:
-            continue
-        q = scale * (factor_inv @ m.matrix @ factor_inv)
-        bias = biases_z[i]
-        trace = abs(np.trace(np.linalg.solve(q, bias)))
-        bound = np.linalg.norm(np.linalg.inv(q)) * np.linalg.norm(bias)
-        if trace > 1e-6 * max(bound, 1e-300):
-            violations += 1
-        mapped.append(q)
-    if not mapped:
+    keep = ~(degen_x | degen_z)
+    if not keep.any():
         raise ValueError("every training point was degenerate")
+    mapped = scale * (factor_inv @ locals_x[keep] @ factor_inv)
+    bias = biases_z[keep]
+    trace = np.abs(np.trace(np.linalg.solve(mapped, bias), axis1=1, axis2=2))
+    bound = np.linalg.norm(np.linalg.inv(mapped), axis=(1, 2)) * np.linalg.norm(bias, axis=(1, 2))
+    violations = int((trace > 1e-6 * np.maximum(bound, 1e-300)).sum())
     if violations:
         logger.warning("%d/%d mapped metrics violate the transformed optimality "
                        "conditions (models do not transform covariantly, e.g. "
                        "lam_cov > 0)", violations, len(mapped))
-    mean = np.mean(mapped, axis=0)
+    mean = mapped.mean(axis=0)
     c = np.trace(mean) / d
     return float(np.linalg.norm(mean - c * np.eye(d)) / (c * np.sqrt(d)))

@@ -1,4 +1,4 @@
-"""Per-point metric solver, Euclidean interpolation, and regional averages.
+"""Batched local-metric solver, Euclidean interpolation, and regional averages.
 
 The solver turns a symmetric bias matrix into the determinant-one PSD metric
 whose inverse annihilates it in trace: split the spectrum into the strictly
@@ -9,6 +9,10 @@ eps_rel * max|eigenvalue| so the metric stays positive definite; both blocks
 must be populated for the trace to vanish, so (semi)definite inputs fall back
 to the determinant-normalized absolute value, which minimizes the squared
 trace among unit-determinant metrics in that regime.
+
+One core solves a whole (N, D, D) stack with one batched eigendecomposition:
+local_metric_stack runs it at the rows of a feature matrix, and the other
+solver functions are single-matrix or list views of it.
 """
 from dataclasses import dataclass
 
@@ -23,6 +27,7 @@ __all__ = [
     "SpectralSolution",
     "spectral_split",
     "solve_local_metric",
+    "local_metric_stack",
     "interpolate_with_euclidean",
     "compute_all_local_metrics",
     "regional_metrics",
@@ -97,17 +102,51 @@ class SpectralSolution:
         return len(self.eigenvalues) - self.d_plus - self.d_minus
 
 
+def _split_stack(b, eps_rel):
+    """Descending eigenpairs of a symmetric (N, D, D) stack, the per-row
+    threshold eps_rel * max|eigenvalue|, the counts above +eps and below -eps,
+    and the rows whose spectrum vanishes (or is not finite)."""
+    w, u = np.linalg.eigh(b)
+    w, u = w[:, ::-1], u[:, :, ::-1]
+    amax = np.abs(w).max(axis=1, initial=0.0)
+    degenerate = (amax == 0.0) | ~np.isfinite(amax)
+    eps = eps_rel * amax[:, None]
+    # a vanishing or non-finite spectrum counts no eigenvalue on either side
+    return w, u, eps, (w > eps).sum(axis=1), (w < -eps).sum(axis=1), degenerate
+
+
+def _solve_stack(b, eps_rel):
+    """solve_local_metric over a symmetric (N, D, D) stack: the metrics and the
+    degenerate mask, whose rows are the identity."""
+    w, u, eps, d_plus, d_minus, degenerate = _split_stack(b, eps_rel)
+    clamped = np.maximum(np.abs(w), eps)
+    # zeros are merged into the negative block
+    blocks = np.where(w > eps, d_plus[:, None] * w, (w.shape[1] - d_plus)[:, None] * clamped)
+    m = np.where(((d_plus == 0) | (d_minus == 0))[:, None], clamped, blocks)
+    m[degenerate] = 1.0
+    stack = symmetrize((u * det_normalize_eigs(m)[:, None, :]) @ u.transpose(0, 2, 1))
+    stack[degenerate] = np.eye(w.shape[1])
+    return stack, degenerate
+
+
+def local_metric_stack(x, ms, eps_rel=DEFAULT_EPS_REL):
+    """(N, D, D) stack of determinant-one local metrics at the rows of x, and
+    the (N,) degenerate mask.
+
+    Bias matrices are assembled in one vectorized pass (scale-free, which the
+    solver ignores) and solved with one batched eigendecomposition. Rows where
+    every class density underflows have a zero bias matrix, so they come back
+    as the identity with the degenerate flag.
+    """
+    biases, _ = bias_matrices(x, ms, scale_free=True)
+    return _solve_stack(biases, eps_rel)
+
+
 def spectral_split(matrix, eps_rel=DEFAULT_EPS_REL):
     """Eigendecompose a symmetric matrix and classify its spectrum."""
-    matrix = np.asarray(matrix, dtype=float)
-    w, u = np.linalg.eigh(matrix)
-    order = np.argsort(w)[::-1]
-    w, u = w[order], u[:, order]
-    amax = np.abs(w).max() if len(w) else 0.0
-    if amax == 0.0 or not np.isfinite(amax):
-        return SpectralSolution(w, u, 0, 0, True)
-    eps = eps_rel * amax
-    return SpectralSolution(w, u, int((w > eps).sum()), int((w < -eps).sum()), False)
+    w, u, _, d_plus, d_minus, degenerate = _split_stack(
+        np.asarray(matrix, dtype=float)[None], eps_rel)
+    return SpectralSolution(w[0], u[0], int(d_plus[0]), int(d_minus[0]), bool(degenerate[0]))
 
 
 def _check_symmetric(matrix):
@@ -130,20 +169,9 @@ def solve_local_metric(matrix, eps_rel=DEFAULT_EPS_REL, provenance="local"):
     determinant-normalized absolute value. A vanishing B yields the identity
     metric with the degenerate flag set.
     """
-    matrix = _check_symmetric(matrix)
-    sol = spectral_split(matrix, eps_rel)
-    d = matrix.shape[0]
-    if sol.degenerate:
-        return MetricMatrix.identity(d, provenance, degenerate=True)
-    w, u = sol.eigenvalues, sol.eigenvectors
-    eps = eps_rel * np.abs(w).max()
-    if sol.d_plus == 0 or sol.d_minus == 0:
-        m = np.maximum(np.abs(w), eps)
-    else:
-        neg_block = d - sol.d_plus  # zeros merged into the negative block
-        m = np.where(w > eps, sol.d_plus * w, neg_block * np.maximum(np.abs(w), eps))
-    m = det_normalize_eigs(m)
-    return MetricMatrix(symmetrize((u * m) @ u.T), provenance, det_normalized=True)
+    stack, degenerate = _solve_stack(_check_symmetric(matrix)[None], eps_rel)
+    return MetricMatrix(stack[0], provenance, det_normalized=True,
+                        degenerate=bool(degenerate[0]))
 
 
 def interpolate_with_euclidean(metric: MetricMatrix, lam_int):
@@ -166,21 +194,12 @@ def interpolate_with_euclidean(metric: MetricMatrix, lam_int):
 
 
 def compute_all_local_metrics(train, ms, eps_rel=DEFAULT_EPS_REL):
-    """One determinant-normalized local metric per training point.
-
-    Bias matrices are assembled in one vectorized pass (scale-free, which the
-    solver ignores); points where every class density underflows get the
-    identity metric with the degenerate flag. Output order follows the row
-    order of the training features.
-    """
-    biases, degenerate = bias_matrices(train.features, ms, scale_free=True)
-    out = []
-    for i, (matrix, bad) in enumerate(zip(biases, degenerate)):
-        if bad:
-            out.append(MetricMatrix.identity(train.dim, f"local:{i}", degenerate=True))
-        else:
-            out.append(solve_local_metric(matrix, eps_rel, provenance=f"local:{i}"))
-    return out
+    """One determinant-normalized local metric per training point: the rows
+    of local_metric_stack as MetricMatrix objects, in the row order of the
+    training features."""
+    stack, degenerate = local_metric_stack(train.features, ms, eps_rel)
+    return [MetricMatrix(m, f"local:{i}", det_normalized=True, degenerate=bool(bad))
+            for i, (m, bad) in enumerate(zip(stack, degenerate))]
 
 
 def regional_metrics(local_metrics, x, p, seed, restarts=10):

@@ -13,7 +13,7 @@ from ._lloyd import lloyd, lloyd_best_of
 from .dataset import LabeledDataset
 from .generative import fit_gaussian_models
 from .global_metric import uniform_combination
-from .local_metric import MetricMatrix, compute_all_local_metrics, interpolate_with_euclidean
+from .local_metric import MetricMatrix, interpolate_with_euclidean, local_metric_stack
 
 __all__ = [
     "ClusteringResult",
@@ -115,7 +115,11 @@ def iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
         mask = remap[result.assignments] >= 0
         pseudo = LabeledDataset(x[mask], remap[result.assignments][mask], len(keep))
         ms = fit_gaussian_models(pseudo, lam_cov)
-        locals_ = _locals_at(x, ms, lam_int)
+        stack, degenerate = local_metric_stack(x, ms)
+        locals_ = [MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
+                   for m, bad in zip(stack, degenerate)]
+        if lam_int > 0:
+            locals_ = [interpolate_with_euclidean(m, lam_int) for m in locals_]
         metric = uniform_combination(locals_)
         new_result = _warm_kmeans(x, k, metric, result.centers)
         if np.array_equal(new_result.assignments, result.assignments):
@@ -123,14 +127,6 @@ def iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
             break
         result = new_result
     return result, metric
-
-
-def _locals_at(x, ms, lam_int):
-    holder = LabeledDataset(x, np.zeros(len(x), dtype=int), 1)
-    locals_ = compute_all_local_metrics(holder, ms)
-    if lam_int > 0:
-        locals_ = [interpolate_with_euclidean(m, lam_int) for m in locals_]
-    return locals_
 
 
 def _warm_kmeans(x, k, metric, prev_centers):

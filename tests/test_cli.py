@@ -112,7 +112,16 @@ class TestRunExperiment:
         cfg = parse_experiment_config(json.loads(path.read_text()))
         report, code = run_experiment(cfg, tmp_path / "out")
         assert code == 0
-        assert report["methods"]["cluster_uni"]["failures"]
+        failures = report["methods"]["cluster_uni"]["failures"]
+        assert failures
+        for failure in failures:
+            assert failure["error"] == "ValueError: k must lie in [1, N]"
+            tb = failure["traceback"]
+            assert tb.startswith("Traceback (most recent call last):")
+            assert 'unsupervised.py", line' in tb and "in kmeans" in tb
+            assert tb.rstrip().endswith(failure["error"])
+        saved = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert saved["methods"]["cluster_uni"]["failures"] == failures
 
     def test_all_methods_failing_exits_1(self, tmp_path):
         path, _ = minimal_config(tmp_path,

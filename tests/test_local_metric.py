@@ -5,11 +5,11 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from glmetric.dataset import LabeledDataset, make_synthetic_mixture, three_normal_preset
-from glmetric.generative import fit_gaussian_models
+from glmetric.generative import bias_matrices, fit_gaussian_models
 from glmetric.global_metric import uniform_combination
-from glmetric.local_metric import (MetricMatrix, compute_all_local_metrics,
-                                   interpolate_with_euclidean, regional_metrics,
-                                   solve_local_metric, spectral_split)
+from glmetric.local_metric import (MetricMatrix, _solve_stack, compute_all_local_metrics,
+                                   interpolate_with_euclidean, local_metric_stack,
+                                   regional_metrics, solve_local_metric, spectral_split)
 from test_generative import model_set
 
 
@@ -105,6 +105,80 @@ class TestSolver:
         # eigenvectors orthonormal
         gram = sol.eigenvectors.T @ sol.eigenvectors
         assert np.abs(gram - np.eye(6)).max() < 1e-8
+
+
+def reference_solve(matrix, eps_rel=1e-9):
+    """Oracle: the per-matrix solver the batched core replaced (argsort-based
+    spectral split, block scaling, log-space determinant normalization).
+    Returns (metric, degenerate)."""
+    w, u = np.linalg.eigh(matrix)
+    order = np.argsort(w)[::-1]
+    w, u = w[order], u[:, order]
+    amax = np.abs(w).max() if len(w) else 0.0
+    if amax == 0.0 or not np.isfinite(amax):
+        return np.eye(len(w)), True
+    eps = eps_rel * amax
+    d_plus, d_minus = int((w > eps).sum()), int((w < -eps).sum())
+    if d_plus == 0 or d_minus == 0:
+        m = np.maximum(np.abs(w), eps)
+    else:
+        m = np.where(w > eps, d_plus * w, (len(w) - d_plus) * np.maximum(np.abs(w), eps))
+    m = m / np.exp(np.mean(np.log(m)))
+    out = (u * m) @ u.T
+    return 0.5 * (out + out.T), False
+
+
+def assert_matches_reference(biases, stack, degenerate):
+    assert stack.shape == biases.shape and degenerate.shape == (len(biases),)
+    for bias, metric, bad in zip(biases, stack, degenerate):
+        expected, expected_bad = reference_solve(bias)
+        np.testing.assert_array_equal(metric, expected)
+        assert bool(bad) == expected_bad
+
+
+class TestBatchedCore:
+    def test_fitted_three_normal_matches_per_matrix_oracle(self):
+        ds = make_synthetic_mixture(three_normal_preset(dim=10), 1200, seed=7)
+        ms = fit_gaussian_models(ds, 1e-3)
+        stack, degenerate = local_metric_stack(ds.features, ms)
+        biases, _ = bias_matrices(ds.features, ms)
+        assert_matches_reference(biases, stack, degenerate)
+        assert not degenerate.any()
+
+    @pytest.mark.parametrize("dim", [2, 5, 10, 30])
+    def test_mixed_random_stack_matches_per_matrix_oracle(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        biases = []
+        for i in range(60):
+            kind = i % 4
+            if kind == 0:
+                biases.append(random_symmetric_indefinite(rng, dim))
+            elif kind == 1:  # alternately positive and negative definite
+                a = rng.normal(size=(dim, dim))
+                biases.append((1 if i % 8 == 1 else -1) * (a @ a.T + 0.1 * np.eye(dim)))
+            elif kind == 2:
+                biases.append(np.zeros((dim, dim)))
+            else:  # positive semidefinite with one (near-)zero eigenvalue
+                q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+                w = np.abs(rng.normal(size=dim)) + 0.1
+                w[0] = 0.0
+                b = (q * w) @ q.T
+                biases.append(0.5 * (b + b.T))
+        biases = np.stack(biases)
+        stack, degenerate = _solve_stack(biases, 1e-9)
+        assert_matches_reference(biases, stack, degenerate)
+        np.testing.assert_array_equal(degenerate, np.arange(60) % 4 == 2)
+        for bias, metric in zip(biases[:8], stack[:8]):
+            np.testing.assert_array_equal(solve_local_metric(bias).matrix, metric)
+
+    def test_far_tail_point_is_degenerate_identity(self):
+        ds = make_synthetic_mixture(three_normal_preset(dim=4), 60, seed=1)
+        ms = fit_gaussian_models(ds, 1e-3)
+        x = np.vstack([ds.features[:3], np.full(4, 1e6)])
+        stack, degenerate = local_metric_stack(x, ms)
+        np.testing.assert_array_equal(degenerate, [False, False, False, True])
+        np.testing.assert_array_equal(stack[3], np.eye(4))
+        assert_matches_reference(bias_matrices(x, ms)[0], stack, degenerate)
 
 
 class TestInterpolation:
