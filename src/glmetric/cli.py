@@ -141,20 +141,33 @@ def _timed_metric(builder):
 
 
 def _run_mkl(train, validation, test, metrics, grids, seed):
+    t0 = time.perf_counter()
     banks = build_kernel_bank(metrics, train.features, DEFAULT_TAU_GRID, seed=seed)
     k_tr = [gram_matrix(bk, train.features) for bk in banks]
     k_va = [gram_matrix(bk, validation.features, train.features) for bk in banks]
     k_te = [gram_matrix(bk, test.features, train.features) for bk in banks]
+    phases = {"gram_bank_s": time.perf_counter() - t0, "mkl_fit_s": 0.0, "predict_s": 0.0}
     best = None
     for c in grids["C"]:
+        t0 = time.perf_counter()
         models = train_one_vs_all(k_tr, train.labels, train.class_count, c)
+        t1 = time.perf_counter()
         val_err = float(np.mean(predict_one_vs_all(models, k_va) != validation.labels))
+        phases["mkl_fit_s"] += t1 - t0
+        phases["predict_s"] += time.perf_counter() - t1
         if best is None or val_err < best[0]:
             best = (val_err, c, models)
     val_err, c, models = best
+    t0 = time.perf_counter()
     test_err = float(np.mean(predict_one_vs_all(models, k_te) != test.labels))
+    phases["predict_s"] += time.perf_counter() - t0
+    diagnostics = {"svm_solves": sum(m.svm_solves for m in models),
+                   "smo_iterations": sum(m.smo_iterations for m in models),
+                   "unconverged_solves": sum(m.unconverged_solves for m in models),
+                   "max_kkt_violation": max(m.max_kkt_violation for m in models)}
     return {"kind": "error", "value": test_err, "validation_error": val_err,
-            "chosen": {"C": c, "kernels": len(banks)}}
+            "chosen": {"C": c, "kernels": len(banks)}, "diagnostics": diagnostics,
+            "phases": phases}
 
 
 def _maybe_subsample(portion, limit, seed):
@@ -208,11 +221,12 @@ def _run_method(entry, train, validation, test, cfg, seed):
     if name == "mkl_metric":
         tr = _maybe_subsample(train, entry.get("max_train"), seed)
         p = int(entry.get("partitions", 5))
-        ms = fit_gaussian_models(tr, cfg.lam_cov)
-        locals_ = compute_all_local_metrics(tr, ms)
-        regionals, _ = regional_metrics(locals_, tr.features, p, seed)
+        (regionals, _), phases = _timed_metric(lambda: regional_metrics(
+            compute_all_local_metrics(tr, fit_gaussian_models(tr, cfg.lam_cov)),
+            tr.features, p, seed))
         out = _run_mkl(tr, validation, test, regionals, grids, seed)
         out["chosen"]["partitions"] = p
+        out["phases"].update(phases)
         return out
     if name == "cluster_uni":
         k = int(entry.get("k", train.class_count))
@@ -291,7 +305,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
     methods = {}
     any_ok = False
     for key in results[0]:
-        values, chosen, errors = [], [], []
+        values, chosen, diagnostics, errors = [], [], [], []
         for r in range(n_repeats):
             cell = results[r][key]
             if cell["kind"] == "failed":
@@ -299,13 +313,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
             else:
                 values.append(cell["value"])
                 chosen.append(cell.get("chosen", {}))
+                diagnostics.append(cell.get("diagnostics", {}))
         timing = {"wall_s": sum(results[r][key]["timing"]["wall_s"]
                                 for r in range(n_repeats))}
         for r in range(n_repeats):
             for phase, secs in results[r][key].get("phases", {}).items():
                 timing[phase] = timing.get(phase, 0.0) + secs
         entry = {"kind": results[0][key]["kind"], "per_split": values,
-                 "chosen": chosen, "failures": errors, "timing": timing}
+                 "chosen": chosen, "diagnostics": diagnostics, "failures": errors,
+                 "timing": timing}
         if values:
             any_ok = True
             arr = np.asarray(values, dtype=float)

@@ -3,10 +3,14 @@ multiple kernel learning.
 
 The SVM solver is pairwise coordinate ascent on the standard dual
 (max sum(beta) - 0.5 beta^T (y K y) beta, 0 <= beta <= C, sum(beta y) = 0)
-with most-violating-pair working-set selection and an incrementally
-maintained gradient. Kernel weights are learned by projected gradient on the
-simplex with backtracking on the optimal dual value, which shares its fixed
-points with reduced-gradient descent on the same objective.
+with most-violating-pair working-set selection (first index on ties). Each
+step reads two kernel columns as contiguous rows of one k.T copy, updates the
+signed gradient -y * grad in place, and touches only the two changed duals
+and their index-set flags. Kernel weights are learned by projected gradient
+on the simplex with backtracking on the optimal dual value, which shares its
+fixed points with reduced-gradient descent on the same objective. Weighted
+kernel sums skip zero weights, which would add only +0.0, and reuse one
+buffer per fit.
 """
 import logging
 from dataclasses import dataclass, field
@@ -81,6 +85,11 @@ class MklModel:
     C: float
     objective_curve: list = field(default_factory=list)
     converged: bool = True
+    # SVM solver record of the fit that produced this model
+    svm_solves: int = 0
+    smo_iterations: int = 0
+    unconverged_solves: int = 0
+    max_kkt_violation: float = 0.0
 
     def __post_init__(self):
         a = self.weights
@@ -162,7 +171,7 @@ def gram_matrix(bk: BaseKernel, x, x2=None):
 def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     """Soft-margin SVM dual by most-violating-pair coordinate ascent.
 
-    k is the (symmetric, PSD within tolerance) Gram matrix and y the +-1
+    k is the (n, n) Gram matrix, PSD within tolerance, and y the n +-1
     labels. Stops when the maximum KKT violation drops below tol; at the
     iteration cap the best iterate is returned with converged=False and a
     warning. The bias averages -y * gradient over unbounded support vectors.
@@ -171,49 +180,82 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     if set(np.unique(y)) - {-1.0, 1.0}:
         raise ValueError("labels must be +-1")
     n = len(y)
-    q = k * np.outer(y, y)
-    diag = np.diag(q).copy()
-    beta = np.zeros(n)
-    grad = -np.ones(n)  # gradient of 0.5 b'Qb - e'b
+    k = np.asarray(k, dtype=float)
+    if k.shape != (n, n):
+        raise ValueError(f"Gram matrix has shape {k.shape}; {n} labels need ({n}, {n})")
+    if not np.isfinite(k).all():
+        raise ValueError("Gram matrix has non-finite entries")
+    if not c > 0:
+        raise ValueError(f"C must be positive, got {c}")
+    # Only the two chosen duals change per step, so only their entries of the
+    # index sets and of beta are updated. The signed gradient yg = -y * grad
+    # moves by step * (K[:, j] - K[:, i]), which equals the product form bit
+    # for bit since y is +-1; the columns of k are read as rows of k.T.
+    rows = list(np.ascontiguousarray(k.T))
+    kdiag = np.diag(k).tolist()
+    ys = y.tolist()
+    c_hi = c - 1e-12
+    up = [yr > 0 and c_hi > 0 for yr in ys]  # beta_r may move along +y_r
+    low = [yr < 0 and c_hi > 0 for yr in ys]  # beta_r may move along -y_r
+    n_up, n_low = sum(up), sum(low)
+    up_pen = np.where(up, 0.0, -np.inf)  # added to yg to mask out ~up
+    low_pen = np.where(low, 0.0, np.inf)
+    beta = [0.0] * n
+    yg = y.copy()
+    masked = np.empty(n)
+    delta = np.empty(n)
     it = 0
     violation = np.inf
     for it in range(1, max_iter + 1):
-        yg = -y * grad
-        up = np.where(y > 0, beta < c - 1e-12, beta > 1e-12)
-        low = np.where(y > 0, beta > 1e-12, beta < c - 1e-12)
-        if not up.any() or not low.any():
+        if not n_up or not n_low:
             violation = 0.0
             break
-        i_cand = np.flatnonzero(up)
-        j_cand = np.flatnonzero(low)
-        i = i_cand[np.argmax(yg[i_cand])]
-        j = j_cand[np.argmin(yg[j_cand])]
+        i = int(np.add(yg, up_pen, out=masked).argmax())
+        j = int(np.add(yg, low_pen, out=masked).argmin())
         violation = yg[i] - yg[j]
         if violation < tol:
             break
-        quad = max(diag[i] + diag[j] - 2.0 * y[i] * y[j] * q[i, j], 1e-12)
+        yi, yj = ys[i], ys[j]
+        quad = max(kdiag[i] + kdiag[j] - 2.0 * rows[j][i], 1e-12)
         step = violation / quad
         # box limits along the feasible pair direction
         step = min(step,
-                   c - beta[i] if y[i] > 0 else beta[i],
-                   beta[j] if y[j] > 0 else c - beta[j])
-        beta[i] += y[i] * step
-        beta[j] -= y[j] * step
-        grad += step * (y[i] * q[:, i] - y[j] * q[:, j])
+                   c - beta[i] if yi > 0 else beta[i],
+                   beta[j] if yj > 0 else c - beta[j])
+        beta[i] += yi * step
+        beta[j] -= yj * step
+        np.subtract(rows[j], rows[i], out=delta)
+        delta *= step
+        yg += delta
+        for r in (i, j):
+            b, pos = beta[r], ys[r] > 0
+            u = b < c_hi if pos else b > 1e-12
+            l = b > 1e-12 if pos else b < c_hi
+            if u != up[r]:
+                up[r] = u
+                up_pen[r] = 0.0 if u else -np.inf
+                n_up += 1 if u else -1
+            if l != low[r]:
+                low[r] = l
+                low_pen[r] = 0.0 if l else np.inf
+                n_low += 1 if l else -1
     converged = violation < tol
     if not converged:
         logger.warning("SVM solver hit the iteration cap (violation %.3g)", violation)
-    yg = -y * grad
+    beta = np.array(beta)
     unbounded = (beta > 1e-8) & (beta < c - 1e-8)
     if unbounded.any():
         bias = float(yg[unbounded].mean())
     else:
-        up = np.where(y > 0, beta < c - 1e-12, beta > 1e-12)
-        low = np.where(y > 0, beta > 1e-12, beta < c - 1e-12)
-        hi = yg[up].max() if up.any() else 0.0
-        lo = yg[low].min() if low.any() else 0.0
+        hi = yg[up].max() if n_up else 0.0
+        lo = yg[low].min() if n_low else 0.0
         bias = float(0.5 * (hi + lo))
-    objective = float(beta.sum() - 0.5 * beta @ q @ beta)
+    # beta @ (K * yy^T) without the product matrix: flipping the signs of a
+    # whole column of terms flips the sign of their sum exactly. That product
+    # is C-ordered whatever the layout of k, and the layout sets the BLAS
+    # summation order, so read k in C order too.
+    yb_k = ((beta * y) @ np.ascontiguousarray(k)) * y
+    objective = float(beta.sum() - 0.5 * yb_k @ beta)
     return SvmSolution(beta, bias, objective, it, converged, float(max(violation, 0.0)))
 
 
@@ -240,15 +282,24 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
     m = len(grams)
     if m == 0:
         raise ValueError("need at least one kernel")
+    grams = [np.asarray(kk, dtype=float) for kk in grams]
+    shapes = {kk.shape for kk in grams}
+    if len(shapes) > 1:
+        raise ValueError(f"Gram matrices differ in shape: {sorted(shapes)}")
     weights = np.full(m, 1.0 / m)
+    combined, scratch = np.empty_like(grams[0]), np.empty_like(grams[0])
+    stats = {"svm_solves": 0, "smo_iterations": 0, "unconverged_solves": 0,
+             "max_kkt_violation": 0.0}
 
-    def combine(a):
-        out = a[0] * grams[0]
-        for ak, kk in zip(a[1:], grams[1:]):
-            out = out + ak * kk
-        return out
+    def solve(a):
+        s = svm_solve(_combine(a, grams, combined, scratch), y, c, tol=svm_tol)
+        stats["svm_solves"] += 1
+        stats["smo_iterations"] += s.iterations
+        stats["unconverged_solves"] += not s.converged
+        stats["max_kkt_violation"] = max(stats["max_kkt_violation"], s.kkt_violation)
+        return s
 
-    sol = svm_solve(combine(weights), y, c, tol=svm_tol)
+    sol = solve(weights)
     curve = [sol.objective]
     step = 1.0
     converged = False
@@ -261,7 +312,7 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
             move = np.abs(cand - weights).sum()
             if move < 1e-14:
                 break
-            cand_sol = svm_solve(combine(cand), y, c, tol=svm_tol)
+            cand_sol = solve(cand)
             if cand_sol.objective <= curve[-1] + 1e-12:
                 accepted = (cand, cand_sol, move)
                 break
@@ -277,14 +328,24 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
             break
         step *= 1.5
     return MklModel(weights, sol.beta, sol.bias, y, float(c),
-                    objective_curve=curve, converged=converged)
+                    objective_curve=curve, converged=converged, **stats)
+
+
+def _combine(weights, grams, out=None, scratch=None):
+    """sum_k a_k K_k into out, adding only the non-zero weights in index order.
+
+    A zero weight would add +0.0, so skipping it changes no value.
+    """
+    (a, kk), *rest = [(a, kk) for a, kk in zip(weights, grams) if a != 0]
+    out = np.multiply(kk, a, out=out)
+    for a, kk in rest:
+        scratch = np.multiply(kk, a, out=scratch)
+        out += scratch
+    return out
 
 
 def _decision_values(model: MklModel, test_grams):
-    combined = None
-    for a, kk in zip(model.weights, test_grams):
-        combined = a * kk if combined is None else combined + a * kk
-    return combined @ (model.beta * model.labels) + model.bias
+    return _combine(model.weights, test_grams) @ (model.beta * model.labels) + model.bias
 
 
 def mkl_predict(model: MklModel, test_grams):

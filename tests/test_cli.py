@@ -142,6 +142,23 @@ class TestRunExperiment:
             assert not entry["failures"], f"{key}: {entry['failures']}"
             assert len(entry["per_split"]) == 1
         assert report["methods"]["m_uni"]["timing"]["fit_metric_s"] > 0
+        saved = json.loads((tmp_path / "out" / "report.json").read_text())["methods"]
+        assert saved["mkl_metric(P=2)"]["timing"]["fit_metric_s"] > 0
+        for key in ("mkl_baseline", "mkl_metric(P=2)"):
+            timing = saved[key]["timing"]
+            phases = ("gram_bank_s", "mkl_fit_s", "predict_s")
+            assert all(timing[p] > 0 for p in phases)
+            assert sum(timing[p] for p in phases) <= timing["wall_s"]
+            # solver diagnostics sit beside chosen, never inside it
+            (diag,) = saved[key]["diagnostics"]
+            assert set(diag) == {"svm_solves", "smo_iterations",
+                                 "unconverged_solves", "max_kkt_violation"}
+            assert diag["svm_solves"] >= 3  # one-vs-all on 3 classes
+            assert diag["smo_iterations"] >= diag["svm_solves"]
+            assert diag["unconverged_solves"] == 0
+            assert 0.0 <= diag["max_kkt_violation"] < 1e-4
+            assert not set(diag) & set(saved[key]["chosen"][0])
+        assert saved["euclidean"]["diagnostics"] == [{}]
 
     def test_synthetic_dataset_config(self, tmp_path):
         cfg = parse_experiment_config({

@@ -1,7 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
 
-from glmetric.kernel_mkl import (BaseKernel, MklModel, build_kernel_bank,
+from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution,
+                                 _decision_values, build_kernel_bank,
                                  gram_matrix, mkl_predict, mkl_train,
                                  predict_one_vs_all, project_simplex,
                                  rbf_metric_kernel, svm_solve,
@@ -9,6 +12,130 @@ from glmetric.kernel_mkl import (BaseKernel, MklModel, build_kernel_bank,
 from glmetric.global_metric import metric_sqrt_transform
 from glmetric.local_metric import MetricMatrix, solve_local_metric
 from test_local_metric import random_symmetric_indefinite
+
+logger = logging.getLogger(__name__)
+
+
+# Oracles: the column-read SMO loop and the sum-every-kernel combination that
+# the row-read, signed-gradient loop and the zero-weight-skipping combination
+# replaced. The fast paths must reproduce them bit for bit.
+
+def oracle_svm_solve(k, y, c, tol=1e-4, max_iter=200000):
+    """Soft-margin SVM dual by most-violating-pair coordinate ascent.
+
+    k is the (symmetric, PSD within tolerance) Gram matrix and y the +-1
+    labels. Stops when the maximum KKT violation drops below tol; at the
+    iteration cap the best iterate is returned with converged=False and a
+    warning. The bias averages -y * gradient over unbounded support vectors.
+    """
+    y = np.asarray(y, dtype=float)
+    if set(np.unique(y)) - {-1.0, 1.0}:
+        raise ValueError("labels must be +-1")
+    n = len(y)
+    q = k * np.outer(y, y)
+    diag = np.diag(q).copy()
+    beta = np.zeros(n)
+    grad = -np.ones(n)  # gradient of 0.5 b'Qb - e'b
+    it = 0
+    violation = np.inf
+    for it in range(1, max_iter + 1):
+        yg = -y * grad
+        up = np.where(y > 0, beta < c - 1e-12, beta > 1e-12)
+        low = np.where(y > 0, beta > 1e-12, beta < c - 1e-12)
+        if not up.any() or not low.any():
+            violation = 0.0
+            break
+        i_cand = np.flatnonzero(up)
+        j_cand = np.flatnonzero(low)
+        i = i_cand[np.argmax(yg[i_cand])]
+        j = j_cand[np.argmin(yg[j_cand])]
+        violation = yg[i] - yg[j]
+        if violation < tol:
+            break
+        quad = max(diag[i] + diag[j] - 2.0 * y[i] * y[j] * q[i, j], 1e-12)
+        step = violation / quad
+        # box limits along the feasible pair direction
+        step = min(step,
+                   c - beta[i] if y[i] > 0 else beta[i],
+                   beta[j] if y[j] > 0 else c - beta[j])
+        beta[i] += y[i] * step
+        beta[j] -= y[j] * step
+        grad += step * (y[i] * q[:, i] - y[j] * q[:, j])
+    converged = violation < tol
+    if not converged:
+        logger.warning("SVM solver hit the iteration cap (violation %.3g)", violation)
+    yg = -y * grad
+    unbounded = (beta > 1e-8) & (beta < c - 1e-8)
+    if unbounded.any():
+        bias = float(yg[unbounded].mean())
+    else:
+        up = np.where(y > 0, beta < c - 1e-12, beta > 1e-12)
+        low = np.where(y > 0, beta > 1e-12, beta < c - 1e-12)
+        hi = yg[up].max() if up.any() else 0.0
+        lo = yg[low].min() if low.any() else 0.0
+        bias = float(0.5 * (hi + lo))
+    objective = float(beta.sum() - 0.5 * beta @ q @ beta)
+    return SvmSolution(beta, bias, objective, it, converged, float(max(violation, 0.0)))
+
+
+def oracle_mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
+    """Simplex-weighted kernel combination minimizing the SVM dual optimum.
+
+    Alternates an exact SVM solve on the combined kernel with a projected
+    gradient step on the weights (gradient -0.5 beta^T (y K_k y) beta per
+    kernel), backtracking until the dual optimum does not increase, so the
+    recorded objective curve is non-increasing. Stops when the weights move
+    less than tol in l1 or the objective decrease falls below tol.
+    """
+    y = np.asarray(y, dtype=float)
+    m = len(grams)
+    if m == 0:
+        raise ValueError("need at least one kernel")
+    weights = np.full(m, 1.0 / m)
+
+    def combine(a):
+        out = a[0] * grams[0]
+        for ak, kk in zip(a[1:], grams[1:]):
+            out = out + ak * kk
+        return out
+
+    sol = oracle_svm_solve(combine(weights), y, c, tol=svm_tol)
+    curve = [sol.objective]
+    step = 1.0
+    converged = False
+    for _ in range(max_outer):
+        yb = y * sol.beta
+        grad = np.array([-0.5 * yb @ kk @ yb for kk in grams])
+        accepted = None
+        for _ in range(25):
+            cand = project_simplex(weights - step * grad)
+            move = np.abs(cand - weights).sum()
+            if move < 1e-14:
+                break
+            cand_sol = oracle_svm_solve(combine(cand), y, c, tol=svm_tol)
+            if cand_sol.objective <= curve[-1] + 1e-12:
+                accepted = (cand, cand_sol, move)
+                break
+            step *= 0.5
+        if accepted is None:
+            converged = True  # no descent direction left at this scale
+            break
+        weights, sol, move = accepted
+        decrease = curve[-1] - sol.objective
+        curve.append(sol.objective)
+        if move < tol or decrease < tol * max(1.0, abs(curve[0])):
+            converged = True
+            break
+        step *= 1.5
+    return MklModel(weights, sol.beta, sol.bias, y, float(c),
+                    objective_curve=curve, converged=converged)
+
+
+def oracle_decision_values(model: MklModel, test_grams):
+    combined = None
+    for a, kk in zip(model.weights, test_grams):
+        combined = a * kk if combined is None else combined + a * kk
+    return combined @ (model.beta * model.labels) + model.bias
 
 
 class TestRbfKernel:
@@ -165,6 +292,92 @@ class TestSvm:
         np.testing.assert_allclose(decision[unbounded], y[unbounded], atol=1e-4)
 
 
+def random_svm_problem(seed, n):
+    """RBF Gram matrix of n random points and +-1 labels with both classes."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    y = np.where(rng.random(n) > 0.5, 1.0, -1.0)
+    y[:2] = [1.0, -1.0]
+    k = gram_matrix(BaseKernel(MetricMatrix.identity(3), float(rng.uniform(0.5, 4.0))), x)
+    return k, y
+
+
+def assert_same_solution(got, want):
+    np.testing.assert_array_equal(got.beta, want.beta)
+    assert got.bias == want.bias
+    assert got.objective == want.objective
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.kkt_violation == want.kkt_violation
+
+
+class TestSvmMatchesOracle:
+    @pytest.mark.parametrize("c", [0.1, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("n", [2, 40, 360])
+    def test_random_gram(self, n, c):
+        k, y = random_svm_problem(n + int(10 * c), n)
+        assert_same_solution(svm_solve(k, y, c), oracle_svm_solve(k, y, c))
+
+    @pytest.mark.parametrize("label", [1.0, -1.0])
+    def test_single_class(self, label):
+        k, _ = random_svm_problem(19, 30)
+        y = np.full(30, label)
+        sol = svm_solve(k, y, 1.0)
+        assert_same_solution(sol, oracle_svm_solve(k, y, 1.0))
+        assert sol.converged and sol.iterations == 1
+
+    def test_c_below_the_box_margin(self):
+        k, y = random_svm_problem(23, 20)
+        sol = svm_solve(k, y, 1e-13)
+        assert_same_solution(sol, oracle_svm_solve(k, y, 1e-13))
+        assert sol.iterations == 1 and not sol.beta.any()
+
+    def test_fortran_ordered_gram(self):
+        k, y = random_svm_problem(30, 150)
+        k = np.asfortranarray(k)
+        assert_same_solution(svm_solve(k, y, 20.0), oracle_svm_solve(k, y, 20.0))
+
+    def test_slightly_non_symmetric_gram(self):
+        k, y = random_svm_problem(20, 60)
+        k = k + 1e-3 * np.random.default_rng(21).normal(size=k.shape)
+        assert not np.array_equal(k, k.T)
+        assert_same_solution(svm_solve(k, y, 10.0), oracle_svm_solve(k, y, 10.0))
+
+    def test_iteration_cap(self, caplog):
+        k, y = random_svm_problem(22, 40)
+        with caplog.at_level(logging.WARNING, logger="glmetric.kernel_mkl"):
+            sol = svm_solve(k, y, 10.0, max_iter=5)
+        assert not sol.converged and sol.iterations == 5
+        assert [r.name for r in caplog.records] == ["glmetric.kernel_mkl"]
+        assert "iteration cap" in caplog.records[0].getMessage()
+        assert_same_solution(sol, oracle_svm_solve(k, y, 10.0, max_iter=5))
+
+
+class TestInputChecks:
+    def test_gram_shape_must_match_labels(self):
+        y = np.array([1.0, -1.0, 1.0])
+        with pytest.raises(ValueError, match=r"shape \(1, 1\); 3 labels need \(3, 3\)"):
+            svm_solve(np.ones((1, 1)), y, 1.0)
+        with pytest.raises(ValueError, match="3 labels need"):
+            svm_solve(np.eye(4), y, 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gram_must_be_finite(self, bad):
+        k = np.eye(2)
+        k[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            svm_solve(k, [1.0, -1.0], 1.0)
+
+    @pytest.mark.parametrize("c", [0.0, -1.0])
+    def test_c_must_be_positive(self, c):
+        with pytest.raises(ValueError, match="C must be positive"):
+            svm_solve(np.eye(2), [1.0, -1.0], c)
+
+    def test_mkl_grams_must_share_shape(self):
+        with pytest.raises(ValueError, match="Gram matrices differ in shape"):
+            mkl_train([np.eye(4), np.eye(3)], [1.0, -1.0, 1.0, -1.0], 1.0)
+
+
 class TestSimplexProjection:
     def test_output_on_simplex(self):
         rng = np.random.default_rng(10)
@@ -242,6 +455,50 @@ class TestMkl:
         model = mkl_train(grams, y, 1.0)
         assert (model.weights >= 0).all()
         assert model.weights.sum() == pytest.approx(1.0, abs=1e-8)
+
+    def test_zero_weights_match_oracle_combination(self):
+        rng = np.random.default_rng(0)
+        centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+        x = np.vstack([rng.normal(size=(20, 2)) + c for c in centers])
+        labels = np.repeat(np.arange(3), 20)
+        bank = build_kernel_bank([MetricMatrix.identity(2)], x,
+                                 tau_grid=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
+        grams = [gram_matrix(bk, x) for bk in bank]
+        test_grams = [gram_matrix(bk, rng.normal(size=(25, 2)) * 2 + 1, x) for bk in bank]
+        models = train_one_vs_all(grams, labels, 3, c=10.0)
+        oracles = [oracle_mkl_train(grams, np.where(labels == cls, 1.0, -1.0), 10.0)
+                   for cls in range(3)]
+        assert all(m.weights[0] == 0.0 for m in models)
+        assert any(0 < (m.weights > 0).sum() < len(bank) - 1 for m in models)
+        for m, o in zip(models, oracles):
+            np.testing.assert_array_equal(m.weights, o.weights)
+            np.testing.assert_array_equal(m.beta, o.beta)
+            assert m.bias == o.bias
+            assert m.objective_curve == o.objective_curve
+            assert m.converged == o.converged
+            np.testing.assert_array_equal(_decision_values(m, test_grams),
+                                          oracle_decision_values(o, test_grams))
+        scores = np.stack([oracle_decision_values(o, test_grams) for o in oracles], axis=1)
+        np.testing.assert_array_equal(predict_one_vs_all(models, test_grams),
+                                      scores.argmax(axis=1))
+
+    def test_solver_diagnostics_count_every_solve(self, monkeypatch):
+        rng = np.random.default_rng(16)
+        x, y = self.two_blob_problem(rng)
+        grams = [gram_matrix(BaseKernel(MetricMatrix.identity(2), s), x)
+                 for s in (0.5, 2.0, 8.0, 32.0)]
+        seen = []
+
+        def recording_solve(*args, **kwargs):
+            seen.append(svm_solve(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr("glmetric.kernel_mkl.svm_solve", recording_solve)
+        model = mkl_train(grams, y, 1.0)
+        assert model.svm_solves == len(seen) >= len(model.objective_curve)
+        assert model.smo_iterations == sum(s.iterations for s in seen)
+        assert model.unconverged_solves == sum(not s.converged for s in seen) == 0
+        assert model.max_kkt_violation == max(s.kkt_violation for s in seen) < 1e-4
 
 
 class TestMklPredict:
