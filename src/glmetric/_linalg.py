@@ -21,14 +21,6 @@ def det_normalize_eigs(w):
     return w / np.exp(np.mean(np.log(w), axis=-1, keepdims=True))
 
 
-def det_normalize(m):
-    """Rescale a symmetric PD matrix to unit determinant via its eigenvalues."""
-    w, u = np.linalg.eigh(m)
-    if w.min() <= 0:
-        raise ValueError("matrix must be positive definite for determinant normalization")
-    return symmetrize((u * det_normalize_eigs(w)) @ u.T)
-
-
 def pairwise_sq_dists(q, x, m=None):
     """Squared Mahalanobis distances between rows of q and rows of x.
 

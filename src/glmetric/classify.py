@@ -11,7 +11,7 @@ import numpy as np
 
 from ._linalg import pairwise_sq_dists
 from .generative import fit_gaussian_models
-from .local_metric import MetricMatrix, compute_all_local_metrics, interpolate_with_euclidean
+from .local_metric import MetricMatrix, interpolate_with_euclidean, local_metric_stack
 
 __all__ = [
     "KnnConfig",
@@ -196,13 +196,13 @@ def evaluate_error(predictor, test):
 
 def _glm_int_errors(train, queries, labels, ms, k_grid, lam_grid, eps_rel):
     """Error per (k, lam) using a per-query interpolated local metric."""
-    base = compute_all_local_metrics(queries, ms, eps_rel)
+    base, _ = local_metric_stack(queries.features, ms, eps_rel)
     errors = {}
     for lam in lam_grid:
+        metrics = interpolate_with_euclidean(base, lam)
         d = np.empty((queries.n, train.n))
-        for i, m in enumerate(base):
-            mi = interpolate_with_euclidean(m, lam)
-            d[i] = pairwise_sq_dists(queries.features[i:i + 1], train.features, mi.matrix)[0]
+        for i, m in enumerate(metrics):
+            d[i] = pairwise_sq_dists(queries.features[i:i + 1], train.features, m)[0]
         for k in k_grid:
             pred = _vote_rows(d, train.labels, train.class_count, k)
             errors[(k, lam)] = float(np.mean(pred != labels))

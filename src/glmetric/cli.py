@@ -185,7 +185,8 @@ def _run_method(entry, train, validation, test, cfg, seed):
         r = tune_and_test("knn", train, validation, test,
                           metric=MetricMatrix.identity(train.dim), k_grid=grids["k"])
         return {"kind": "error", "value": r.test_error,
-                "validation_error": r.validation_error, "chosen": r.chosen}
+                "validation_error": r.validation_error, "chosen": r.chosen,
+                "phases": r.timing}
     if name == "m_uni":
         metric, phases = _timed_metric(lambda: _fit_uniform(train, cfg.lam_cov))
         r = tune_and_test("knn", train, validation, test, metric=metric, k_grid=grids["k"])
@@ -196,7 +197,8 @@ def _run_method(entry, train, validation, test, cfg, seed):
         r = tune_and_test("glm_int", train, validation, test, lam_cov=cfg.lam_cov,
                           k_grid=grids["k"], lam_grid=grids["lam_int"])
         return {"kind": "error", "value": r.test_error,
-                "validation_error": r.validation_error, "chosen": r.chosen}
+                "validation_error": r.validation_error, "chosen": r.chosen,
+                "phases": r.timing}
     if name == "m_uni_energy":
         metric, phases = _timed_metric(lambda: _fit_uniform(train, cfg.lam_cov))
         r = tune_and_test("energy", train, validation, test, metric=metric,
@@ -410,13 +412,13 @@ def _add_common(parser):
                         default=int(os.environ.get("GLMETRIC_THREADS", "1")))
 
 
-def _load_cli_dataset(args):
+def _load_cli_csv(path, args):
     label = args.label_column
     try:
         label = int(label)
     except (TypeError, ValueError):
         pass
-    return load_csv(args.data, label, args.has_header)
+    return load_csv(path, label, args.has_header)
 
 
 def _cmd_benchmark(args):
@@ -428,7 +430,7 @@ def _cmd_benchmark(args):
 
 
 def _cmd_fit_metric(args):
-    full = _load_cli_dataset(args)
+    full = _load_cli_csv(args.data, args)
     scale = None
     if args.scale:
         full, scale = scale_features(full)
@@ -454,13 +456,8 @@ def _cmd_classify(args):
     with open(args.metric) as f:
         payload = json.load(f)
     metric = MetricMatrix.from_dict(payload["metric"])
-    label = args.label_column
-    try:
-        label = int(label)
-    except (TypeError, ValueError):
-        pass
-    train = load_csv(args.train, label, args.has_header)
-    test = load_csv(args.test, label, args.has_header)
+    train = _load_cli_csv(args.train, args)
+    test = _load_cli_csv(args.test, args)
     if payload.get("scale"):
         params = ScaleParams.from_dict(payload["scale"])
         train = params.transform(train)
@@ -492,7 +489,7 @@ def _cmd_mkl(args):
 
 
 def _cmd_cluster(args):
-    full = _load_cli_dataset(args)
+    full = _load_cli_csv(args.data, args)
     full, _ = scale_features(full)
     spec = SplitSpec(seed=args.seed)
     train, validation, test = ds_mod.split(full, spec)
@@ -519,7 +516,7 @@ def _cmd_cluster(args):
 
 
 def _cmd_embed(args):
-    full = _load_cli_dataset(args)
+    full = _load_cli_csv(args.data, args)
     full, _ = scale_features(full)
     if args.metric:
         with open(args.metric) as f:

@@ -16,7 +16,7 @@ from ._linalg import pairwise_sq_dists, sym_sqrt, symmetrize
 from .classify import KnnConfig, knn_predict_batch
 from .dataset import LabeledDataset
 from .generative import GenerativeModelSet, _log_density_batch, fit_gaussian_models, bias_matrices
-from .local_metric import MetricMatrix, local_metric_stack
+from .local_metric import MetricMatrix, _as_stack, local_metric_stack
 
 __all__ = [
     "TransformFactor",
@@ -66,10 +66,9 @@ class DensityEstimator:
 
 
 def uniform_combination(local_metrics):
-    """Arithmetic mean of the local metrics (PSD by convexity)."""
-    if not local_metrics:
-        raise ValueError("cannot combine an empty list of metrics")
-    stack = np.stack([m.matrix for m in local_metrics])
+    """Arithmetic mean of the local metrics (PSD by convexity), given as a
+    sequence of MetricMatrix or as an (N, D, D) stack."""
+    stack = _as_stack(local_metrics)
     # same contraction as the weighted combination, so uniform weights there
     # reproduce this result bit for bit
     weights = np.full(len(stack), 1.0 / len(stack))

@@ -11,8 +11,8 @@ to the determinant-normalized absolute value, which minimizes the squared
 trace among unit-determinant metrics in that regime.
 
 One core solves a whole (N, D, D) stack with one batched eigendecomposition:
-local_metric_stack runs it at the rows of a feature matrix, and the other
-solver functions are single-matrix or list views of it.
+local_metric_stack runs it at the rows of a feature matrix, the other solver
+functions are single-matrix or list views of it, and interpolation takes the stack.
 """
 from dataclasses import dataclass
 
@@ -53,6 +53,8 @@ class MetricMatrix:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
+        if not np.isfinite(m).all():
+            raise ValueError("metric matrix must be finite")
         scale = max(1.0, np.abs(m).max())
         if np.abs(m - m.T).max() >= 1e-12 * scale:
             raise ValueError("metric matrix must be symmetric")
@@ -174,22 +176,33 @@ def solve_local_metric(matrix, eps_rel=DEFAULT_EPS_REL, provenance="local"):
                         degenerate=bool(degenerate[0]))
 
 
-def interpolate_with_euclidean(metric: MetricMatrix, lam_int):
-    """Convex combination (1 - lam) * M + lam * I.
+def _as_stack(metrics):
+    """The (N, D, D) float array of a metric stack or of a sequence of MetricMatrix."""
+    stack = np.asarray(metrics if isinstance(metrics, np.ndarray)
+                       else [m.matrix for m in metrics], dtype=float)
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or len(stack) == 0:
+        raise ValueError(f"expected a non-empty (N, D, D) stack of metrics, got shape {stack.shape}")
+    return stack
 
-    Renormalized back to unit determinant when the input was determinant
-    normalized. lam_int = 0 returns the input unchanged.
-    """
+
+def interpolate_with_euclidean(metric, lam_int):
+    """Convex combination (1 - lam) * M + lam * I of each metric of an (N, D, D)
+    stack of unit-determinant metrics, renormalized to unit determinant. A single
+    MetricMatrix is the N=1 view, renormalized only when it was determinant
+    normalized. lam_int = 0 returns the input unchanged."""
     if not (0.0 <= lam_int <= 1.0):
         raise ValueError("interpolation weight must lie in [0, 1]")
+    single = isinstance(metric, MetricMatrix)
+    stack = metric.matrix[None] if single else _as_stack(metric)
     if lam_int == 0.0:
         return metric
-    d = metric.dim
-    blended = (1.0 - lam_int) * metric.matrix + lam_int * np.eye(d)
-    if metric.det_normalized:
+    blended = (1.0 - lam_int) * stack + lam_int * np.eye(stack.shape[-1])
+    if not single or metric.det_normalized:
         w, u = np.linalg.eigh(blended)
-        blended = symmetrize((u * det_normalize_eigs(w)) @ u.T)
-    return MetricMatrix(blended, f"{metric.provenance}|int({lam_int:g})",
+        blended = symmetrize((u * det_normalize_eigs(w)[:, None, :]) @ u.transpose(0, 2, 1))
+    if not single:
+        return blended
+    return MetricMatrix(blended[0], f"{metric.provenance}|int({lam_int:g})",
                         det_normalized=metric.det_normalized, degenerate=metric.degenerate)
 
 

@@ -115,12 +115,8 @@ def iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
         mask = remap[result.assignments] >= 0
         pseudo = LabeledDataset(x[mask], remap[result.assignments][mask], len(keep))
         ms = fit_gaussian_models(pseudo, lam_cov)
-        stack, degenerate = local_metric_stack(x, ms)
-        locals_ = [MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
-                   for m, bad in zip(stack, degenerate)]
-        if lam_int > 0:
-            locals_ = [interpolate_with_euclidean(m, lam_int) for m in locals_]
-        metric = uniform_combination(locals_)
+        stack, _ = local_metric_stack(x, ms)
+        metric = uniform_combination(interpolate_with_euclidean(stack, lam_int))
         new_result = _warm_kmeans(x, k, metric, result.centers)
         if np.array_equal(new_result.assignments, result.assignments):
             result = new_result

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from glmetric.classify import (EnergyConfig, KnnConfig, energy_predict,
-                               energy_predict_batch, evaluate_error,
+from glmetric.classify import (EnergyConfig, KnnConfig, _glm_int_errors, _vote_rows,
+                               energy_predict, energy_predict_batch, evaluate_error,
                                knn_predict, knn_predict_batch,
                                mahalanobis_distance, margin_candidates,
                                tune_and_test)
-from glmetric.dataset import LabeledDataset, SplitSpec, load_csv, scale_features, split
+from glmetric._linalg import pairwise_sq_dists
+from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv, make_synthetic_mixture,
+                              scale_features, split, three_normal_preset)
+from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import metric_sqrt_transform
-from glmetric.local_metric import MetricMatrix, solve_local_metric
-from test_local_metric import random_symmetric_indefinite
+from glmetric.local_metric import MetricMatrix, compute_all_local_metrics, solve_local_metric
+from test_local_metric import oracle_interpolate, random_symmetric_indefinite
 
 
 def random_psd_metric(rng, dim):
@@ -256,3 +259,33 @@ class TestTuning:
         train, validation, test = iris_split
         with pytest.raises(ValueError, match="unknown method"):
             tune_and_test("nope", train, validation, test)
+
+
+def oracle_glm_int_errors(train, queries, labels, ms, k_grid, lam_grid, eps_rel):
+    """The glm_int loop the stack path replaced: one interpolated MetricMatrix per
+    (query, lam) pair."""
+    base = compute_all_local_metrics(queries, ms, eps_rel)
+    errors = {}
+    for lam in lam_grid:
+        d = np.empty((queries.n, train.n))
+        for i, m in enumerate(base):
+            mi = oracle_interpolate(m, lam)
+            d[i] = pairwise_sq_dists(queries.features[i:i + 1], train.features, mi.matrix)[0]
+        for k in k_grid:
+            pred = _vote_rows(d, train.labels, train.class_count, k)
+            errors[(k, lam)] = float(np.mean(pred != labels))
+    return errors
+
+
+class TestGlmIntMatchesOracle:
+    @pytest.mark.parametrize("data", ["iris", "three_normal"])
+    def test_error_table(self, data, iris_split):
+        if data == "iris":
+            train, validation, _ = iris_split
+        else:
+            ds = make_synthetic_mixture(three_normal_preset(dim=6), 300, seed=4)
+            train, validation, _ = split(ds, SplitSpec(seed=2))
+        ms = fit_gaussian_models(train, 1e-3)
+        args = (train, validation, validation.labels, ms, (1, 3, 5, 7),
+                (0.0, 0.1, 0.25, 0.5, 0.9, 1.0), 1e-9)
+        assert _glm_int_errors(*args) == oracle_glm_int_errors(*args)

@@ -143,6 +143,10 @@ class TestRunExperiment:
             assert len(entry["per_split"]) == 1
         assert report["methods"]["m_uni"]["timing"]["fit_metric_s"] > 0
         saved = json.loads((tmp_path / "out" / "report.json").read_text())["methods"]
+        for key in ("euclidean", "glm_int"):
+            timing = saved[key]["timing"]
+            assert timing["tuning_s"] > 0 and timing["testing_s"] > 0
+            assert timing["tuning_s"] + timing["testing_s"] <= timing["wall_s"]
         assert saved["mkl_metric(P=2)"]["timing"]["fit_metric_s"] > 0
         for key in ("mkl_baseline", "mkl_metric(P=2)"):
             timing = saved[key]["timing"]

@@ -54,6 +54,15 @@ class TestUniform:
         with pytest.raises(ValueError):
             uniform_combination([])
 
+    def test_stack_equals_list(self):
+        ds = gaussian_classes(4, 3, 150, seed=2)
+        metrics = compute_all_local_metrics(ds, fit_gaussian_models(ds, 1e-3))
+        stack = np.stack([m.matrix for m in metrics])
+        a = uniform_combination(metrics)
+        b = uniform_combination(stack)
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+        assert (a.provenance, a.det_normalized) == (b.provenance, b.det_normalized)
+
 
 class TestSqrtTransform:
     def test_diagonal(self):

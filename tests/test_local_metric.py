@@ -1,9 +1,11 @@
+import json
 import time
 
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from glmetric._linalg import det_normalize_eigs, symmetrize
 from glmetric.dataset import LabeledDataset, make_synthetic_mixture, three_normal_preset
 from glmetric.generative import bias_matrices, fit_gaussian_models
 from glmetric.global_metric import uniform_combination
@@ -181,7 +183,67 @@ class TestBatchedCore:
         assert_matches_reference(bias_matrices(x, ms)[0], stack, degenerate)
 
 
+def oracle_interpolate(metric, lam_int):
+    """The single-matrix interpolation the stack path replaced: one eigh per metric."""
+    if lam_int == 0.0:
+        return metric
+    blended = (1.0 - lam_int) * metric.matrix + lam_int * np.eye(metric.dim)
+    if metric.det_normalized:
+        w, u = np.linalg.eigh(blended)
+        blended = symmetrize((u * det_normalize_eigs(w)) @ u.T)
+    return MetricMatrix(blended, f"{metric.provenance}|int({lam_int:g})",
+                        det_normalized=metric.det_normalized, degenerate=metric.degenerate)
+
+
+def mixed_local_stack(dim, seed=0):
+    """Local metrics at fitted points plus identity rows at far-tail points."""
+    rng = np.random.default_rng(seed)
+    comps = []
+    for c in range(3):
+        a = rng.normal(size=(dim, dim))
+        comps.append((1.0 / 3.0, 2.0 * rng.normal(size=dim), a @ a.T / dim + np.eye(dim), c))
+    ds = make_synthetic_mixture(comps, 90, seed=seed)
+    ms = fit_gaussian_models(ds, 1e-3)
+    x = np.vstack([ds.features, np.full((2, dim), 1e6)])
+    stack, degenerate = local_metric_stack(x, ms)
+    assert degenerate[-2:].all() and not degenerate[:-2].all()
+    return stack, degenerate
+
+
 class TestInterpolation:
+    @pytest.mark.parametrize("lam", [0.25, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [2, 4, 10])
+    def test_stack_matches_single_matrix_oracle(self, dim, lam):
+        stack, degenerate = mixed_local_stack(dim)
+        out = interpolate_with_euclidean(stack, lam)
+        assert out.shape == stack.shape
+        for row, m, bad in zip(out, stack, degenerate):
+            single = MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
+            expect = oracle_interpolate(single, lam)
+            np.testing.assert_array_equal(row, expect.matrix)
+            got = interpolate_with_euclidean(single, lam)
+            np.testing.assert_array_equal(got.matrix, expect.matrix)
+            assert (got.provenance, got.det_normalized, got.degenerate) == (
+                expect.provenance, True, bool(bad))
+
+    def test_not_det_normalized_is_not_renormalized(self):
+        m = MetricMatrix(np.diag([4.0, 2.0]), "regional:0")
+        out = interpolate_with_euclidean(m, 0.5)
+        np.testing.assert_array_equal(out.matrix, oracle_interpolate(m, 0.5).matrix)
+        np.testing.assert_array_equal(out.matrix, np.diag([2.5, 1.5]))
+        assert out.provenance == "regional:0|int(0.5)" and not out.det_normalized
+
+    def test_zero_weight_returns_the_stack(self):
+        stack, _ = mixed_local_stack(3)
+        assert interpolate_with_euclidean(stack, 0.0) is stack
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (0, 3, 3), (1, 2, 3, 3)])
+    def test_non_stack_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"\(N, D, D\) stack"):
+            interpolate_with_euclidean(np.ones(shape), 0.5)
+        with pytest.raises(ValueError, match=r"\(N, D, D\) stack"):
+            uniform_combination(np.ones(shape))
+
     def test_full_weight_gives_identity(self):
         m = solve_local_metric(np.diag([2.0, -1.0]))
         out = interpolate_with_euclidean(m, 1.0)
@@ -299,6 +361,14 @@ class TestMetricMatrix:
     def test_rejects_false_det_claim(self):
         with pytest.raises(ValueError, match="unit determinant"):
             MetricMatrix(np.diag([2.0, 2.0]), det_normalized=True)
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite_from_json(self, entry):
+        # Python's json reads NaN and Infinity, so they can arrive from a metric file
+        d = json.loads('{"matrix": [[%s, 0.0], [0.0, 1.0]], "provenance": "global:UNI",'
+                       ' "det_normalized": false}' % entry)
+        with pytest.raises(ValueError, match="finite"):
+            MetricMatrix.from_dict(d)
 
     def test_dict_round_trip(self):
         m = solve_local_metric(np.diag([3.0, -1.0, 0.5]))

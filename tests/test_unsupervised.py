@@ -7,11 +7,12 @@ from scipy.stats import spearmanr
 from glmetric._lloyd import lloyd
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv,
                               make_synthetic_mixture, scale_features, split)
-from glmetric.local_metric import MetricMatrix, solve_local_metric
-from glmetric.unsupervised import (assign_to_centers, cluster_transfer_tune,
+from glmetric.generative import fit_gaussian_models
+from glmetric.local_metric import MetricMatrix, local_metric_stack, solve_local_metric
+from glmetric.unsupervised import (_warm_kmeans, assign_to_centers, cluster_transfer_tune,
                                    isomap_embed, iterative_metric_kmeans,
                                    kmeans, rand_score)
-from test_local_metric import random_symmetric_indefinite
+from test_local_metric import oracle_interpolate, random_symmetric_indefinite
 
 
 def three_noisy_gaussians(n, seed, scale=2.5, noise_sd=2.0, n_noise=3):
@@ -75,6 +76,39 @@ class TestKmeans:
             kmeans(np.zeros((3, 1)), 4, MetricMatrix.identity(1), seed=0)
 
 
+def oracle_iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
+                                   seed=0, restarts=10):
+    """The metric step the stack path replaced: every local metric as a validated
+    MetricMatrix, interpolated one at a time, then averaged."""
+    identity = MetricMatrix.identity(x.shape[1])
+    result = kmeans(x, k, identity, seed, restarts=restarts)
+    metric = identity
+    for _ in range(outer_iters):
+        counts = np.bincount(result.assignments, minlength=k)
+        keep = np.flatnonzero(counts >= 2)
+        if len(keep) < 2:
+            break
+        remap = np.full(k, -1)
+        remap[keep] = np.arange(len(keep))
+        mask = remap[result.assignments] >= 0
+        ms = fit_gaussian_models(
+            LabeledDataset(x[mask], remap[result.assignments][mask], len(keep)), lam_cov)
+        stack, degenerate = local_metric_stack(x, ms)
+        locals_ = [MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
+                   for m, bad in zip(stack, degenerate)]
+        if lam_int > 0:
+            locals_ = [oracle_interpolate(m, lam_int) for m in locals_]
+        stack = np.stack([m.matrix for m in locals_])
+        metric = MetricMatrix(np.einsum("n,nij->ij", np.full(len(stack), 1.0 / len(stack)),
+                                        stack), "global:UNI")
+        new_result = _warm_kmeans(x, k, metric, result.centers)
+        done = np.array_equal(new_result.assignments, result.assignments)
+        result = new_result
+        if done:
+            break
+    return result, metric
+
+
 class TestIterativeMetricKmeans:
     def test_pre_clustered_data_is_fixed_point(self):
         rng = np.random.default_rng(5)
@@ -105,6 +139,20 @@ class TestIterativeMetricKmeans:
                                                                     ds.labels):
                 at_least += 1
         assert at_least >= 24  # 80% of 30
+
+    @pytest.mark.parametrize("lam_int", [0.0, 0.5])
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_matches_per_row_oracle(self, seed, lam_int):
+        x = three_noisy_gaussians(150, seed).features
+        res, metric = iterative_metric_kmeans(x, 3, lam_cov=1e-2, lam_int=lam_int,
+                                              seed=seed, restarts=3)
+        o_res, o_metric = oracle_iterative_metric_kmeans(x, 3, lam_cov=1e-2, lam_int=lam_int,
+                                                         seed=seed, restarts=3)
+        np.testing.assert_array_equal(res.assignments, o_res.assignments)
+        np.testing.assert_array_equal(res.centers, o_res.centers)
+        assert res.inertia == o_res.inertia
+        np.testing.assert_array_equal(metric.matrix, o_metric.matrix)
+        assert metric.provenance == o_metric.provenance == "global:UNI"
 
     def test_deterministic_given_seed(self):
         ds = three_noisy_gaussians(120, seed=1)
