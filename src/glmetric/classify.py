@@ -93,17 +93,6 @@ def mahalanobis_distance(metric: MetricMatrix, x, y):
     return float(delta @ metric.matrix @ delta)
 
 
-def _vote(dist_row, idx, labels, class_count):
-    lab = labels[idx]
-    counts = np.bincount(lab, minlength=class_count)
-    best = counts.max()
-    cands = np.flatnonzero(counts == best)
-    if len(cands) == 1:
-        return int(cands[0])
-    sums = np.array([dist_row[idx[lab == c]].sum() for c in cands])
-    return int(cands[np.argmin(sums)])
-
-
 def knn_predict_batch(train, cfg: KnnConfig, queries):
     """Majority-vote kNN labels for every row of queries."""
     if train.n == 0:
@@ -116,11 +105,20 @@ def knn_predict_batch(train, cfg: KnnConfig, queries):
 
 
 def _vote_rows(d, labels, class_count, k):
+    """Majority-vote label for every row of a query-to-train distance matrix.
+
+    Ties go to the smaller sum of member distances, then to the lower class
+    index. Each class sum adds its members in neighbor order.
+    """
     if k < d.shape[1]:
         idx = np.argpartition(d, k, axis=1)[:, :k]
     else:
         idx = np.tile(np.arange(d.shape[1]), (d.shape[0], 1))
-    return np.array([_vote(d[i], idx[i], labels, class_count) for i in range(len(d))])
+    near = np.take_along_axis(d, idx, axis=1)
+    member = labels[idx][:, :, None] == np.arange(class_count)
+    counts = member.sum(axis=1)
+    sums = np.where(member, near[:, :, None], 0.0).sum(axis=1)
+    return np.where(counts == counts.max(1, keepdims=True), sums, np.inf).argmin(1)
 
 
 def knn_predict(train, cfg: KnnConfig, x):
@@ -128,23 +126,27 @@ def knn_predict(train, cfg: KnnConfig, x):
     return int(knn_predict_batch(train, cfg, np.asarray(x, dtype=float)[None, :])[0])
 
 
-def _class_energy(d_row, labels, class_count, k, margin):
-    energies = np.empty(class_count)
-    order = np.argsort(d_row, kind="stable")
-    sorted_labels = labels[order]
-    sorted_d = d_row[order]
-    for c in range(class_count):
-        own = sorted_d[sorted_labels == c][:k]
-        other = sorted_d[sorted_labels != c][:k]
-        hinge = np.maximum(0.0, margin + own[:, None] - other[None, :])
-        energies[c] = own.sum() + hinge.sum()
-    return energies
+def _sorted_by_class(d, labels, class_count, k):
+    """The k smallest distances of every row to each class and to the points
+    outside it: (own, other), both C-ordered (nq, class_count, <=k), ascending.
+
+    C order makes each energy sum add its terms in the order a 1-D sum of
+    the same values would (numpy sums along a contiguous last axis pairwise).
+    """
+    own = [np.sort(np.compress(labels == c, d, axis=1), axis=1)[:, :k]
+           for c in range(class_count)]
+    other = [np.sort(np.compress(labels != c, d, axis=1), axis=1)[:, :k]
+             for c in range(class_count)]
+    return np.stack(own, axis=1), np.stack(other, axis=1)
 
 
-def _energy_labels(d, labels, class_count, k, margin):
-    """Lowest-energy class for every row of a query-to-train distance matrix."""
-    return np.array([int(np.argmin(_class_energy(row, labels, class_count, k, margin)))
-                     for row in d], dtype=int)
+def _energy_labels(parts, k, margin):
+    """Lowest-energy class for every row, from the _sorted_by_class parts."""
+    own, other = parts[0][:, :, :k], parts[1][:, :, :k]
+    hinge = np.maximum(0.0, margin + own[..., :, None] - other[..., None, :])
+    n_q, n_c, n_own, n_other = hinge.shape
+    energy = own.sum(axis=2) + hinge.reshape(n_q, n_c, n_own * n_other).sum(axis=2)
+    return energy.argmin(axis=1)
 
 
 def energy_predict_batch(train, cfg: EnergyConfig, queries):
@@ -160,7 +162,8 @@ def energy_predict_batch(train, cfg: EnergyConfig, queries):
         raise ValueError("every class needs at least k members")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     d = pairwise_sq_dists(queries, train.features, cfg.metric.matrix)
-    return _energy_labels(d, train.labels, train.class_count, cfg.k, cfg.margin)
+    parts = _sorted_by_class(d, train.labels, train.class_count, cfg.k)
+    return _energy_labels(parts, cfg.k, cfg.margin)
 
 
 def energy_predict(train, cfg: EnergyConfig, x):
@@ -264,18 +267,18 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
         margins = margin_candidates(train, metric, beta_grid)
         dval = pairwise_sq_dists(validation.features, train.features, metric.matrix)
         max_k = int(np.bincount(train.labels, minlength=train.class_count).min())
+        ks = [k for k in k_grid if k <= max_k]
+        if not ks or not margins:
+            raise ValueError("no feasible (k, beta) candidate")
+        parts = _sorted_by_class(dval, train.labels, train.class_count, max(ks))
         cands = []
-        for k in k_grid:
-            if k > max_k:
-                continue
+        for k in ks:
             for beta, margin in zip(beta_grid, margins):
-                pred = _energy_labels(dval, train.labels, train.class_count, k, margin)
+                pred = _energy_labels(parts, k, margin)
                 err = float(np.mean(pred != validation.labels))
                 grid.append({"k": k, "beta": beta, "margin": margin,
                              "validation_error": err})
                 cands.append((err, k, beta, margin))
-        if not cands:
-            raise ValueError("no feasible (k, beta) candidate")
         err, k, beta, margin = min(cands)
         chosen = {"k": k, "beta": beta, "margin": margin}
         t1 = time.perf_counter()

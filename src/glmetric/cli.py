@@ -1,9 +1,7 @@
 """Seeded, config-driven experiment runner and command-line entry points."""
 import argparse
-import concurrent.futures
 import csv
 import json
-import os
 import sys
 import time
 import traceback
@@ -178,41 +176,27 @@ def _maybe_subsample(portion, limit, seed):
     return portion.subset(idx)
 
 
-def _run_method(entry, train, validation, test, cfg, seed):
+def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
+    """One (split, method) cell. uniform_metric() returns the split's uniform
+    metric and the phases of fitting it (empty once another method has)."""
     name = entry["name"]
     grids = cfg.grids
-    if name == "euclidean":
-        r = tune_and_test("knn", train, validation, test,
-                          metric=MetricMatrix.identity(train.dim), k_grid=grids["k"])
-        return {"kind": "error", "value": r.test_error,
-                "validation_error": r.validation_error, "chosen": r.chosen,
-                "phases": r.timing}
-    if name == "m_uni":
-        metric, phases = _timed_metric(lambda: _fit_uniform(train, cfg.lam_cov))
-        r = tune_and_test("knn", train, validation, test, metric=metric, k_grid=grids["k"])
-        return {"kind": "error", "value": r.test_error,
-                "validation_error": r.validation_error, "chosen": r.chosen,
-                "phases": {**phases, **r.timing}}
-    if name == "glm_int":
-        r = tune_and_test("glm_int", train, validation, test, lam_cov=cfg.lam_cov,
-                          k_grid=grids["k"], lam_grid=grids["lam_int"])
-        return {"kind": "error", "value": r.test_error,
-                "validation_error": r.validation_error, "chosen": r.chosen,
-                "phases": r.timing}
-    if name == "m_uni_energy":
-        metric, phases = _timed_metric(lambda: _fit_uniform(train, cfg.lam_cov))
-        r = tune_and_test("energy", train, validation, test, metric=metric,
-                          k_grid=grids["k"], beta_grid=grids["beta"])
-        return {"kind": "error", "value": r.test_error,
-                "validation_error": r.validation_error, "chosen": r.chosen,
-                "phases": {**phases, **r.timing}}
-    if name in ("m_kde", "m_gmm"):
-        kind = "kde" if name == "m_kde" else "gmm"
-        metric, phases = _timed_metric(
-            lambda: density_weighted_combination(train, validation, kind,
-                                                 max_iter=20, seed=seed,
-                                                 lam_cov=cfg.lam_cov))
-        r = tune_and_test("knn", train, validation, test, metric=metric, k_grid=grids["k"])
+    if name in ("euclidean", "glm_int", "m_uni", "m_uni_energy", "m_kde", "m_gmm"):
+        metric, phases = None, {}
+        if name == "euclidean":
+            metric = MetricMatrix.identity(train.dim)
+        elif name in ("m_uni", "m_uni_energy"):
+            metric, phases = uniform_metric()
+        elif name in ("m_kde", "m_gmm"):
+            kind = "kde" if name == "m_kde" else "gmm"
+            metric, phases = _timed_metric(
+                lambda: density_weighted_combination(train, validation, kind,
+                                                     max_iter=20, seed=seed,
+                                                     lam_cov=cfg.lam_cov))
+        method = {"glm_int": "glm_int", "m_uni_energy": "energy"}.get(name, "knn")
+        r = tune_and_test(method, train, validation, test, metric=metric,
+                          lam_cov=cfg.lam_cov, k_grid=grids["k"],
+                          lam_grid=grids["lam_int"], beta_grid=grids["beta"])
         return {"kind": "error", "value": r.test_error,
                 "validation_error": r.validation_error, "chosen": r.chosen,
                 "phases": {**phases, **r.timing}}
@@ -244,7 +228,7 @@ def _run_method(entry, train, validation, test, cfg, seed):
     if name == "isomap":
         metric = (MetricMatrix.identity(train.dim)
                   if entry.get("metric", "m_uni") == "euclidean"
-                  else _fit_uniform(train, cfg.lam_cov))
+                  else uniform_metric()[0])
         emb = isomap_embed(train.features, metric,
                            int(entry.get("n_neighbors", 8)), int(entry.get("dim", 2)))
         return {"kind": "residual_variance", "value": emb.residual_variance,
@@ -265,11 +249,20 @@ def _run_repeat(cfg, full, repeat):
     if cfg.preprocess.get("pca_dim"):
         _, (train, validation, test) = pca_reduce(train, int(cfg.preprocess["pca_dim"]),
                                                   validation, test)
+    fitted = []  # the uniform metric, kept once a method has fitted it
+
+    def uniform_metric():
+        if fitted:
+            return fitted[0], {}
+        metric, phases = _timed_metric(lambda: _fit_uniform(train, cfg.lam_cov))
+        fitted.append(metric)
+        return metric, phases
+
     out = {}
     for entry in cfg.methods:
         t0 = time.perf_counter()
         try:
-            result = _run_method(entry, train, validation, test, cfg, seed)
+            result = _run_method(entry, train, validation, test, cfg, seed, uniform_metric)
         except Exception as exc:  # recorded per method, run continues
             result = {"kind": "failed", "error": f"{type(exc).__name__}: {exc}",
                       "traceback": traceback.format_exc()}
@@ -288,21 +281,15 @@ def _method_key(entry):
 def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
     """Run every (repeat, method) cell and write report files into out_dir.
 
-    Returns (report dict, exit code): 0 on success, 1 when every method
-    failed on every repeat.
+    Repeats run one after another; threads must be 1. Returns (report dict,
+    exit code): 0 on success, 1 when every method failed on every repeat.
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads!r}: repeats run serially")
     t_start = time.perf_counter()
     full = _load_config_dataset(cfg)
     n_repeats = int(cfg.split.get("n_repeats", 1))
-    results = [None] * n_repeats
-    if threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = {pool.submit(_run_repeat, cfg, full, r): r for r in range(n_repeats)}
-            for fut in concurrent.futures.as_completed(futures):
-                results[futures[fut]] = fut.result()
-    else:
-        for r in range(n_repeats):
-            results[r] = _run_repeat(cfg, full, r)
+    results = [_run_repeat(cfg, full, r) for r in range(n_repeats)]
 
     methods = {}
     any_ok = False
@@ -408,8 +395,6 @@ def average_ranks(reports):
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None)
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("GLMETRIC_THREADS", "1")))
 
 
 def _load_cli_csv(path, args):
@@ -425,7 +410,7 @@ def _cmd_benchmark(args):
     with open(args.config) as f:
         cfg = parse_experiment_config(json.load(f))
     out_dir = args.out or cfg.output_dir or "glmetric_out"
-    _, code = run_experiment(cfg, out_dir, threads=max(1, args.threads))
+    _, code = run_experiment(cfg, out_dir)
     return code
 
 
@@ -484,7 +469,7 @@ def _cmd_mkl(args):
         "methods": ["mkl_baseline", {"name": "mkl_metric", "partitions": args.partitions}],
     }
     cfg = parse_experiment_config(raw)
-    _, code = run_experiment(cfg, args.out or "mkl_out", threads=max(1, args.threads))
+    _, code = run_experiment(cfg, args.out or "mkl_out")
     return code
 
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from glmetric.classify import (EnergyConfig, KnnConfig, _glm_int_errors, _vote_rows,
-                               energy_predict, energy_predict_batch, evaluate_error,
+from glmetric.classify import (EnergyConfig, KnnConfig, _energy_labels, _glm_int_errors,
+                               _sorted_by_class, _vote_rows, energy_predict,
+                               energy_predict_batch, evaluate_error,
                                knn_predict, knn_predict_batch,
                                mahalanobis_distance, margin_candidates,
                                tune_and_test)
@@ -142,10 +143,117 @@ class TestEnergy:
         expect = [energy_oracle(train, metric, 2, gamma0, q) for q in queries]
         assert got.tolist() == expect
 
+    def test_no_queries_give_no_labels(self):
+        train = LabeledDataset(np.arange(6, dtype=float)[:, None], [0, 0, 1, 1, 2, 2], 3)
+        metric = MetricMatrix.identity(1)
+        for got in (energy_predict_batch(train, EnergyConfig(2, 0.5, metric), np.zeros((0, 1))),
+                    knn_predict_batch(train, KnnConfig(2, metric), np.zeros((0, 1)))):
+            assert got.shape == (0,)
+
     def test_class_smaller_than_k_rejected(self):
         train = LabeledDataset(np.arange(3, dtype=float)[:, None], [0, 0, 1], 2)
         with pytest.raises(ValueError, match="at least k"):
             energy_predict(train, EnergyConfig(2, 0.0, MetricMatrix.identity(1)), [0.0])
+
+
+def oracle_vote(dist_row, idx, labels, class_count):
+    """The per-row vote the array program replaced."""
+    lab = labels[idx]
+    counts = np.bincount(lab, minlength=class_count)
+    best = counts.max()
+    cands = np.flatnonzero(counts == best)
+    if len(cands) == 1:
+        return int(cands[0])
+    sums = np.array([dist_row[idx[lab == c]].sum() for c in cands])
+    return int(cands[np.argmin(sums)])
+
+
+def oracle_vote_rows(d, labels, class_count, k):
+    if k < d.shape[1]:
+        idx = np.argpartition(d, k, axis=1)[:, :k]
+    else:
+        idx = np.tile(np.arange(d.shape[1]), (d.shape[0], 1))
+    return np.array([oracle_vote(d[i], idx[i], labels, class_count) for i in range(len(d))])
+
+
+def oracle_class_energy(d_row, labels, class_count, k, margin):
+    """The per-row class energies the array program replaced."""
+    energies = np.empty(class_count)
+    order = np.argsort(d_row, kind="stable")
+    sorted_labels = labels[order]
+    sorted_d = d_row[order]
+    for c in range(class_count):
+        own = sorted_d[sorted_labels == c][:k]
+        other = sorted_d[sorted_labels != c][:k]
+        hinge = np.maximum(0.0, margin + own[:, None] - other[None, :])
+        energies[c] = own.sum() + hinge.sum()
+    return energies
+
+
+def oracle_energy_labels(d, labels, class_count, k, margin):
+    return np.array([int(np.argmin(oracle_class_energy(row, labels, class_count, k, margin)))
+                     for row in d])
+
+
+def distance_table(rng, lattice, n_query, n_train, class_count):
+    """Query-to-train distances and balanced train labels; lattice data are
+    small integers, so distances tie exactly within and across classes."""
+    labels = rng.permutation(np.arange(n_train) % class_count)
+    if lattice:
+        return rng.integers(0, 6, size=(n_query, n_train)).astype(float), labels
+    return rng.exponential(size=(n_query, n_train)), labels
+
+
+class TestVoteMatchesOracle:
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("class_count", [2, 3, 4])
+    def test_labels(self, lattice, class_count):
+        rng = np.random.default_rng(10 + class_count + 10 * lattice)
+        for n_train in (12, 40):
+            d, labels = distance_table(rng, lattice, 60, n_train, class_count)
+            for k in range(1, 17):
+                np.testing.assert_array_equal(
+                    _vote_rows(d, labels, class_count, k),
+                    oracle_vote_rows(d, labels, class_count, k))
+
+    def test_count_tie_goes_to_smaller_sum_then_lower_index(self):
+        labels = np.array([0, 1, 2, 0, 1])
+        d = np.array([[1.0, 2.0, 9.0, 4.0, 3.0],    # 0: 5.0, 1: 5.0 -> class 0
+                      [2.0, 1.0, 9.0, 4.0, 3.0],    # 0: 6.0, 1: 4.0 -> class 1
+                      [9.0, 9.0, 1.0, 9.0, 9.0]])   # k=1: class 2
+        np.testing.assert_array_equal(_vote_rows(d[:2], labels, 3, 4), [0, 1])
+        np.testing.assert_array_equal(_vote_rows(d[2:], labels, 3, 1), [2])
+
+
+class TestEnergyMatchesOracle:
+    @pytest.mark.parametrize("margin", [0.0, 0.37, 5.0])
+    @pytest.mark.parametrize("class_count", [2, 3, 4])
+    def test_continuous_labels(self, margin, class_count):
+        rng = np.random.default_rng(20 + class_count)
+        d, labels = distance_table(rng, False, 80, 12 * class_count, class_count)
+        parts = _sorted_by_class(d, labels, class_count, 12)
+        for k in range(1, 13):
+            np.testing.assert_array_equal(
+                _energy_labels(parts, k, margin),
+                oracle_energy_labels(d, labels, class_count, k, margin))
+
+    @pytest.mark.parametrize("margin", [0.0, 0.37])
+    @pytest.mark.parametrize("class_count", [2, 3, 4])
+    def test_lattice_ties_take_lower_index(self, margin, class_count):
+        # margin 0 keeps the arithmetic exact; with 0.37 the exact ties
+        # survive only if every energy adds its terms in the oracle's order
+        rng = np.random.default_rng(30 + class_count)
+        d, labels = distance_table(rng, True, 200, 8 * class_count, class_count)
+        parts = _sorted_by_class(d, labels, class_count, 8)
+        tied = 0
+        for k in range(1, 9):
+            got = _energy_labels(parts, k, margin)
+            np.testing.assert_array_equal(
+                got, oracle_energy_labels(d, labels, class_count, k, margin))
+            energies = np.array([oracle_class_energy(r, labels, class_count, k, margin)
+                                 for r in d])
+            tied += int(np.sum((energies == energies.min(1, keepdims=True)).sum(1) > 1))
+        assert tied > 0  # the data exercise the tie rule
 
 
 class TestMargins:

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from glmetric import cli as cli_mod
 from glmetric.cli import (ConfigError, average_ranks, main,
                           parse_experiment_config, run_experiment)
 from glmetric.classify import KnnConfig, knn_predict_batch
@@ -88,14 +89,46 @@ class TestRunExperiment:
         b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert strip_timing(a) == strip_timing(b)
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        path, _ = minimal_config(tmp_path, methods=("euclidean", "m_uni"), n_repeats=3)
+    def test_threads_other_than_one_rejected(self, tmp_path):
+        path, _ = minimal_config(tmp_path)
         cfg = parse_experiment_config(json.loads(path.read_text()))
-        run_experiment(cfg, tmp_path / "serial", threads=1)
-        run_experiment(cfg, tmp_path / "parallel", threads=3)
-        a = json.loads((tmp_path / "serial" / "report.json").read_text())
-        b = json.loads((tmp_path / "parallel" / "report.json").read_text())
-        assert strip_timing(a) == strip_timing(b)
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run_experiment(cfg, tmp_path / "out", threads=2)
+        assert not (tmp_path / "out").exists()
+
+    def test_uniform_metric_fitted_once_per_split(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return compute_all_local_metrics(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "compute_all_local_metrics", counted)
+        path, _ = minimal_config(tmp_path, methods=("m_uni", "m_uni_energy"), n_repeats=2)
+        cfg = parse_experiment_config(json.loads(path.read_text()))
+        report, code = run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        assert len(calls) == 2
+        assert report["methods"]["m_uni"]["timing"]["fit_metric_s"] > 0
+        assert "fit_metric_s" not in report["methods"]["m_uni_energy"]["timing"]
+
+    def test_failed_uniform_fit_not_cached(self, tmp_path, monkeypatch):
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            raise FloatingPointError(f"fit {len(calls)}")
+
+        monkeypatch.setattr(cli_mod, "compute_all_local_metrics", failing)
+        path, _ = minimal_config(tmp_path, methods=("euclidean", "m_uni", "m_uni_energy"))
+        cfg = parse_experiment_config(json.loads(path.read_text()))
+        report, code = run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        assert len(calls) == 2
+        for key, error in (("m_uni", "fit 1"), ("m_uni_energy", "fit 2")):
+            (failure,) = report["methods"][key]["failures"]
+            assert failure["error"] == f"FloatingPointError: {error}"
+            assert "in _fit_uniform" in failure["traceback"]
 
     def test_stderr_matches_per_split_values(self, tmp_path):
         path, _ = minimal_config(tmp_path, n_repeats=4)

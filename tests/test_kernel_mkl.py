@@ -222,10 +222,10 @@ def project_box_hyperplane(v, y, c):
     lo, hi = -1e6, 1e6
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if balance(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
+        step = (mid, hi) if balance(mid) > 0 else (lo, mid)
+        if step == (lo, hi):
+            break  # a fixed point: every later step would repeat this one
+        lo, hi = step
     return np.clip(v - 0.5 * (lo + hi) * y, 0.0, c)
 
 
