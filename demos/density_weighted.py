@@ -23,8 +23,7 @@ uni = uniform_combination(compute_all_local_metrics(train, models))
 rows = [("euclidean", MetricMatrix.identity(train.dim)), ("uniform", uni)]
 for kind in ("kde", "gmm"):
     metric, info = density_weighted_combination(train, validation, kind,
-                                                max_iter=20, seed=0,
-                                                return_info=True)
+                                                max_iter=20, return_info=True)
     gaps = [np.abs(a - b).sum()
             for a, b in zip(info["weights"][1:], info["weights"][:-1])]
     print(f"{kind}: weight movement per iteration "
@@ -33,8 +32,7 @@ for kind in ("kde", "gmm"):
     # single iteration: a pure density-weighted convex combination, directly
     # comparable to the uniform average (no composed transforms)
     rows.append((f"{kind} x1",
-                 density_weighted_combination(train, validation, kind,
-                                              max_iter=1, seed=0)))
+                 density_weighted_combination(train, validation, kind, max_iter=1)))
 
 print(f"\n{'metric':<12}{'test error (%)':>16}")
 for name, metric in rows:

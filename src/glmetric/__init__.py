@@ -11,18 +11,16 @@ from .dataset import (LabeledDataset, ProjectionParams, ScaleParams, SplitSpec,
 from .generative import (GaussianModel, GenerativeModelSet, asymptotic_error_mc,
                          bias_integrand, bias_matrix, density,
                          fit_gaussian_models, hessian, log_density)
-from .local_metric import (MetricMatrix, SpectralSolution, compute_all_local_metrics,
+from .local_metric import (MetricMatrix, compute_all_local_metrics,
                            interpolate_with_euclidean, local_metric_stack,
-                           regional_metrics, solve_local_metric, spectral_split)
-from .global_metric import (DensityEstimator, TransformFactor,
-                            density_weighted_combination, fixed_point_residual,
-                            kde_density, metric_sqrt_transform,
+                           regional_metrics, solve_local_metric)
+from .global_metric import (TransformFactor, density_weighted_combination,
+                            fixed_point_residual, metric_sqrt_transform,
                             uniform_combination)
-from .classify import (EnergyConfig, KnnConfig, TunedResult, energy_predict,
-                       evaluate_error, knn_predict, mahalanobis_distance,
+from .classify import (EnergyConfig, KnnConfig, TunedResult, evaluate_error,
                        margin_candidates, tune_and_test)
 from .kernel_mkl import (BaseKernel, MklModel, build_kernel_bank, gram_matrix,
-                         mkl_predict, mkl_train, rbf_metric_kernel, svm_solve)
+                         mkl_train, svm_solve)
 from .unsupervised import (ClusteringResult, Embedding, cluster_transfer_tune,
                            isomap_embed, iterative_metric_kmeans, kmeans,
                            rand_score)

@@ -3,6 +3,8 @@ import numpy as np
 
 from ._linalg import pairwise_sq_dists
 
+MAX_ITER = 300  # Lloyd iterations per run
+
 
 def _seed_centers(x, k, rng):
     # k-means++ style: first uniform, then proportional to squared distance
@@ -19,7 +21,7 @@ def _seed_centers(x, k, rng):
     return centers
 
 
-def lloyd(x, k, rng, max_iter=300, init_centers=None):
+def lloyd(x, k, rng, init_centers=None):
     """One Lloyd run. Returns (assignments, centers, inertia, inertia_history).
 
     An empty cluster is re-seeded from the point farthest from its own
@@ -30,7 +32,7 @@ def lloyd(x, k, rng, max_iter=300, init_centers=None):
     centers = _seed_centers(x, k, rng) if init_centers is None else np.array(init_centers, dtype=float)
     assign = None
     history = []
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         d = pairwise_sq_dists(x, centers)
         new_assign = d.argmin(axis=1)
         own = d[np.arange(len(x)), new_assign]
@@ -53,11 +55,11 @@ def lloyd(x, k, rng, max_iter=300, init_centers=None):
     return assign, centers, history[-1], history
 
 
-def lloyd_best_of(x, k, rng, restarts=10, max_iter=300):
+def lloyd_best_of(x, k, rng, restarts=10):
     """Best-inertia Lloyd run over seeded restarts."""
     best = None
     for _ in range(max(1, restarts)):
-        run = lloyd(x, k, rng, max_iter=max_iter)
+        run = lloyd(x, k, rng)
         if best is None or run[2] < best[2]:
             best = run
     return best

@@ -17,10 +17,7 @@ __all__ = [
     "KnnConfig",
     "EnergyConfig",
     "TunedResult",
-    "mahalanobis_distance",
-    "knn_predict",
     "knn_predict_batch",
-    "energy_predict",
     "energy_predict_batch",
     "margin_candidates",
     "evaluate_error",
@@ -45,13 +42,10 @@ class KnnConfig:
 
     k: int
     metric: MetricMatrix
-    tie_rule: str = "distance_sum_then_index"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.tie_rule != "distance_sum_then_index":
-            raise ValueError(f"unknown tie rule {self.tie_rule!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,18 +74,6 @@ class TunedResult:
     grid: list = field(default_factory=list)
     timing: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"method": self.method, "chosen": self.chosen,
-                "validation_error": self.validation_error,
-                "test_error": self.test_error, "grid": self.grid,
-                "timing": self.timing}
-
-
-def mahalanobis_distance(metric: MetricMatrix, x, y):
-    """Squared distance (x - y)^T M (x - y)."""
-    delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return float(delta @ metric.matrix @ delta)
-
 
 def knn_predict_batch(train, cfg: KnnConfig, queries):
     """Majority-vote kNN labels for every row of queries."""
@@ -119,11 +101,6 @@ def _vote_rows(d, labels, class_count, k):
     counts = member.sum(axis=1)
     sums = np.where(member, near[:, :, None], 0.0).sum(axis=1)
     return np.where(counts == counts.max(1, keepdims=True), sums, np.inf).argmin(1)
-
-
-def knn_predict(train, cfg: KnnConfig, x):
-    """kNN label of a single point."""
-    return int(knn_predict_batch(train, cfg, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def _sorted_by_class(d, labels, class_count, k):
@@ -166,10 +143,6 @@ def energy_predict_batch(train, cfg: EnergyConfig, queries):
     return _energy_labels(parts, cfg.k, cfg.margin)
 
 
-def energy_predict(train, cfg: EnergyConfig, x):
-    return int(energy_predict_batch(train, cfg, np.asarray(x, dtype=float)[None, :])[0])
-
-
 def margin_candidates(train, metric: MetricMatrix, beta_grid=DEFAULT_BETA_GRID):
     """Candidate margins beta * gamma0, clipped at zero.
 
@@ -197,9 +170,9 @@ def evaluate_error(predictor, test):
     return float(np.mean(pred != test.labels))
 
 
-def _glm_int_errors(train, queries, labels, ms, k_grid, lam_grid, eps_rel):
+def _glm_int_errors(train, queries, labels, ms, k_grid, lam_grid):
     """Error per (k, lam) using a per-query interpolated local metric."""
-    base, _ = local_metric_stack(queries.features, ms, eps_rel)
+    base, _ = local_metric_stack(queries.features, ms)
     errors = {}
     for lam in lam_grid:
         metrics = interpolate_with_euclidean(base, lam)
@@ -214,7 +187,7 @@ def _glm_int_errors(train, queries, labels, ms, k_grid, lam_grid, eps_rel):
 
 def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
                   k_grid=DEFAULT_K_GRID, lam_grid=DEFAULT_LAMBDA_GRID,
-                  beta_grid=DEFAULT_BETA_GRID, eps_rel=1e-9):
+                  beta_grid=DEFAULT_BETA_GRID):
     """Grid search on the validation portion, then score the winner on test.
 
     method is one of "knn" (requires metric; tunes k), "glm_int" (fits
@@ -250,7 +223,7 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
     elif method == "glm_int":
         ms = fit_gaussian_models(train, lam_cov)
         errors = _glm_int_errors(train, validation, validation.labels, ms,
-                                 k_grid, lam_grid, eps_rel)
+                                 k_grid, lam_grid)
         cands = []
         for (k, lam), err in errors.items():
             grid.append({"k": k, "lam_int": lam, "validation_error": err})
@@ -258,7 +231,7 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
         err, k, lam = min(cands)
         chosen = {"k": k, "lam_int": lam}
         t1 = time.perf_counter()
-        test_errors = _glm_int_errors(train, test, test.labels, ms, (k,), (lam,), eps_rel)
+        test_errors = _glm_int_errors(train, test, test.labels, ms, (k,), (lam,))
         test_err = test_errors[(k, lam)]
 
     elif method == "energy":

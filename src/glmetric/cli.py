@@ -59,6 +59,17 @@ def _check_keys(d, allowed, where):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _check_method_values(entry):
+    name = entry["name"]
+    for key in ("k", "outer_iters", "n_neighbors", "dim", "partitions", "max_train"):
+        value = entry.get(key, 1)  # an absent key keeps its positive default
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{key} of method {name} must be a positive integer, got {value!r}")
+    if entry.get("metric", "m_uni") not in ("euclidean", "m_uni"):
+        raise ConfigError(f"metric of method {name} must be 'euclidean' or 'm_uni', "
+                          f"got {entry['metric']!r}")
+
+
 def parse_experiment_config(raw):
     """Validate the versioned JSON config; unknown keys are rejected."""
     _check_keys(raw, {"version", "dataset", "preprocess", "split", "methods",
@@ -104,6 +115,7 @@ def parse_experiment_config(raw):
         if name == "isomap":
             allowed |= {"n_neighbors", "dim", "metric"}
         _check_keys(entry, allowed, f"method {name}")
+        _check_method_values(entry)
         methods.append(entry)
     if not methods:
         raise ConfigError("config needs at least one method")
@@ -168,11 +180,21 @@ def _run_mkl(train, validation, test, metrics, grids, seed):
             "phases": phases}
 
 
+def _cluster_cell(train, validation, test, k, grids, seed, outer_iters=10):
+    """Transfer-tuned metric clustering scored on test: (the tuning result,
+    the test points' nearest-center ids, their Rand score)."""
+    tuned = cluster_transfer_tune(train, validation, k, grids["lam_cov"],
+                                  grids["cluster_lam_int"], seed=seed,
+                                  outer_iters=outer_iters)
+    assigned = assign_to_centers(test.features, tuned["clustering"].centers, tuned["metric"])
+    return tuned, assigned, rand_score(assigned, test.labels)
+
+
 def _maybe_subsample(portion, limit, seed):
-    if limit is None or portion.n <= int(limit):
+    if limit is None or portion.n <= limit:
         return portion
     rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(portion.n, int(limit), replace=False))
+    idx = np.sort(rng.choice(portion.n, limit, replace=False))
     return portion.subset(idx)
 
 
@@ -191,8 +213,7 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
             kind = "kde" if name == "m_kde" else "gmm"
             metric, phases = _timed_metric(
                 lambda: density_weighted_combination(train, validation, kind,
-                                                     max_iter=20, seed=seed,
-                                                     lam_cov=cfg.lam_cov))
+                                                     max_iter=20, lam_cov=cfg.lam_cov))
         method = {"glm_int": "glm_int", "m_uni_energy": "energy"}.get(name, "knn")
         r = tune_and_test(method, train, validation, test, metric=metric,
                           lam_cov=cfg.lam_cov, k_grid=grids["k"],
@@ -206,7 +227,7 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
                         grids, seed)
     if name == "mkl_metric":
         tr = _maybe_subsample(train, entry.get("max_train"), seed)
-        p = int(entry.get("partitions", 5))
+        p = entry.get("partitions", 5)
         (regionals, _), phases = _timed_metric(lambda: regional_metrics(
             compute_all_local_metrics(tr, fit_gaussian_models(tr, cfg.lam_cov)),
             tr.features, p, seed))
@@ -215,14 +236,9 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
         out["phases"].update(phases)
         return out
     if name == "cluster_uni":
-        k = int(entry.get("k", train.class_count))
-        outer = int(entry.get("outer_iters", 10))
-        tuned = cluster_transfer_tune(train, validation, k, grids["lam_cov"],
-                                      grids["cluster_lam_int"], seed=seed,
-                                      outer_iters=outer)
-        assigned = assign_to_centers(test.features, tuned["clustering"].centers,
-                                     tuned["metric"])
-        score = rand_score(assigned, test.labels)
+        k = entry.get("k", train.class_count)
+        outer = entry.get("outer_iters", 10)
+        tuned, _, score = _cluster_cell(train, validation, test, k, grids, seed, outer)
         return {"kind": "rand", "value": score,
                 "chosen": {"lam_cov": tuned["lam_cov"], "lam_int": tuned["lam_int"], "k": k}}
     if name == "isomap":
@@ -230,7 +246,7 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
                   if entry.get("metric", "m_uni") == "euclidean"
                   else uniform_metric()[0])
         emb = isomap_embed(train.features, metric,
-                           int(entry.get("n_neighbors", 8)), int(entry.get("dim", 2)))
+                           entry.get("n_neighbors", 8), entry.get("dim", 2))
         return {"kind": "residual_variance", "value": emb.residual_variance,
                 "chosen": {"n_neighbors": emb.n_neighbors,
                            "embedded": int(len(emb.kept_indices))}}
@@ -427,7 +443,7 @@ def _cmd_fit_metric(args):
         train, validation, _ = ds_mod.split(full, spec)
         kind = "kde" if args.method == "m_kde" else "gmm"
         metric = density_weighted_combination(train, validation, kind, max_iter=20,
-                                              seed=args.seed, lam_cov=args.lam_cov)
+                                              lam_cov=args.lam_cov)
     payload = {"metric": metric.to_dict(), "method": args.method,
                "lam_cov": args.lam_cov, "seed": args.seed,
                "scale": scale.to_dict() if scale else None}
@@ -479,11 +495,7 @@ def _cmd_cluster(args):
     spec = SplitSpec(seed=args.seed)
     train, validation, test = ds_mod.split(full, spec)
     k = args.k or full.class_count
-    tuned = cluster_transfer_tune(train, validation, k,
-                                  DEFAULT_GRIDS["lam_cov"],
-                                  DEFAULT_GRIDS["cluster_lam_int"], seed=args.seed)
-    assigned = assign_to_centers(test.features, tuned["clustering"].centers, tuned["metric"])
-    score = rand_score(assigned, test.labels)
+    tuned, assigned, score = _cluster_cell(train, validation, test, k, DEFAULT_GRIDS, args.seed)
     out = Path(args.out or "cluster_out")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "assignments.csv", "w", newline="") as f:

@@ -125,17 +125,6 @@ class ProjectionParams:
     def transform_features(self, x):
         return (np.asarray(x, dtype=float) - self.mean) @ self.components
 
-    def to_dict(self):
-        return {"mean": self.mean.tolist(),
-                "components": self.components.tolist(),
-                "explained_variance": self.explained_variance.tolist()}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(np.asarray(d["mean"], dtype=float),
-                   np.asarray(d["components"], dtype=float),
-                   np.asarray(d["explained_variance"], dtype=float))
-
 
 def load_csv(path, label_column, has_header=False):
     """Load a numeric CSV with one label column into a LabeledDataset.

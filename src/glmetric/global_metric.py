@@ -15,15 +15,13 @@ import numpy as np
 from ._linalg import pairwise_sq_dists, sym_sqrt, symmetrize
 from .classify import KnnConfig, knn_predict_batch
 from .dataset import LabeledDataset
-from .generative import GenerativeModelSet, _log_density_batch, fit_gaussian_models, bias_matrices
+from .generative import _log_density_batch, bias_matrices, fit_gaussian_models
 from .local_metric import MetricMatrix, _as_stack, local_metric_stack
 
 __all__ = [
     "TransformFactor",
-    "DensityEstimator",
     "uniform_combination",
     "metric_sqrt_transform",
-    "kde_density",
     "select_kde_bandwidth",
     "density_weighted_combination",
     "fixed_point_residual",
@@ -48,22 +46,6 @@ class TransformFactor:
     def transform(self, x):
         return np.asarray(x, dtype=float) @ self.L  # L symmetric, so rows map by L
 
-    def to_dict(self):
-        return {"L": self.L.tolist(), "source": self.source.to_dict()}
-
-
-@dataclass(frozen=True, eq=False)
-class DensityEstimator:
-    """Fitted per-iteration density model: a KDE bandwidth or a class mixture."""
-
-    kind: str
-    bandwidth: float | None = None
-    model_set: GenerativeModelSet | None = None
-
-    def __post_init__(self):
-        if self.kind == "kde" and not (self.bandwidth and self.bandwidth > 0):
-            raise ValueError("kde estimator needs a positive bandwidth")
-
 
 def uniform_combination(local_metrics):
     """Arithmetic mean of the local metrics (PSD by convexity), given as a
@@ -80,40 +62,33 @@ def metric_sqrt_transform(metric: MetricMatrix):
     return TransformFactor(sym_sqrt(metric.matrix), metric)
 
 
-def _kde_log_density(x_train, sigma, queries):
-    """Log of (1/h) sum_i exp(-||q - x_i||^2 / sigma^2), h normalizing to 1."""
-    n, d = x_train.shape
-    log_h = np.log(n) + 0.5 * d * np.log(np.pi) + d * np.log(sigma)
-    sq = pairwise_sq_dists(np.atleast_2d(queries), x_train) / sigma ** 2
+def _kde_log_density(sq_dists, dim, sigma):
+    """Log of (1/h) sum_i exp(-||q - x_i||^2 / sigma^2), h normalizing to 1, for
+    every row of the query-to-train squared distances of dim-dimensional points."""
+    log_h = np.log(sq_dists.shape[1]) + 0.5 * dim * np.log(np.pi) + dim * np.log(sigma)
+    sq = sq_dists / sigma ** 2
     m = -sq.min(axis=1)
     with np.errstate(under="ignore"):
         lse = m + np.log(np.exp(-sq - m[:, None]).sum(axis=1))
     return lse - log_h
 
 
-def kde_density(x_train, sigma, x):
-    """Kernel density estimate at a single point."""
-    if sigma <= 0:
-        raise ValueError("bandwidth must be positive")
-    x_train = np.asarray(x_train, dtype=float)
-    return float(np.exp(_kde_log_density(x_train, sigma, np.asarray(x, dtype=float)[None, :])[0]))
-
-
-def select_kde_bandwidth(x_train, x_val, grid_exponents=range(-3, 4)):
+def select_kde_bandwidth(x_train, x_val):
     """Bandwidth maximizing the validation log likelihood.
 
-    Candidates are 2^j times the median pairwise distance of the training
-    points; ties pick the smaller bandwidth.
+    Candidates are 2^j (j = -3..3) times the median pairwise distance of the
+    training points; ties pick the smaller bandwidth.
     """
     d = pairwise_sq_dists(x_train, x_train)
     iu = np.triu_indices(len(x_train), 1)
     med = float(np.sqrt(np.median(d[iu])))
     if med <= 0:
         raise ValueError("degenerate training set: zero median pairwise distance")
+    d_val = pairwise_sq_dists(x_val, x_train)
     best = None
-    for j in grid_exponents:
+    for j in range(-3, 4):
         sigma = med * 2.0 ** j
-        ll = float(_kde_log_density(x_train, sigma, x_val).sum())
+        ll = float(_kde_log_density(d_val, x_train.shape[1], sigma).sum())
         if np.isfinite(ll) and (best is None or ll > best[0]):
             best = (ll, sigma)
     if best is None:
@@ -138,22 +113,21 @@ def _mixture_log_density(ms, x):
 
 
 def density_weighted_combination(train, validation, estimator_kind="kde",
-                                 max_iter=20, ms_refit=True, seed=0,
-                                 lam_cov=1e-3, knn_k=3, weights_fn=None,
-                                 return_info=False):
+                                 max_iter=20, ms_refit=True, lam_cov=1e-3,
+                                 weights_fn=None, return_info=False):
     """Iterated density-weighted average of the local metrics.
 
     estimator_kind is "kde" (bandwidth re-tuned on the validation portion each
     iteration), "gmm" (per-class Gaussians; with ms_refit the training points
-    are re-labeled each iteration by kNN against the validation portion, which
+    are re-labeled each iteration by 3-NN against the validation portion, which
     makes the density metric-dependent), or "custom" (weights_fn(x, v, t) must
     return per-point weights). Weights are normalized to sum to one, so every
     iterate is a convex combination; if every density underflows the iteration
     falls back to uniform weights and logs a warning.
 
     Returns the composed metric in the original coordinates; with
-    return_info=True also a dict with the weight trajectory, per-iteration
-    factors, and the last fitted estimator.
+    return_info=True also a dict with the weight trajectory, the KDE
+    bandwidths, and the per-iteration factors.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
@@ -164,7 +138,7 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
     labels = train.labels.copy()
     d = train.dim
     t_prev = np.eye(d)
-    info = {"weights": [], "bandwidths": [], "factors": [], "estimator": None}
+    info = {"weights": [], "bandwidths": [], "factors": []}
     combined = None
     for it in range(max_iter):
         if weights_fn is not None:
@@ -173,14 +147,12 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
             sigma = select_kde_bandwidth(x, v)
             info["bandwidths"].append(sigma)
             with np.errstate(under="ignore"):
-                w = np.exp(_kde_log_density(x, sigma, x))
-            info["estimator"] = DensityEstimator("kde", bandwidth=sigma)
+                w = np.exp(_kde_log_density(pairwise_sq_dists(x, x), d, sigma))
         elif estimator_kind == "gmm":
             mix = _mixture_from_labels(x, labels, lam_cov)
             logp = _mixture_log_density(mix, x)
             shift = logp.max()
             w = np.exp(logp - shift) if np.isfinite(shift) else np.zeros(len(x))
-            info["estimator"] = DensityEstimator("gmm", model_set=mix)
         else:
             raise ValueError(f"unknown estimator kind {estimator_kind!r}")
         total = w.sum()
@@ -199,7 +171,7 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
             t_prev = factor @ t_prev
             if estimator_kind == "gmm" and ms_refit and weights_fn is None:
                 ref = LabeledDataset(v, validation.labels, validation.class_count)
-                k = min(knn_k, len(v))
+                k = min(3, len(v))
                 labels = knn_predict_batch(ref, KnnConfig(k, MetricMatrix.identity(d)), x)
     total_matrix = symmetrize(t_prev.T @ combined @ t_prev)
     info["factors"].append(sym_sqrt(combined))
@@ -207,7 +179,7 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
     return (metric, info) if return_info else metric
 
 
-def fixed_point_residual(train, metric: MetricMatrix, lam_cov=0.0, eps_rel=1e-9):
+def fixed_point_residual(train, metric: MetricMatrix, lam_cov=0.0):
     """How far the transformed coordinates are from the self-consistent point.
 
     Transform the training data by the square root of the metric, refit the
@@ -232,7 +204,7 @@ def fixed_point_residual(train, metric: MetricMatrix, lam_cov=0.0, eps_rel=1e-9)
     scale = np.exp(2.0 * logdet_l / d)
 
     ms_x = fit_gaussian_models(train, lam_cov)
-    locals_x, degen_x = local_metric_stack(train.features, ms_x, eps_rel)
+    locals_x, degen_x = local_metric_stack(train.features, ms_x)
 
     z = train.features @ factor
     ms_z = fit_gaussian_models(train.with_features(z), lam_cov)

@@ -25,13 +25,11 @@ __all__ = [
     "SvmSolution",
     "MklModel",
     "DEFAULT_TAU_GRID",
-    "rbf_metric_kernel",
     "build_kernel_bank",
     "gram_matrix",
     "svm_solve",
     "project_simplex",
     "mkl_train",
-    "mkl_predict",
     "train_one_vs_all",
     "predict_one_vs_all",
 ]
@@ -39,6 +37,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_TAU_GRID = tuple(2.0 ** k for k in range(-6, 9))
+_MEDIAN_PAIRS = 10 ** 6  # most pairs a bank's bandwidth normalization reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,15 +52,6 @@ class BaseKernel:
     def __post_init__(self):
         if self.sigma_sq <= 0:
             raise ValueError("bandwidth must be positive")
-
-    def to_dict(self):
-        return {"metric": self.metric.to_dict(), "sigma_sq": self.sigma_sq,
-                "tau": self.tau, "sigma0_sq": self.sigma0_sq}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(MetricMatrix.from_dict(d["metric"]), d["sigma_sq"],
-                   d.get("tau"), d.get("sigma0_sq"))
 
 
 @dataclass(eq=False)
@@ -96,36 +86,15 @@ class MklModel:
         if (a < -1e-12).any() or abs(a.sum() - 1.0) > 1e-8:
             raise ValueError("kernel weights must lie on the simplex")
 
-    @property
-    def support_indices(self):
-        return np.flatnonzero(self.beta > 1e-8)
 
-    def to_dict(self, bank=None):
-        out = {"weights": self.weights.tolist(), "beta": self.beta.tolist(),
-               "bias": self.bias, "C": self.C,
-               "support_indices": self.support_indices.tolist(),
-               "objective_curve": list(self.objective_curve),
-               "converged": self.converged}
-        if bank is not None:
-            out["kernels"] = [bk.to_dict() for bk in bank]
-        return out
-
-
-def rbf_metric_kernel(bk: BaseKernel, x, y):
-    """Kernel value in (0, 1] between two points."""
-    delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    return float(np.exp(-(delta @ bk.metric.matrix @ delta) / bk.sigma_sq))
-
-
-def _median_sq_distance(x, metric, rng, max_pairs):
+def _median_sq_distance(x, metric, rng):
     n = len(x)
-    total = n * (n - 1) // 2
-    if total <= max_pairs:
+    if n * (n - 1) // 2 <= _MEDIAN_PAIRS:
         d = pairwise_sq_dists(x, x, metric.matrix)
         vals = d[np.triu_indices(n, 1)]
     else:
-        i = rng.integers(0, n, size=max_pairs)
-        j = rng.integers(0, n - 1, size=max_pairs)
+        i = rng.integers(0, n, size=_MEDIAN_PAIRS)
+        j = rng.integers(0, n - 1, size=_MEDIAN_PAIRS)
         j = np.where(j >= i, j + 1, j)
         diff = x[i] - x[j]
         vals = np.einsum("nd,de,ne->n", diff, metric.matrix, diff)
@@ -135,13 +104,12 @@ def _median_sq_distance(x, metric, rng, max_pairs):
     return med
 
 
-def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID, seed=0,
-                      max_pairs=10 ** 6):
+def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID, seed=0):
     """One kernel per (metric, tau): sigma^2 = sigma0^2(metric) / tau.
 
     sigma0^2 is the median squared pairwise training distance under the
-    metric, subsampled to at most max_pairs pairs with the given seed. The
-    baseline family is the special case metrics = [identity].
+    metric, subsampled to at most 10^6 pairs with the given seed. The baseline
+    family is the special case metrics = [identity].
     """
     if not metrics or not len(tau_grid):
         raise ValueError("need at least one metric and one tau value")
@@ -149,7 +117,7 @@ def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID, seed=0,
     rng = np.random.default_rng(seed)
     bank = []
     for metric in metrics:
-        sigma0_sq = _median_sq_distance(x_train, metric, rng, max_pairs)
+        sigma0_sq = _median_sq_distance(x_train, metric, rng)
         for tau in tau_grid:
             bank.append(BaseKernel(metric, sigma0_sq / tau, tau=float(tau),
                                    sigma0_sq=sigma0_sq))
@@ -348,16 +316,9 @@ def _decision_values(model: MklModel, test_grams):
     return _combine(model.weights, test_grams) @ (model.beta * model.labels) + model.bias
 
 
-def mkl_predict(model: MklModel, test_grams):
-    """+-1 labels from the combined decision function (0 maps to +1)."""
-    values = _decision_values(model, test_grams)
-    return np.where(values >= 0, 1, -1)
-
-
-def train_one_vs_all(grams, labels, class_count, c, tol=1e-4, max_outer=50):
+def train_one_vs_all(grams, labels, class_count, c):
     """One binary MKL model per class against the rest."""
-    return [mkl_train(grams, np.where(labels == cls, 1.0, -1.0), c,
-                      tol=tol, max_outer=max_outer)
+    return [mkl_train(grams, np.where(labels == cls, 1.0, -1.0), c)
             for cls in range(class_count)]
 
 

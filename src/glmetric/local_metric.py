@@ -5,10 +5,11 @@ whose inverse annihilates it in trace: split the spectrum into the strictly
 positive part and the rest, scale each block by the opposite block size, and
 normalize the determinant in log space. Zero (and near-zero) eigenvalues are
 merged into the negative block, with their magnitudes clamped at
-eps_rel * max|eigenvalue| so the metric stays positive definite; both blocks
-must be populated for the trace to vanish, so (semi)definite inputs fall back
-to the determinant-normalized absolute value, which minimizes the squared
-trace among unit-determinant metrics in that regime.
+eps_rel * max|eigenvalue| (eps_rel = DEFAULT_EPS_REL = 1e-9) so the metric
+stays positive definite; both blocks must be populated for the trace to
+vanish, so (semi)definite inputs fall back to the determinant-normalized
+absolute value, which minimizes the squared trace among unit-determinant
+metrics in that regime.
 
 One core solves a whole (N, D, D) stack with one batched eigendecomposition:
 local_metric_stack runs it at the rows of a feature matrix, the other solver
@@ -24,8 +25,6 @@ from .generative import bias_matrices
 
 __all__ = [
     "MetricMatrix",
-    "SpectralSolution",
-    "spectral_split",
     "solve_local_metric",
     "local_metric_stack",
     "interpolate_with_euclidean",
@@ -87,23 +86,6 @@ class MetricMatrix:
                    d["det_normalized"], d.get("degenerate", False))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralSolution:
-    """Eigenstructure of a bias matrix: descending eigenvalues, eigenvectors,
-    and the counts of strictly positive / strictly negative eigenvalues at the
-    relative threshold (the remainder are treated as zeros)."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    d_plus: int
-    d_minus: int
-    degenerate: bool
-
-    @property
-    def zero_count(self):
-        return len(self.eigenvalues) - self.d_plus - self.d_minus
-
-
 def _split_stack(b, eps_rel):
     """Descending eigenpairs of a symmetric (N, D, D) stack, the per-row
     threshold eps_rel * max|eigenvalue|, the counts above +eps and below -eps,
@@ -131,7 +113,7 @@ def _solve_stack(b, eps_rel):
     return stack, degenerate
 
 
-def local_metric_stack(x, ms, eps_rel=DEFAULT_EPS_REL):
+def local_metric_stack(x, ms):
     """(N, D, D) stack of determinant-one local metrics at the rows of x, and
     the (N,) degenerate mask.
 
@@ -141,14 +123,7 @@ def local_metric_stack(x, ms, eps_rel=DEFAULT_EPS_REL):
     as the identity with the degenerate flag.
     """
     biases, _ = bias_matrices(x, ms, scale_free=True)
-    return _solve_stack(biases, eps_rel)
-
-
-def spectral_split(matrix, eps_rel=DEFAULT_EPS_REL):
-    """Eigendecompose a symmetric matrix and classify its spectrum."""
-    w, u, _, d_plus, d_minus, degenerate = _split_stack(
-        np.asarray(matrix, dtype=float)[None], eps_rel)
-    return SpectralSolution(w[0], u[0], int(d_plus[0]), int(d_minus[0]), bool(degenerate[0]))
+    return _solve_stack(biases, DEFAULT_EPS_REL)
 
 
 def _check_symmetric(matrix):
@@ -160,7 +135,7 @@ def _check_symmetric(matrix):
     return symmetrize(matrix)
 
 
-def solve_local_metric(matrix, eps_rel=DEFAULT_EPS_REL, provenance="local"):
+def solve_local_metric(matrix):
     """Determinant-one PSD metric M minimizing Trace[M^-1 B]^2 for a
     symmetric input B.
 
@@ -171,8 +146,8 @@ def solve_local_metric(matrix, eps_rel=DEFAULT_EPS_REL, provenance="local"):
     determinant-normalized absolute value. A vanishing B yields the identity
     metric with the degenerate flag set.
     """
-    stack, degenerate = _solve_stack(_check_symmetric(matrix)[None], eps_rel)
-    return MetricMatrix(stack[0], provenance, det_normalized=True,
+    stack, degenerate = _solve_stack(_check_symmetric(matrix)[None], DEFAULT_EPS_REL)
+    return MetricMatrix(stack[0], "local", det_normalized=True,
                         degenerate=bool(degenerate[0]))
 
 
@@ -206,17 +181,18 @@ def interpolate_with_euclidean(metric, lam_int):
                         det_normalized=metric.det_normalized, degenerate=metric.degenerate)
 
 
-def compute_all_local_metrics(train, ms, eps_rel=DEFAULT_EPS_REL):
+def compute_all_local_metrics(train, ms):
     """One determinant-normalized local metric per training point: the rows
     of local_metric_stack as MetricMatrix objects, in the row order of the
     training features."""
-    stack, degenerate = local_metric_stack(train.features, ms, eps_rel)
+    stack, degenerate = local_metric_stack(train.features, ms)
     return [MetricMatrix(m, f"local:{i}", det_normalized=True, degenerate=bool(bad))
             for i, (m, bad) in enumerate(zip(stack, degenerate))]
 
 
-def regional_metrics(local_metrics, x, p, seed, restarts=10):
-    """Average local metrics within each cell of a Euclidean k-means partition.
+def regional_metrics(local_metrics, x, p, seed):
+    """Average local metrics within each cell of a Euclidean k-means partition
+    (the best of 10 seeded k-means++ runs).
 
     Returns (list of p regional MetricMatrix, assignment vector). Regional
     averages are plain arithmetic means and are not re-normalized to unit
@@ -232,7 +208,7 @@ def regional_metrics(local_metrics, x, p, seed, restarts=10):
         assign = np.zeros(n, dtype=int)
     else:
         rng = np.random.default_rng(seed)
-        assign, _, _, _ = lloyd_best_of(x, p, rng, restarts=restarts)
+        assign, _, _, _ = lloyd_best_of(x, p, rng)
     stack = np.stack([m.matrix for m in local_metrics])
     out = []
     for j in range(p):

@@ -60,7 +60,7 @@ def _transform(x, metric):
     return np.asarray(x, dtype=float) @ sym_sqrt(metric.matrix)
 
 
-def kmeans(x, k, metric, seed, restarts=10, max_iter=300):
+def kmeans(x, k, metric, seed, restarts=10):
     """Lloyd k-means under a metric (run in square-root-transformed space).
 
     Best of `restarts` seeded k-means++ initializations; empty clusters are
@@ -71,7 +71,7 @@ def kmeans(x, k, metric, seed, restarts=10, max_iter=300):
         raise ValueError("k must lie in [1, N]")
     z = _transform(x, metric)
     rng = np.random.default_rng(seed)
-    assign, _, inertia, _ = lloyd_best_of(z, k, rng, restarts=restarts, max_iter=max_iter)
+    assign, _, inertia, _ = lloyd_best_of(z, k, rng, restarts=restarts)
     centers = np.stack([x[assign == j].mean(axis=0) for j in range(k)])
     return ClusteringResult(assign, centers, inertia, metric)
 
@@ -163,7 +163,7 @@ def rand_score(a, b):
 
 
 def cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
-                          seed=0, outer_iters=10, restarts=10):
+                          seed=0, outer_iters=10):
     """Pick (lam_cov, lam_int) by Rand score of transferred clusters.
 
     For each grid cell: learn clusters and a metric on the training features,
@@ -178,7 +178,7 @@ def cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
         for lam_int in lam_int_grid:
             result, metric = iterative_metric_kmeans(
                 train.features, k, outer_iters=outer_iters, lam_cov=lam_cov,
-                lam_int=lam_int, seed=seed, restarts=restarts)
+                lam_int=lam_int, seed=seed)
             assigned = assign_to_centers(validation.features, result.centers, metric)
             score = rand_score(assigned, validation.labels)
             grid.append({"lam_cov": lam_cov, "lam_int": lam_int, "rand": score})

@@ -2,10 +2,8 @@ import numpy as np
 import pytest
 
 from glmetric.classify import (EnergyConfig, KnnConfig, _energy_labels, _glm_int_errors,
-                               _sorted_by_class, _vote_rows, energy_predict,
-                               energy_predict_batch, evaluate_error,
-                               knn_predict, knn_predict_batch,
-                               mahalanobis_distance, margin_candidates,
+                               _sorted_by_class, _vote_rows, energy_predict_batch,
+                               evaluate_error, knn_predict_batch, margin_candidates,
                                tune_and_test)
 from glmetric._linalg import pairwise_sq_dists
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv, make_synthetic_mixture,
@@ -20,23 +18,35 @@ def random_psd_metric(rng, dim):
     return solve_local_metric(random_symmetric_indefinite(rng, dim))
 
 
+def oracle_mahalanobis_distance(metric, x, y):
+    """Squared distance (x - y)^T M (x - y) of one pair, by its definition."""
+    delta = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+    return float(delta @ metric.matrix @ delta)
+
+
+def sq_dist(metric, x, y):
+    """One pair through the batched distance path."""
+    return pairwise_sq_dists(np.array([x], dtype=float), np.array([y], dtype=float),
+                             metric.matrix)[0, 0]
+
+
 class TestDistance:
     def test_euclidean_345(self):
         m = MetricMatrix.identity(2)
-        assert mahalanobis_distance(m, [3.0, 4.0], [0.0, 0.0]) == 25.0
+        assert sq_dist(m, [3.0, 4.0], [0.0, 0.0]) == 25.0
 
     def test_diagonal_weights(self):
         m = MetricMatrix(np.diag([2.0, 1.0]))
-        assert mahalanobis_distance(m, [1.0, 1.0], [0.0, 0.0]) == 3.0
+        assert sq_dist(m, [1.0, 1.0], [0.0, 0.0]) == 3.0
 
     def test_equals_euclidean_after_sqrt_transform(self):
         rng = np.random.default_rng(0)
         m = random_psd_metric(rng, 4)
         f = metric_sqrt_transform(m)
         x, y = rng.normal(size=(2, 4))
-        direct = mahalanobis_distance(m, x, y)
         transformed = np.sum((f.transform(x) - f.transform(y)) ** 2)
-        assert abs(direct - transformed) <= 1e-10 * direct
+        for direct in (sq_dist(m, x, y), oracle_mahalanobis_distance(m, x, y)):
+            assert abs(direct - transformed) <= 1e-10 * direct
 
 
 def brute_force_knn(train, metric, k, query):
@@ -59,12 +69,12 @@ class TestKnn:
     def test_exact_training_point(self):
         train = LabeledDataset(np.array([[0.0, 0.0], [5.0, 5.0]]), [0, 1], 2)
         cfg = KnnConfig(1, MetricMatrix.identity(2))
-        assert knn_predict(train, cfg, [5.0, 5.0]) == 1
+        assert knn_predict_batch(train, cfg, np.array([[5.0, 5.0]]))[0] == 1
 
     def test_majority_vote(self):
         train = LabeledDataset(np.array([[0.0], [0.1], [0.2], [5.0]]), [0, 0, 1, 1], 2)
         cfg = KnnConfig(3, MetricMatrix.identity(1))
-        assert knn_predict(train, cfg, [0.05]) == 0
+        assert knn_predict_batch(train, cfg, np.array([[0.05]]))[0] == 0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
@@ -79,7 +89,7 @@ class TestKnn:
     def test_k_larger_than_train_rejected(self):
         train = LabeledDataset(np.zeros((2, 1)) + np.arange(2)[:, None], [0, 1], 2)
         with pytest.raises(ValueError):
-            knn_predict(train, KnnConfig(3, MetricMatrix.identity(1)), [0.0])
+            knn_predict_batch(train, KnnConfig(3, MetricMatrix.identity(1)), np.array([[0.0]]))
 
     def test_scaling_invariance_of_decisions(self):
         rng = np.random.default_rng(2)
@@ -107,7 +117,7 @@ class TestKnn:
 
 def energy_oracle(train, metric, k, margin, query):
     """Independent re-implementation with explicit loops."""
-    d = np.array([mahalanobis_distance(metric, query, x) for x in train.features])
+    d = np.array([oracle_mahalanobis_distance(metric, query, x) for x in train.features])
     best, best_e = None, None
     for c in range(train.class_count):
         own = np.sort(d[train.labels == c])[:k]
@@ -125,12 +135,12 @@ class TestEnergy:
     def test_coincident_point_wins(self):
         train = LabeledDataset(np.array([[0.0], [0.1], [9.0], [9.1]]), [0, 0, 1, 1], 2)
         cfg = EnergyConfig(1, 0.0, MetricMatrix.identity(1))
-        assert energy_predict(train, cfg, [0.0]) == 0
+        assert energy_predict_batch(train, cfg, np.array([[0.0]]))[0] == 0
 
     def test_mirror_symmetric_tie_takes_lower_index(self):
         train = LabeledDataset(np.array([[-1.0], [-2.0], [1.0], [2.0]]), [0, 0, 1, 1], 2)
         cfg = EnergyConfig(2, 0.5, MetricMatrix.identity(1))
-        assert energy_predict(train, cfg, [0.0]) == 0
+        assert energy_predict_batch(train, cfg, np.array([[0.0]]))[0] == 0
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(4)
@@ -153,7 +163,8 @@ class TestEnergy:
     def test_class_smaller_than_k_rejected(self):
         train = LabeledDataset(np.arange(3, dtype=float)[:, None], [0, 0, 1], 2)
         with pytest.raises(ValueError, match="at least k"):
-            energy_predict(train, EnergyConfig(2, 0.0, MetricMatrix.identity(1)), [0.0])
+            energy_predict_batch(train, EnergyConfig(2, 0.0, MetricMatrix.identity(1)),
+                                 np.array([[0.0]]))
 
 
 def oracle_vote(dist_row, idx, labels, class_count):
@@ -279,9 +290,9 @@ class TestMargins:
         got = margin_candidates(train, m, (1.0,))[0]
         diffs = []
         for i in range(50):
-            ds = [mahalanobis_distance(m, train.features[i], train.features[j])
+            ds = [oracle_mahalanobis_distance(m, train.features[i], train.features[j])
                   for j in range(50) if j != i and train.labels[j] == train.labels[i]]
-            do = [mahalanobis_distance(m, train.features[i], train.features[j])
+            do = [oracle_mahalanobis_distance(m, train.features[i], train.features[j])
                   for j in range(50) if train.labels[j] != train.labels[i]]
             diffs.append(min(do) - min(ds))
         expect = max(0.0, float(np.sort(diffs)[24:26].mean()))
@@ -369,10 +380,10 @@ class TestTuning:
             tune_and_test("nope", train, validation, test)
 
 
-def oracle_glm_int_errors(train, queries, labels, ms, k_grid, lam_grid, eps_rel):
+def oracle_glm_int_errors(train, queries, labels, ms, k_grid, lam_grid):
     """The glm_int loop the stack path replaced: one interpolated MetricMatrix per
     (query, lam) pair."""
-    base = compute_all_local_metrics(queries, ms, eps_rel)
+    base = compute_all_local_metrics(queries, ms)
     errors = {}
     for lam in lam_grid:
         d = np.empty((queries.n, train.n))
@@ -395,5 +406,5 @@ class TestGlmIntMatchesOracle:
             train, validation, _ = split(ds, SplitSpec(seed=2))
         ms = fit_gaussian_models(train, 1e-3)
         args = (train, validation, validation.labels, ms, (1, 3, 5, 7),
-                (0.0, 0.1, 0.25, 0.5, 0.9, 1.0), 1e-9)
+                (0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
         assert _glm_int_errors(*args) == oracle_glm_int_errors(*args)

@@ -10,10 +10,11 @@ from glmetric import cli as cli_mod
 from glmetric.cli import (ConfigError, average_ranks, main,
                           parse_experiment_config, run_experiment)
 from glmetric.classify import KnnConfig, knn_predict_batch
-from glmetric.dataset import load_csv, scale_features
+from glmetric.dataset import SplitSpec, load_csv, scale_features, split
 from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import uniform_combination
 from glmetric.local_metric import compute_all_local_metrics
+from glmetric.unsupervised import assign_to_centers, cluster_transfer_tune, rand_score
 
 
 def write_iris_subset(path, rows):
@@ -66,6 +67,37 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_experiment_config({"version": 1, "dataset": {"csv": "x", "label_column": 0},
                                      "methods": [{"name": "euclidean", "P": 3}]})
+
+    @pytest.mark.parametrize("entry,message", [
+        ({"name": "isomap", "metric": "euclidian"}, "metric of method isomap"),
+        ({"name": "isomap", "metric": "m_kde"}, "metric of method isomap"),
+        ({"name": "mkl_baseline", "max_train": 2.5}, "max_train of method mkl_baseline"),
+        ({"name": "mkl_metric", "max_train": -5}, "max_train of method mkl_metric"),
+        ({"name": "mkl_metric", "max_train": None}, "max_train of method mkl_metric"),
+        ({"name": "mkl_metric", "partitions": 0}, "partitions of method mkl_metric"),
+        ({"name": "cluster_uni", "k": "3"}, "k of method cluster_uni"),
+        ({"name": "cluster_uni", "outer_iters": True}, "outer_iters of method cluster_uni"),
+        ({"name": "isomap", "n_neighbors": 0}, "n_neighbors of method isomap"),
+        ({"name": "isomap", "dim": 2.0}, "dim of method isomap"),
+    ])
+    def test_method_values_validated(self, entry, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_experiment_config({"version": 1, "dataset": {"csv": "x", "label_column": 0},
+                                     "methods": [entry]})
+
+    def test_valid_method_values_accepted(self):
+        methods = [{"name": "isomap", "metric": "euclidean", "n_neighbors": 1, "dim": 1},
+                   {"name": "isomap", "metric": "m_uni"},
+                   {"name": "mkl_metric", "partitions": 1, "max_train": 10 ** 9},
+                   {"name": "cluster_uni", "k": 100000, "outer_iters": 1}]
+        cfg = parse_experiment_config({"version": 1,
+                                       "dataset": {"csv": "x", "label_column": 0},
+                                       "methods": methods})
+        assert cfg.methods == methods
+
+    def test_invalid_mkl_partitions_exit_2(self, tmp_path):
+        assert main(["mkl", "--partitions", "0", "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunExperiment:
@@ -278,6 +310,24 @@ class TestSubcommands:
         assert main(["rank", str(tmp_path / "r1.json"), str(tmp_path / "r2.json"),
                      "--out", str(out)]) == 0
         assert "fast" in out.read_text()
+
+    def test_cluster_subcommand_matches_direct_pipeline(self, tmp_path):
+        out = tmp_path / "cluster"
+        assert main(["cluster", "--data", "data/iris.csv", "--label-column", "label",
+                     "--has-header", "--seed", "3", "--out", str(out)]) == 0
+        full, _ = scale_features(load_csv("data/iris.csv", "label", has_header=True))
+        train, validation, test = split(full, SplitSpec(seed=3))
+        tuned = cluster_transfer_tune(train, validation, 3, (1e-3, 1e-2, 1e-1),
+                                      (0.0, 0.25, 0.5, 0.75), seed=3)
+        assigned = assign_to_centers(test.features, tuned["clustering"].centers,
+                                     tuned["metric"])
+        saved = json.loads((out / "metric.json").read_text())
+        assert saved["test_rand"] == rand_score(assigned, test.labels)
+        assert (saved["lam_cov"], saved["lam_int"]) == (tuned["lam_cov"], tuned["lam_int"])
+        assert saved["metric"]["matrix"] == tuned["metric"].matrix.tolist()
+        rows = list(csv.reader(open(out / "assignments.csv")))[1:]
+        assert [int(r[1]) for r in rows] == assigned.tolist()
+        assert [int(r[2]) for r in rows] == test.labels.tolist()
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"

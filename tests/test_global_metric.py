@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from glmetric._linalg import pairwise_sq_dists
 from glmetric.dataset import (LabeledDataset, SplitSpec, make_synthetic_mixture,
                               split, three_normal_preset)
 from glmetric.generative import fit_gaussian_models
-from glmetric.global_metric import (density_weighted_combination,
-                                    fixed_point_residual, kde_density,
-                                    metric_sqrt_transform, select_kde_bandwidth,
-                                    uniform_combination)
+from glmetric.global_metric import (_kde_log_density, density_weighted_combination,
+                                    fixed_point_residual, metric_sqrt_transform,
+                                    select_kde_bandwidth, uniform_combination)
 from glmetric.local_metric import (MetricMatrix, compute_all_local_metrics,
                                    solve_local_metric)
 from test_local_metric import random_symmetric_indefinite
@@ -137,7 +137,7 @@ class TestDensityWeighted:
         metric, info = density_weighted_combination(self.train, self.validation,
                                                     "gmm", max_iter=3,
                                                     return_info=True)
-        assert info["estimator"].kind == "gmm"
+        assert info["bandwidths"] == []
         assert len(info["weights"]) == 3
         assert np.linalg.eigvalsh(metric.matrix).min() > 0
 
@@ -186,19 +186,50 @@ class TestFixedPointResidual:
         assert fixed_point_residual(ds, MetricMatrix(np.array([[2.5]])), 0.0) == 0.0
 
 
+def kde_at(x_train, sigma, query):
+    """Kernel density estimate at one point through the batched path."""
+    sq = pairwise_sq_dists(np.array([query], dtype=float), x_train)
+    with np.errstate(under="ignore"):
+        return float(np.exp(_kde_log_density(sq, x_train.shape[1], sigma))[0])
+
+
+def oracle_kde_log_density(x_train, sigma, queries):
+    """The KDE log density that computed its own query-to-train distances."""
+    n, d = x_train.shape
+    log_h = np.log(n) + 0.5 * d * np.log(np.pi) + d * np.log(sigma)
+    sq = pairwise_sq_dists(np.atleast_2d(queries), x_train) / sigma ** 2
+    m = -sq.min(axis=1)
+    with np.errstate(under="ignore"):
+        lse = m + np.log(np.exp(-sq - m[:, None]).sum(axis=1))
+    return lse - log_h
+
+
+def oracle_select_kde_bandwidth(x_train, x_val):
+    """The bandwidth search that recomputed the distances for every candidate."""
+    d = pairwise_sq_dists(x_train, x_train)
+    med = float(np.sqrt(np.median(d[np.triu_indices(len(x_train), 1)])))
+    best = None
+    for j in range(-3, 4):
+        sigma = med * 2.0 ** j
+        ll = float(oracle_kde_log_density(x_train, sigma, x_val).sum())
+        if np.isfinite(ll) and (best is None or ll > best[0]):
+            best = (ll, sigma)
+    return best[1]
+
+
 class TestKde:
     def test_single_training_point(self):
         sigma = 0.7
-        val = kde_density(np.array([[1.5]]), sigma, np.array([1.5]))
+        val = kde_at(np.array([[1.5]]), sigma, [1.5])
         assert val == pytest.approx(1.0 / (np.sqrt(np.pi) * sigma), rel=1e-12)
 
     def test_far_query_underflows_to_zero(self):
-        assert kde_density(np.array([[0.0]]), 0.5, np.array([1e4])) == 0.0
+        assert kde_at(np.array([[0.0]]), 0.5, [1e4]) == 0.0
 
     def test_consistency_on_standard_normal(self):
         rng = np.random.default_rng(6)
         x = rng.standard_normal((1000, 1))
-        val = kde_density(x, 0.5, np.array([0.0]))
+        val = kde_at(x, 0.5, [0.0])
         assert abs(val - 0.3989) / 0.3989 < 0.15
 
     def test_bandwidth_selection_prefers_reasonable_scale(self):
@@ -208,6 +239,18 @@ class TestKde:
         sigma = select_kde_bandwidth(x, v)
         assert 0.05 < sigma < 20.0
 
-    def test_invalid_bandwidth(self):
-        with pytest.raises(ValueError):
-            kde_density(np.zeros((2, 1)), 0.0, np.zeros(1))
+    @pytest.mark.parametrize("dim,seed", [(1, 0), (3, 1), (5, 2)])
+    def test_bandwidths_and_weights_match_per_candidate_oracle(self, dim, seed):
+        ds = gaussian_classes(dim, 3, 150, seed=seed)
+        train, validation, _ = split(ds, SplitSpec(seed=seed))
+        _, info = density_weighted_combination(train, validation, "kde",
+                                               max_iter=4, return_info=True)
+        x, v = train.features, validation.features
+        for it in range(4):
+            sigma = oracle_select_kde_bandwidth(x, v)
+            assert info["bandwidths"][it] == sigma
+            with np.errstate(under="ignore"):
+                w = np.exp(oracle_kde_log_density(x, sigma, x))
+            np.testing.assert_array_equal(info["weights"][it], w / w.sum())
+            if it < 3:
+                x, v = x @ info["factors"][it], v @ info["factors"][it]

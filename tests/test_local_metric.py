@@ -9,9 +9,9 @@ from glmetric._linalg import det_normalize_eigs, symmetrize
 from glmetric.dataset import LabeledDataset, make_synthetic_mixture, three_normal_preset
 from glmetric.generative import bias_matrices, fit_gaussian_models
 from glmetric.global_metric import uniform_combination
-from glmetric.local_metric import (MetricMatrix, _solve_stack, compute_all_local_metrics,
-                                   interpolate_with_euclidean, local_metric_stack,
-                                   regional_metrics, solve_local_metric, spectral_split)
+from glmetric.local_metric import (MetricMatrix, _solve_stack, _split_stack,
+                                   compute_all_local_metrics, interpolate_with_euclidean,
+                                   local_metric_stack, regional_metrics, solve_local_metric)
 from test_generative import model_set
 
 
@@ -98,14 +98,15 @@ class TestSolver:
         b = solve_local_metric(bias + noise).matrix
         assert np.abs(a - b).max() < 1e-6
 
-    def test_spectral_split_counts(self):
+    def test_split_stack_counts(self):
         rng = np.random.default_rng(4)
         bias = random_symmetric_indefinite(rng, 6)
-        sol = spectral_split(bias)
-        assert sol.d_plus + sol.d_minus + sol.zero_count == 6
-        assert sol.d_plus >= 1 and sol.d_minus >= 1
+        w, u, eps, d_plus, d_minus, degenerate = _split_stack(bias[None], 1e-9)
+        assert d_plus[0] + d_minus[0] + int((np.abs(w[0]) <= eps[0]).sum()) == 6
+        assert d_plus[0] >= 1 and d_minus[0] >= 1 and not degenerate[0]
+        assert (np.diff(w[0]) <= 0).all()
         # eigenvectors orthonormal
-        gram = sol.eigenvectors.T @ sol.eigenvectors
+        gram = u[0].T @ u[0]
         assert np.abs(gram - np.eye(6)).max() < 1e-8
 
 
