@@ -6,6 +6,12 @@ from ._linalg import pairwise_sq_dists
 MAX_ITER = 300  # Lloyd iterations per run
 
 
+def member_means(x, assign, k):
+    """Means of the rows of x in each of the k clusters of assign, stacked."""
+    # not bincount: mean(axis=0) sums a (m, 1) column pairwise, not in row order
+    return np.stack([x[assign == j].mean(axis=0) for j in range(k)])
+
+
 def _seed_centers(x, k, rng):
     # k-means++ style: first uniform, then proportional to squared distance
     centers = np.empty((k, x.shape[1]))
@@ -30,10 +36,10 @@ def lloyd(x, k, rng, init_centers=None):
     non-increasing across iterations.
     """
     centers = _seed_centers(x, k, rng) if init_centers is None else np.array(init_centers, dtype=float)
+    d = pairwise_sq_dists(x, centers)
     assign = None
     history = []
     for _ in range(MAX_ITER):
-        d = pairwise_sq_dists(x, centers)
         new_assign = d.argmin(axis=1)
         own = d[np.arange(len(x)), new_assign]
         for j in range(k):
@@ -47,8 +53,9 @@ def lloyd(x, k, rng, init_centers=None):
         if assign is not None and np.array_equal(new_assign, assign):
             break
         assign = new_assign
-        centers = np.stack([x[assign == j].mean(axis=0) for j in range(k)])
-        inertia = float(pairwise_sq_dists(x, centers)[np.arange(len(x)), assign].sum())
+        centers = member_means(x, assign, k)
+        d = pairwise_sq_dists(x, centers)
+        inertia = float(d[np.arange(len(x)), assign].sum())
         if history and inertia > history[-1] + 1e-9 * max(1.0, history[-1]):
             raise AssertionError("k-means inertia increased")
         history.append(inertia)

@@ -5,7 +5,7 @@ import json
 import sys
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +46,8 @@ class ExperimentConfig:
     raw: dict
     dataset: dict
     preprocess: dict
-    split: dict
+    split: SplitSpec  # seeded with base_seed; repeat r uses base_seed + r
+    n_repeats: int
     methods: list
     grids: dict
     lam_cov: float
@@ -59,12 +60,19 @@ def _check_keys(d, allowed, where):
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
 
 
+def _check_count(value, what, low=1):
+    """value when it is an integer of at least low (1 or 0); bools, floats such
+    as 2.5, null and strings are rejected."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        kind = "a positive" if low == 1 else "a non-negative"
+        raise ConfigError(f"{what} must be {kind} integer, got {value!r}")
+    return value
+
+
 def _check_method_values(entry):
     name = entry["name"]
     for key in ("k", "outer_iters", "n_neighbors", "dim", "partitions", "max_train"):
-        value = entry.get(key, 1)  # an absent key keeps its positive default
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{key} of method {name} must be a positive integer, got {value!r}")
+        _check_count(entry.get(key, 1), f"{key} of method {name}")  # absent keeps its default
     if entry.get("metric", "m_uni") not in ("euclidean", "m_uni"):
         raise ConfigError(f"metric of method {name} must be 'euclidean' or 'm_uni', "
                           f"got {entry['metric']!r}")
@@ -87,15 +95,24 @@ def parse_experiment_config(raw):
         _check_keys(dataset, {"synthetic", "n", "seed", "scale", "elongation", "dim"}, "dataset")
         if dataset["synthetic"] != "three_normal":
             raise ConfigError(f"unknown synthetic preset {dataset['synthetic']!r}")
+        for key in ("n", "dim"):
+            _check_count(dataset.get(key, 1), f"dataset {key}")
+        _check_count(dataset.get("seed", 0), "dataset seed", low=0)
     else:
         raise ConfigError("dataset must specify 'csv' or 'synthetic'")
     preprocess = raw.get("preprocess", {})
     _check_keys(preprocess, {"scale", "pca_dim"}, "preprocess")
+    if "pca_dim" in preprocess:
+        _check_count(preprocess["pca_dim"], "preprocess pca_dim")
     split = raw.get("split", {})
     _check_keys(split, {"ratios", "n_repeats", "base_seed", "stratified"}, "split")
-    n_repeats = int(split.get("n_repeats", 1))
-    if n_repeats < 1:
-        raise ConfigError("n_repeats must be at least 1")
+    n_repeats = _check_count(split.get("n_repeats", 1), "split n_repeats")
+    base_seed = _check_count(split.get("base_seed", 0), "split base_seed", low=0)
+    try:
+        spec = SplitSpec(tuple(split.get("ratios", (0.6, 0.2, 0.2))), base_seed,
+                         bool(split.get("stratified", True)))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"split ratios: {exc}") from exc
     methods = []
     for entry in raw.get("methods", []):
         if isinstance(entry, str):
@@ -124,7 +141,9 @@ def parse_experiment_config(raw):
         if key not in DEFAULT_GRIDS:
             raise ConfigError(f"unknown grid {key!r}")
         grids[key] = list(val)
-    return ExperimentConfig(raw, dataset, dict(preprocess), dict(split),
+    for value in grids["k"]:
+        _check_count(value, "each k of grids.k")
+    return ExperimentConfig(raw, dataset, dict(preprocess), spec, n_repeats,
                             methods, grids, float(raw.get("lam_cov", 1e-3)),
                             raw.get("output_dir"))
 
@@ -136,7 +155,7 @@ def _load_config_dataset(cfg: ExperimentConfig):
     preset = three_normal_preset(scale=d.get("scale", 3.0),
                                  elongation=d.get("elongation", 2.5),
                                  dim=d.get("dim", 10))
-    return make_synthetic_mixture(preset, int(d.get("n", 1200)), int(d.get("seed", 7)))
+    return make_synthetic_mixture(preset, d.get("n", 1200), d.get("seed", 7))
 
 
 def _fit_uniform(train, lam_cov):
@@ -254,16 +273,14 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
 
 
 def _run_repeat(cfg, full, repeat):
-    seed = int(cfg.split.get("base_seed", 0)) + repeat
-    spec = SplitSpec(tuple(cfg.split.get("ratios", (0.6, 0.2, 0.2))), seed,
-                     bool(cfg.split.get("stratified", True)))
-    train, validation, test = ds_mod.split(full, spec)
+    seed = cfg.split.seed + repeat
+    train, validation, test = ds_mod.split(full, replace(cfg.split, seed=seed))
     if cfg.preprocess.get("scale", True):
         train, params = scale_features(train)
         validation = params.transform(validation)
         test = params.transform(test)
-    if cfg.preprocess.get("pca_dim"):
-        _, (train, validation, test) = pca_reduce(train, int(cfg.preprocess["pca_dim"]),
+    if "pca_dim" in cfg.preprocess:
+        _, (train, validation, test) = pca_reduce(train, cfg.preprocess["pca_dim"],
                                                   validation, test)
     fitted = []  # the uniform metric, kept once a method has fitted it
 
@@ -304,7 +321,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
         raise ValueError(f"threads must be 1, got {threads!r}: repeats run serially")
     t_start = time.perf_counter()
     full = _load_config_dataset(cfg)
-    n_repeats = int(cfg.split.get("n_repeats", 1))
+    n_repeats = cfg.n_repeats
     results = [_run_repeat(cfg, full, r) for r in range(n_repeats)]
 
     methods = {}

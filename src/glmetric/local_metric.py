@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import det_normalize_eigs, symmetrize
-from ._lloyd import lloyd_best_of
+from ._lloyd import lloyd_best_of, member_means
 from .generative import bias_matrices
 
 __all__ = [
@@ -160,25 +160,18 @@ def _as_stack(metrics):
     return stack
 
 
-def interpolate_with_euclidean(metric, lam_int):
+def interpolate_with_euclidean(stack, lam_int):
     """Convex combination (1 - lam) * M + lam * I of each metric of an (N, D, D)
-    stack of unit-determinant metrics, renormalized to unit determinant. A single
-    MetricMatrix is the N=1 view, renormalized only when it was determinant
-    normalized. lam_int = 0 returns the input unchanged."""
+    stack of unit-determinant metrics, renormalized to unit determinant.
+    lam_int = 0 returns the input unchanged."""
     if not (0.0 <= lam_int <= 1.0):
         raise ValueError("interpolation weight must lie in [0, 1]")
-    single = isinstance(metric, MetricMatrix)
-    stack = metric.matrix[None] if single else _as_stack(metric)
+    checked = _as_stack(stack)
     if lam_int == 0.0:
-        return metric
-    blended = (1.0 - lam_int) * stack + lam_int * np.eye(stack.shape[-1])
-    if not single or metric.det_normalized:
-        w, u = np.linalg.eigh(blended)
-        blended = symmetrize((u * det_normalize_eigs(w)[:, None, :]) @ u.transpose(0, 2, 1))
-    if not single:
-        return blended
-    return MetricMatrix(blended[0], f"{metric.provenance}|int({lam_int:g})",
-                        det_normalized=metric.det_normalized, degenerate=metric.degenerate)
+        return stack
+    blended = (1.0 - lam_int) * checked + lam_int * np.eye(checked.shape[-1])
+    w, u = np.linalg.eigh(blended)
+    return symmetrize((u * det_normalize_eigs(w)[:, None, :]) @ u.transpose(0, 2, 1))
 
 
 def compute_all_local_metrics(train, ms):
@@ -209,11 +202,6 @@ def regional_metrics(local_metrics, x, p, seed):
     else:
         rng = np.random.default_rng(seed)
         assign, _, _, _ = lloyd_best_of(x, p, rng)
-    stack = np.stack([m.matrix for m in local_metrics])
-    out = []
-    for j in range(p):
-        members = stack[assign == j]
-        if len(members) == 0:
-            raise ValueError(f"cluster {j} is empty; fewer distinct points than partitions")
-        out.append(MetricMatrix(members.mean(axis=0), f"regional:{j}"))
-    return out, assign
+    # lloyd leaves no cell empty: it raises when there are fewer distinct points than p
+    means = member_means(np.stack([m.matrix for m in local_metrics]), assign, p)
+    return [MetricMatrix(m, f"regional:{j}") for j, m in enumerate(means)], assign

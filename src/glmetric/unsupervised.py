@@ -9,7 +9,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, shortest_path
 
 from ._linalg import pairwise_sq_dists, sym_sqrt
-from ._lloyd import lloyd, lloyd_best_of
+from ._lloyd import lloyd, lloyd_best_of, member_means
 from .dataset import LabeledDataset
 from .generative import fit_gaussian_models
 from .global_metric import uniform_combination
@@ -72,8 +72,7 @@ def kmeans(x, k, metric, seed, restarts=10):
     z = _transform(x, metric)
     rng = np.random.default_rng(seed)
     assign, _, inertia, _ = lloyd_best_of(z, k, rng, restarts=restarts)
-    centers = np.stack([x[assign == j].mean(axis=0) for j in range(k)])
-    return ClusteringResult(assign, centers, inertia, metric)
+    return ClusteringResult(assign, member_means(x, assign, k), inertia, metric)
 
 
 def assign_to_centers(x, centers, metric):
@@ -95,12 +94,18 @@ def iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
     outer_iters rounds. Returns (ClusteringResult, MetricMatrix).
     """
     x = np.asarray(x, dtype=float)
-    d = x.shape[1]
-    identity = MetricMatrix.identity(d, degenerate=(k < 2))
-    result = kmeans(x, k, identity, seed, restarts=restarts)
+    start = kmeans(x, k, MetricMatrix.identity(x.shape[1], degenerate=(k < 2)), seed,
+                   restarts=restarts)
+    return _refine_metric(x, start, outer_iters, lam_cov, lam_int)
+
+
+def _refine_metric(x, start, outer_iters, lam_cov, lam_int):
+    """The metric rounds of iterative_metric_kmeans from its Euclidean k-means
+    start; a start with fewer than two clusters comes back with its metric."""
+    k = len(start.centers)
+    result, metric = start, start.metric
     if k < 2:
-        return result, identity
-    metric = identity
+        return result, metric
     for _ in range(outer_iters):
         counts = np.bincount(result.assignments, minlength=k)
         keep = np.flatnonzero(counts >= 2)
@@ -118,20 +123,18 @@ def iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
         stack, _ = local_metric_stack(x, ms)
         metric = uniform_combination(interpolate_with_euclidean(stack, lam_int))
         new_result = _warm_kmeans(x, k, metric, result.centers)
-        if np.array_equal(new_result.assignments, result.assignments):
-            result = new_result
-            break
+        stable = np.array_equal(new_result.assignments, result.assignments)
         result = new_result
+        if stable:
+            break
     return result, metric
 
 
 def _warm_kmeans(x, k, metric, prev_centers):
-    z = _transform(x, metric)
-    centers_z = np.asarray(prev_centers, dtype=float) @ sym_sqrt(metric.matrix)
-    assign, _, inertia, _ = lloyd(z, k, np.random.default_rng(0), init_centers=centers_z)
-    centers = np.stack([x[assign == j].mean(axis=0) if (assign == j).any() else prev_centers[j]
-                        for j in range(k)])
-    return ClusteringResult(assign, centers, inertia, metric)
+    root = sym_sqrt(metric.matrix)
+    assign, _, inertia, _ = lloyd(np.asarray(x, dtype=float) @ root, k, np.random.default_rng(0),
+                                  init_centers=np.asarray(prev_centers, dtype=float) @ root)
+    return ClusteringResult(assign, member_means(x, assign, k), inertia, metric)
 
 
 def rand_score(a, b):
@@ -166,19 +169,19 @@ def cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
                           seed=0, outer_iters=10):
     """Pick (lam_cov, lam_int) by Rand score of transferred clusters.
 
-    For each grid cell: learn clusters and a metric on the training features,
+    For each grid cell: learn clusters and a metric on the training features
+    (iterative_metric_kmeans, every cell refining one shared Euclidean start),
     assign the validation points to the nearest centers under that metric,
     and score against the validation labels. Ties prefer the smaller lam_int,
     then the smaller lam_cov. Returns a dict with the winning parameters, the
     fitted clustering/metric, and the full grid.
     """
+    start = kmeans(train.features, k, MetricMatrix.identity(train.dim, degenerate=(k < 2)), seed)
     best = None
     grid = []
     for lam_cov in lam_cov_grid:
         for lam_int in lam_int_grid:
-            result, metric = iterative_metric_kmeans(
-                train.features, k, outer_iters=outer_iters, lam_cov=lam_cov,
-                lam_int=lam_int, seed=seed)
+            result, metric = _refine_metric(train.features, start, outer_iters, lam_cov, lam_int)
             assigned = assign_to_centers(validation.features, result.centers, metric)
             score = rand_score(assigned, validation.labels)
             grid.append({"lam_cov": lam_cov, "lam_int": lam_int, "rand": score})
@@ -224,9 +227,9 @@ def isomap_embed(x, metric, n_neighbors, d):
         graph = graph[kept][:, kept]
     geo = shortest_path(graph, method="D", directed=False)
 
-    n = len(geo)
-    j = np.eye(n) - np.full((n, n), 1.0 / n)
-    b = -0.5 * j @ (geo ** 2) @ j
+    # double centring J G J of G = geo**2, with J = I - 1/n, by row and column means
+    g = geo ** 2
+    b = -0.5 * (g - g.mean(axis=0) - g.mean(axis=1)[:, None] + g.mean())
     w, u = np.linalg.eigh(b)
     order = np.argsort(w)[::-1]
     w, u = w[order], u[:, order]
@@ -236,7 +239,7 @@ def isomap_embed(x, metric, n_neighbors, d):
     coords = u[:, :d] * np.sqrt(w[:d])
     coords = coords - coords.mean(axis=0)
 
-    iu = np.triu_indices(n, 1)
+    iu = np.triu_indices(len(geo), 1)
     emb = np.sqrt(pairwise_sq_dists(coords, coords))
     r = np.corrcoef(geo[iu], emb[iu])[0, 1]
     return Embedding(coords, float(1.0 - r ** 2), n_neighbors, kept)

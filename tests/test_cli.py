@@ -95,6 +95,35 @@ class TestConfig:
                                        "methods": methods})
         assert cfg.methods == methods
 
+    @pytest.mark.parametrize("section,values,message", [
+        ("split", {"n_repeats": 2.5}, "split n_repeats"),
+        ("split", {"base_seed": 1.5}, "split base_seed"),
+        ("split", {"ratios": [0.5, 0.5, 0.5]}, "split ratios"),
+        ("preprocess", {"pca_dim": 2.7}, "preprocess pca_dim"),
+        ("dataset", {"n": -3}, "dataset n"),
+        ("dataset", {"dim": 0}, "dataset dim"),
+        ("grids", {"k": [0, 2.5]}, "grids.k"),
+        ("grids", {"k": [3, 2.5]}, "grids.k"),
+    ])
+    def test_config_counts_validated(self, section, values, message):
+        raw = {"version": 1, "dataset": {"synthetic": "three_normal"}, "methods": ["euclidean"]}
+        raw[section] = {**raw.get(section, {}), **values}
+        with pytest.raises(ConfigError, match=message):
+            parse_experiment_config(raw)
+
+    def test_valid_config_counts_accepted(self):
+        cfg = parse_experiment_config({
+            "version": 1, "dataset": {"synthetic": "three_normal", "n": 30, "dim": 3, "seed": 0},
+            "preprocess": {"pca_dim": 2}, "methods": ["euclidean"], "grids": {"k": [1, 3]},
+            "split": {"ratios": [0.5, 0.25, 0.25], "n_repeats": 2, "base_seed": 0}})
+        assert cfg.split == SplitSpec((0.5, 0.25, 0.25), 0, True)
+        assert cfg.n_repeats == 2 and cfg.grids["k"] == [1, 3]
+
+    def test_bad_split_ratios_exit_2(self, tmp_path):
+        path, _ = minimal_config(tmp_path, split={"ratios": [0.6, 0.6]})
+        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_mkl_partitions_exit_2(self, tmp_path):
         assert main(["mkl", "--partitions", "0", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()

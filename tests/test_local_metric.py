@@ -222,17 +222,8 @@ class TestInterpolation:
             single = MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
             expect = oracle_interpolate(single, lam)
             np.testing.assert_array_equal(row, expect.matrix)
-            got = interpolate_with_euclidean(single, lam)
-            np.testing.assert_array_equal(got.matrix, expect.matrix)
-            assert (got.provenance, got.det_normalized, got.degenerate) == (
-                expect.provenance, True, bool(bad))
-
-    def test_not_det_normalized_is_not_renormalized(self):
-        m = MetricMatrix(np.diag([4.0, 2.0]), "regional:0")
-        out = interpolate_with_euclidean(m, 0.5)
-        np.testing.assert_array_equal(out.matrix, oracle_interpolate(m, 0.5).matrix)
-        np.testing.assert_array_equal(out.matrix, np.diag([2.5, 1.5]))
-        assert out.provenance == "regional:0|int(0.5)" and not out.det_normalized
+            np.testing.assert_array_equal(interpolate_with_euclidean(m[None], lam)[0],
+                                          expect.matrix)
 
     def test_zero_weight_returns_the_stack(self):
         stack, _ = mixed_local_stack(3)
@@ -247,22 +238,22 @@ class TestInterpolation:
 
     def test_full_weight_gives_identity(self):
         m = solve_local_metric(np.diag([2.0, -1.0]))
-        out = interpolate_with_euclidean(m, 1.0)
-        np.testing.assert_allclose(out.matrix, np.eye(2), atol=1e-12)
+        out = interpolate_with_euclidean(m.matrix[None], 1.0)
+        np.testing.assert_allclose(out[0], np.eye(2), atol=1e-12)
 
     def test_zero_weight_is_noop(self):
-        m = solve_local_metric(np.diag([2.0, -1.0]))
-        assert interpolate_with_euclidean(m, 0.0) is m
+        stack = solve_local_metric(np.diag([2.0, -1.0])).matrix[None]
+        assert interpolate_with_euclidean(stack, 0.0) is stack
 
     def test_hand_worked_midpoint(self):
         m = MetricMatrix(np.diag([2.0, 0.5]), "local", det_normalized=True)
-        out = interpolate_with_euclidean(m, 0.5)
-        np.testing.assert_allclose(np.diag(out.matrix), [1.414214, 0.707107], atol=1e-6)
+        out = interpolate_with_euclidean(m.matrix[None], 0.5)
+        np.testing.assert_allclose(np.diag(out[0]), [1.414214, 0.707107], atol=1e-6)
 
     def test_out_of_range_rejected(self):
         m = MetricMatrix.identity(2)
         with pytest.raises(ValueError):
-            interpolate_with_euclidean(m, 1.5)
+            interpolate_with_euclidean(m.matrix[None], 1.5)
 
 
 class TestComputeAll:

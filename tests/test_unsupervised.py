@@ -2,14 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 from scipy.stats import spearmanr
 
-from glmetric._lloyd import lloyd
+from glmetric._linalg import pairwise_sq_dists
+from glmetric._lloyd import MAX_ITER, _seed_centers, lloyd, member_means
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv,
                               make_synthetic_mixture, scale_features, split)
 from glmetric.generative import fit_gaussian_models
 from glmetric.local_metric import MetricMatrix, local_metric_stack, solve_local_metric
-from glmetric.unsupervised import (_warm_kmeans, assign_to_centers, cluster_transfer_tune,
+from glmetric.unsupervised import (_neighbor_graph, _transform, _warm_kmeans,
+                                   assign_to_centers, cluster_transfer_tune,
                                    isomap_embed, iterative_metric_kmeans,
                                    kmeans, rand_score)
 from test_local_metric import oracle_interpolate, random_symmetric_indefinite
@@ -25,6 +28,73 @@ def three_noisy_gaussians(n, seed, scale=2.5, noise_sd=2.0, n_noise=3):
         sd[3:] = noise_sd
         comps.append((1.0 / 3.0, mean, np.diag(sd ** 2), c))
     return make_synthetic_mixture(comps, n, seed)
+
+
+def oracle_lloyd(x, k, rng, init_centers=None):
+    """The Lloyd run that computes the distances to the new centers twice per
+    iteration (for the inertia, then again for the next assignment) and the
+    member means one cluster at a time."""
+    centers = _seed_centers(x, k, rng) if init_centers is None else np.array(init_centers, dtype=float)
+    assign = None
+    history = []
+    for _ in range(MAX_ITER):
+        d = pairwise_sq_dists(x, centers)
+        new_assign = d.argmin(axis=1)
+        own = d[np.arange(len(x)), new_assign]
+        for j in range(k):
+            if not (new_assign == j).any():
+                far = int(np.argmax(own))
+                centers[j] = x[far]
+                new_assign[far] = j
+                own[far] = 0.0
+        if np.bincount(new_assign, minlength=k).min() == 0:
+            raise ValueError("fewer distinct points than clusters")
+        if assign is not None and np.array_equal(new_assign, assign):
+            break
+        assign = new_assign
+        centers = np.stack([x[assign == j].mean(axis=0) for j in range(k)])
+        inertia = float(pairwise_sq_dists(x, centers)[np.arange(len(x)), assign].sum())
+        history.append(inertia)
+    return assign, centers, history[-1], history
+
+
+def lloyd_cases():
+    """(x, k, init_centers) over random blobs; repeated rows started from k
+    copies of one row, and starts far from the data, force the empty-cluster
+    reseed."""
+    rng = np.random.default_rng(20)
+    for case in range(30):
+        dim = 1 + case % 4
+        n = int(rng.integers(8, 80))
+        k = int(rng.integers(2, 6))
+        x = rng.normal(size=(n, dim)) + 4.0 * rng.integers(0, 3, size=(n, 1))
+        init = None
+        if case % 3 == 1:
+            x = x[rng.integers(0, k + 1, n)]
+            init = x[np.zeros(k, dtype=int)]
+        if case % 3 == 2:
+            init = 1e3 + rng.normal(size=(k, dim))
+        yield x, k, init
+
+
+class TestLloydMatchesOracle:
+    @pytest.mark.parametrize("case", range(30))
+    def test_identical_runs(self, case):
+        x, k, init = list(lloyd_cases())[case]
+        got = lloyd(x, k, np.random.default_rng(case), init)
+        expect = oracle_lloyd(x, k, np.random.default_rng(case), init)
+        for a, b in zip(got, expect):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [1, 2, 4])
+    def test_member_means_equal_comprehension(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in (3, 17, 200):
+            x = rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-3, 3, size=dim)
+            assign = np.concatenate([np.arange(3), rng.integers(0, 3, n - 3)])
+            np.testing.assert_array_equal(
+                member_means(x, assign, 3),
+                np.stack([x[assign == j].mean(axis=0) for j in range(3)]))
 
 
 class TestKmeans:
@@ -235,6 +305,27 @@ class TestClusterTransferTune:
         assert (a["lam_cov"], a["lam_int"]) == (b["lam_cov"], b["lam_int"])
         np.testing.assert_array_equal(a["metric"].matrix, b["metric"].matrix)
 
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_per_cell_iterative_metric_kmeans(self, iris_parts, k):
+        train, validation, _ = iris_parts
+        lam_cov_grid, lam_int_grid = (1e-3, 1e-1), (0.0, 0.5)
+        tuned = cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid, seed=0)
+        best, grid = None, []
+        for lam_cov in lam_cov_grid:
+            for lam_int in lam_int_grid:
+                res, metric = iterative_metric_kmeans(train.features, k, lam_cov=lam_cov,
+                                                      lam_int=lam_int, seed=0)
+                assigned = assign_to_centers(validation.features, res.centers, metric)
+                score = rand_score(assigned, validation.labels)
+                grid.append({"lam_cov": lam_cov, "lam_int": lam_int, "rand": score})
+                if best is None or (-score, lam_int, lam_cov) < best[0]:
+                    best = ((-score, lam_int, lam_cov), res, metric)
+        assert tuned["grid"] == grid
+        assert (tuned["lam_cov"], tuned["lam_int"]) == (best[0][2], best[0][1])
+        np.testing.assert_array_equal(tuned["clustering"].centers, best[1].centers)
+        np.testing.assert_array_equal(tuned["clustering"].assignments, best[1].assignments)
+        np.testing.assert_array_equal(tuned["metric"].matrix, best[2].matrix)
+
     def test_transfer_assignment_consistency(self, iris_parts):
         train, validation, test = iris_parts
         tuned = cluster_transfer_tune(train, validation, 3, (1e-2,), (0.5,), seed=2)
@@ -244,7 +335,35 @@ class TestClusterTransferTune:
         assert set(assigned) <= {0, 1, 2}
 
 
+def oracle_isomap(x, metric, n_neighbors, d):
+    """Classical MDS with the dense centring matrix J = I - 1/n on a connected
+    neighbor graph: (embedded squared pairwise distances, residual variance)."""
+    geo = shortest_path(_neighbor_graph(_transform(x, metric), n_neighbors),
+                        method="D", directed=False)
+    n = len(geo)
+    j = np.eye(n) - np.full((n, n), 1.0 / n)
+    w, u = np.linalg.eigh(-0.5 * j @ (geo ** 2) @ j)
+    top = np.argsort(w)[::-1][:d]
+    coords = u[:, top] * np.sqrt(w[top])
+    sq = pairwise_sq_dists(coords, coords)
+    iu = np.triu_indices(n, 1)
+    return sq, 1.0 - np.corrcoef(geo[iu], np.sqrt(sq[iu]))[0, 1] ** 2
+
+
 class TestIsomap:
+    @pytest.mark.parametrize("n,dim,n_neighbors,d", [
+        (25, 2, 6, 2), (40, 3, 8, 1), (60, 4, 10, 2), (50, 2, 4, 1)])
+    def test_matches_dense_centring_oracle(self, n, dim, n_neighbors, d):
+        rng = np.random.default_rng(n + dim)
+        x = rng.normal(size=(n, dim)) * np.arange(1, dim + 1)
+        metric = solve_local_metric(random_symmetric_indefinite(rng, dim))
+        emb = isomap_embed(x, metric, n_neighbors, d)
+        assert len(emb.kept_indices) == n
+        sq, residual = oracle_isomap(x, metric, n_neighbors, d)
+        np.testing.assert_allclose(pairwise_sq_dists(emb.coordinates, emb.coordinates), sq,
+                                   rtol=1e-9, atol=1e-9)
+        assert emb.residual_variance == pytest.approx(residual, rel=1e-9, abs=1e-12)
+
     def test_three_collinear_points(self):
         x = np.array([[0.0], [1.0], [2.0]])
         emb = isomap_embed(x, MetricMatrix.identity(1), 2, 1)
@@ -279,8 +398,6 @@ class TestIsomap:
     def test_geodesics_satisfy_triangle_inequality(self):
         rng = np.random.default_rng(11)
         x = rng.normal(size=(30, 2))
-        from glmetric.unsupervised import _neighbor_graph, _transform
-        from scipy.sparse.csgraph import shortest_path
         geo = shortest_path(_neighbor_graph(_transform(x, MetricMatrix.identity(2)), 5),
                             method="D", directed=False)
         for _ in range(200):
