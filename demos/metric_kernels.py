@@ -24,13 +24,12 @@ def run(metrics, label):
     k_tr = [gram_matrix(bk, train.features) for bk in bank]
     k_va = [gram_matrix(bk, validation.features, train.features) for bk in bank]
     k_te = [gram_matrix(bk, test.features, train.features) for bk in bank]
-    best = None
-    for c in (0.1, 1.0, 10.0, 100.0):
-        models = train_one_vs_all(k_tr, train.labels, train.class_count, c)
-        err = np.mean(predict_one_vs_all(models, k_va) != validation.labels)
-        if best is None or err < best[0]:
-            best = (err, c, models)
-    _, c, models = best
+    c_grid = (0.1, 1.0, 10.0, 100.0)
+    per_c = train_one_vs_all(k_tr, train.labels, train.class_count, c_grid)
+    errs = [np.mean(predict_one_vs_all(models, k_va) != validation.labels)
+            for models in per_c]
+    best = int(np.argmin(errs))  # the first C of the lowest validation error
+    c, models = c_grid[best], per_c[best]
     test_err = np.mean(predict_one_vs_all(models, k_te) != test.labels)
     weights = np.concatenate([m.weights for m in models])
     print(f"{label:<18} {len(bank):>3} kernels  C = {c:<6g} "

@@ -61,11 +61,12 @@ def _check_keys(d, allowed, where):
 
 
 def _check_count(value, what, low=1):
-    """value when it is an integer of at least low (1 or 0); bools, floats such
-    as 2.5, null and strings are rejected."""
+    """value when it is an integer of at least low; bools, floats such as 2.5,
+    null and strings are rejected."""
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        kind = "a positive" if low == 1 else "a non-negative"
-        raise ConfigError(f"{what} must be {kind} integer, got {value!r}")
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
+            low, f"an integer of at least {low}")
+        raise ConfigError(f"{what} must be {kind}, got {value!r}")
     return value
 
 
@@ -95,8 +96,8 @@ def parse_experiment_config(raw):
         _check_keys(dataset, {"synthetic", "n", "seed", "scale", "elongation", "dim"}, "dataset")
         if dataset["synthetic"] != "three_normal":
             raise ConfigError(f"unknown synthetic preset {dataset['synthetic']!r}")
-        for key in ("n", "dim"):
-            _check_count(dataset.get(key, 1), f"dataset {key}")
+        _check_count(dataset.get("n", 1), "dataset n")
+        _check_count(dataset.get("dim", 3), "dataset dim", low=3)  # a class mean per axis
         _check_count(dataset.get("seed", 0), "dataset seed", low=0)
     else:
         raise ConfigError("dataset must specify 'csv' or 'synthetic'")
@@ -175,25 +176,20 @@ def _run_mkl(train, validation, test, metrics, grids, seed):
     k_tr = [gram_matrix(bk, train.features) for bk in banks]
     k_va = [gram_matrix(bk, validation.features, train.features) for bk in banks]
     k_te = [gram_matrix(bk, test.features, train.features) for bk in banks]
-    phases = {"gram_bank_s": time.perf_counter() - t0, "mkl_fit_s": 0.0, "predict_s": 0.0}
-    best = None
-    for c in grids["C"]:
-        t0 = time.perf_counter()
-        models = train_one_vs_all(k_tr, train.labels, train.class_count, c)
-        t1 = time.perf_counter()
-        val_err = float(np.mean(predict_one_vs_all(models, k_va) != validation.labels))
-        phases["mkl_fit_s"] += t1 - t0
-        phases["predict_s"] += time.perf_counter() - t1
-        if best is None or val_err < best[0]:
-            best = (val_err, c, models)
-    val_err, c, models = best
-    t0 = time.perf_counter()
+    t1 = time.perf_counter()
+    per_c = train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
+    t2 = time.perf_counter()
+    val_errs = [float(np.mean(predict_one_vs_all(models, k_va) != validation.labels))
+                for models in per_c]
+    best = int(np.argmin(val_errs))  # the first C of the lowest validation error
+    val_err, c, models = val_errs[best], grids["C"][best], per_c[best]
     test_err = float(np.mean(predict_one_vs_all(models, k_te) != test.labels))
-    phases["predict_s"] += time.perf_counter() - t0
-    diagnostics = {"svm_solves": sum(m.svm_solves for m in models),
-                   "smo_iterations": sum(m.smo_iterations for m in models),
-                   "unconverged_solves": sum(m.unconverged_solves for m in models),
-                   "max_kkt_violation": max(m.max_kkt_violation for m in models)}
+    phases = {"gram_bank_s": t1 - t0, "mkl_fit_s": t2 - t1,
+              "predict_s": time.perf_counter() - t2}
+    diagnostics = {key: sum(getattr(m, key) for m in models)
+                   for key in ("svm_solves", "smo_iterations", "reused_solves",
+                               "unconverged_solves")}
+    diagnostics["max_kkt_violation"] = max(m.max_kkt_violation for m in models)
     return {"kind": "error", "value": test_err, "validation_error": val_err,
             "chosen": {"C": c, "kernels": len(banks)}, "diagnostics": diagnostics,
             "phases": phases}
@@ -274,14 +270,17 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
 
 def _run_repeat(cfg, full, repeat):
     seed = cfg.split.seed + repeat
-    train, validation, test = ds_mod.split(full, replace(cfg.split, seed=seed))
-    if cfg.preprocess.get("scale", True):
-        train, params = scale_features(train)
-        validation = params.transform(validation)
-        test = params.transform(test)
-    if "pca_dim" in cfg.preprocess:
-        _, (train, validation, test) = pca_reduce(train, cfg.preprocess["pca_dim"],
-                                                  validation, test)
+    try:
+        train, validation, test = ds_mod.split(full, replace(cfg.split, seed=seed))
+        if cfg.preprocess.get("scale", True):
+            train, params = scale_features(train)
+            validation = params.transform(validation)
+            test = params.transform(test)
+        if "pca_dim" in cfg.preprocess:
+            _, (train, validation, test) = pca_reduce(train, cfg.preprocess["pca_dim"],
+                                                      validation, test)
+    except ValueError as exc:
+        raise ConfigError(f"preparing split seed {seed}: {exc}") from exc
     fitted = []  # the uniform metric, kept once a method has fitted it
 
     def uniform_metric():
@@ -316,11 +315,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
 
     Repeats run one after another; threads must be 1. Returns (report dict,
     exit code): 0 on success, 1 when every method failed on every repeat.
+    A dataset that cannot be loaded, split or preprocessed as configured
+    raises ConfigError before any report is written.
     """
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}: repeats run serially")
     t_start = time.perf_counter()
-    full = _load_config_dataset(cfg)
+    try:
+        full = _load_config_dataset(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"dataset: {exc}") from exc
     n_repeats = cfg.n_repeats
     results = [_run_repeat(cfg, full, r) for r in range(n_repeats)]
 

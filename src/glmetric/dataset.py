@@ -334,6 +334,8 @@ def three_normal_preset(scale=3.0, elongation=2.5, dim=10):
     elsewhere, so each class has a distinct anisotropy and most axes carry no
     class signal. Weights are equal.
     """
+    if dim < 3:
+        raise ValueError(f"the three-class preset needs dim >= 3, got {dim}")
     components = []
     for c in range(3):
         mean = np.zeros(dim)

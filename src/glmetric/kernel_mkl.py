@@ -11,6 +11,14 @@ on the simplex with backtracking on the optimal dual value, which shares its
 fixed points with reduced-gradient descent on the same objective. Weighted
 kernel sums skip zero weights, which would add only +0.0, and reuse one
 buffer per fit.
+
+Each solution records peak, the largest dual value on the solver's path. C
+steers the path only through duals that reach C - 1e-8, so a solution found
+at C0 is the solve at C bit for bit when C == C0 or peak < min(C0, C) - 1e-8,
+for the same kernel and labels. mkl_train keeps the solutions of a fit in a
+memo keyed by the weight bytes and reuses them by this rule, skipping both the
+kernel sum and the solve; train_one_vs_all(grams, labels, class_count, c_grid)
+shares one memo per class across the whole C grid.
 """
 import logging
 from dataclasses import dataclass, field
@@ -62,6 +70,7 @@ class SvmSolution:
     iterations: int
     converged: bool
     kkt_violation: float
+    peak: float = np.inf  # largest dual on the solver's path; inf if unknown
 
 
 @dataclass(eq=False)
@@ -75,9 +84,12 @@ class MklModel:
     C: float
     objective_curve: list = field(default_factory=list)
     converged: bool = True
-    # SVM solver record of the fit that produced this model
+    # SVM solver record of the fit that produced this model: the solves run
+    # and their iterations, the solutions taken from the memo instead, and
+    # the convergence of every solution the fit used, run or reused
     svm_solves: int = 0
     smo_iterations: int = 0
+    reused_solves: int = 0
     unconverged_solves: int = 0
     max_kkt_violation: float = 0.0
 
@@ -143,6 +155,12 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     labels. Stops when the maximum KKT violation drops below tol; at the
     iteration cap the best iterate is returned with converged=False and a
     warning. The bias averages -y * gradient over unbounded support vectors.
+
+    The solution records peak, the largest dual value on the whole path. C
+    enters the path only once a dual reaches C - 1e-8 (the box step limits,
+    the index sets at C - 1e-12, the bias set at C - 1e-8), so the solution
+    is bit for bit the solve at any C' with peak < min(C, C') - 1e-8, for the
+    same k, y, tol and max_iter.
     """
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) - {-1.0, 1.0}:
@@ -174,6 +192,7 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     delta = np.empty(n)
     it = 0
     violation = np.inf
+    peak = 0.0
     for it in range(1, max_iter + 1):
         if not n_up or not n_low:
             violation = 0.0
@@ -192,6 +211,7 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
                    beta[j] if yj > 0 else c - beta[j])
         beta[i] += yi * step
         beta[j] -= yj * step
+        peak = max(peak, beta[i], beta[j])
         np.subtract(rows[j], rows[i], out=delta)
         delta *= step
         yg += delta
@@ -224,7 +244,8 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     # summation order, so read k in C order too.
     yb_k = ((beta * y) @ np.ascontiguousarray(k)) * y
     objective = float(beta.sum() - 0.5 * yb_k @ beta)
-    return SvmSolution(beta, bias, objective, it, converged, float(max(violation, 0.0)))
+    return SvmSolution(beta, bias, objective, it, converged,
+                       float(max(violation, 0.0)), float(peak))
 
 
 def project_simplex(v):
@@ -237,7 +258,7 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
+def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4, memo=None):
     """Simplex-weighted kernel combination minimizing the SVM dual optimum.
 
     Alternates an exact SVM solve on the combined kernel with a projected
@@ -245,6 +266,14 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
     kernel), backtracking until the dual optimum does not increase, so the
     recorded objective curve is non-increasing. Stops when the weights move
     less than tol in l1 or the objective decrease falls below tol.
+
+    memo maps weights.tobytes() to the (C, SvmSolution) pairs already solved
+    for those weights; it is filled in place and defaults to a fresh dict.
+    Share one memo only between fits of the same grams, y and svm_tol. A
+    stored solution is used instead of combining and solving when its C
+    equals c or its peak is below min(C, c) - 1e-8: then it is the solve at
+    c bit for bit (see svm_solve), so every iterate stays what a fit without
+    the memo computes.
     """
     y = np.asarray(y, dtype=float)
     m = len(grams)
@@ -256,13 +285,20 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
         raise ValueError(f"Gram matrices differ in shape: {sorted(shapes)}")
     weights = np.full(m, 1.0 / m)
     combined, scratch = np.empty_like(grams[0]), np.empty_like(grams[0])
-    stats = {"svm_solves": 0, "smo_iterations": 0, "unconverged_solves": 0,
-             "max_kkt_violation": 0.0}
+    memo = {} if memo is None else memo
+    stats = {"svm_solves": 0, "smo_iterations": 0, "reused_solves": 0,
+             "unconverged_solves": 0, "max_kkt_violation": 0.0}
 
     def solve(a):
-        s = svm_solve(_combine(a, grams, combined, scratch), y, c, tol=svm_tol)
-        stats["svm_solves"] += 1
-        stats["smo_iterations"] += s.iterations
+        known = memo.setdefault(a.tobytes(), [])
+        s = next((s for c0, s in known if c0 == c or s.peak < min(c0, c) - 1e-8), None)
+        if s is None:
+            s = svm_solve(_combine(a, grams, combined, scratch), y, c, tol=svm_tol)
+            known.append((c, s))
+            stats["svm_solves"] += 1
+            stats["smo_iterations"] += s.iterations
+        else:
+            stats["reused_solves"] += 1
         stats["unconverged_solves"] += not s.converged
         stats["max_kkt_violation"] = max(stats["max_kkt_violation"], s.kkt_violation)
         return s
@@ -316,10 +352,17 @@ def _decision_values(model: MklModel, test_grams):
     return _combine(model.weights, test_grams) @ (model.beta * model.labels) + model.bias
 
 
-def train_one_vs_all(grams, labels, class_count, c):
-    """One binary MKL model per class against the rest."""
-    return [mkl_train(grams, np.where(labels == cls, 1.0, -1.0), c)
-            for cls in range(class_count)]
+def train_one_vs_all(grams, labels, class_count, c_grid):
+    """One binary MKL model per class against the rest, for each C of c_grid.
+
+    Returns one model list per C, in grid order. Each class keeps one solve
+    memo across the grid, so a solve that never reached its box is reused at
+    every C where it is provably the same (see mkl_train).
+    """
+    targets = [np.where(labels == cls, 1.0, -1.0) for cls in range(class_count)]
+    memos = [{} for _ in targets]
+    return [[mkl_train(grams, y, c, memo=memo) for y, memo in zip(targets, memos)]
+            for c in c_grid]
 
 
 def predict_one_vs_all(models, test_grams):

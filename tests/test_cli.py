@@ -124,6 +124,21 @@ class TestConfig:
         assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("dataset,extra", [
+        ({"synthetic": "three_normal", "n": 60, "dim": 1}, {}),
+        ({"synthetic": "three_normal", "n": 60, "dim": 2}, {}),
+        ({"csv": "data/iris.csv", "label_column": "label", "has_header": True},
+         {"preprocess": {"pca_dim": 9}}),
+        ({"csv": "data/iris.csv", "label_column": 5, "has_header": True}, {}),
+    ], ids=["dim_1", "dim_2", "pca_dim_above_features", "label_column_out_of_range"])
+    def test_unusable_dataset_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                          dataset, extra):
+        path, _ = minimal_config(tmp_path, dataset=dataset, **extra)
+        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_mkl_partitions_exit_2(self, tmp_path):
         assert main(["mkl", "--partitions", "0", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
@@ -249,7 +264,7 @@ class TestRunExperiment:
             assert sum(timing[p] for p in phases) <= timing["wall_s"]
             # solver diagnostics sit beside chosen, never inside it
             (diag,) = saved[key]["diagnostics"]
-            assert set(diag) == {"svm_solves", "smo_iterations",
+            assert set(diag) == {"svm_solves", "smo_iterations", "reused_solves",
                                  "unconverged_solves", "max_kkt_violation"}
             assert diag["svm_solves"] >= 3  # one-vs-all on 3 classes
             assert diag["smo_iterations"] >= diag["svm_solves"]

@@ -3,7 +3,7 @@ import logging
 import numpy as np
 import pytest
 
-from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution,
+from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution, _combine,
                                  _decision_values, build_kernel_bank,
                                  gram_matrix, mkl_train,
                                  predict_one_vs_all, project_simplex,
@@ -357,6 +357,114 @@ class TestSvmMatchesOracle:
         assert_same_solution(sol, oracle_svm_solve(k, y, 10.0, max_iter=5))
 
 
+class TestSolveReuse:
+    """A solution whose path stayed below min(C, C') - 1e-8 is the solve at C'."""
+
+    def separable_problem(self):
+        """Two separated blobs whose duals overshoot on the path: at C = 10
+        the peak is about 1.0001 and the largest final dual about 0.77."""
+        rng = np.random.default_rng(0)
+        x = np.vstack([rng.normal(size=(30, 2)), rng.normal(size=(30, 2)) + 5.0])
+        y = np.array([-1.0] * 30 + [1.0] * 30)
+        return gram_matrix(BaseKernel(MetricMatrix.identity(2), 4.0), x), y
+
+    def test_peak_is_the_largest_dual_on_the_path(self, caplog):
+        k, y = self.separable_problem()
+        sol = svm_solve(k, y, 10.0)
+        with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
+            prefixes = [svm_solve(k, y, 10.0, max_iter=t).beta.max()
+                        for t in range(1, sol.iterations + 1)]
+        assert sol.peak == max(prefixes) > sol.beta.max()
+
+    def test_solution_below_the_box_is_the_solve_at_other_c(self):
+        k, y = self.separable_problem()
+        sol = svm_solve(k, y, 10.0)
+        assert 0.0 < sol.peak < 10.0 - 1e-8
+        for other in (sol.peak + 2e-8, 0.5 * (sol.peak + 10.0), 100.0, 1e6):
+            fresh = svm_solve(k, y, other)
+            assert fresh.peak == sol.peak
+            assert_same_solution(fresh, sol)
+        clipped = svm_solve(k, y, 0.5 * sol.peak)
+        assert clipped.peak == pytest.approx(0.5 * sol.peak, rel=1e-12)
+        assert not np.array_equal(clipped.beta, sol.beta)
+
+
+def overlapping_three_class_problem():
+    """A 3-class bank whose classes overlap, so C = 0.1 clips duals at the box
+    while larger C leave some solves below it."""
+    rng = np.random.default_rng(24)
+    centers = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 3.0]])
+    x = np.vstack([rng.normal(size=(20, 2)) + c for c in centers])
+    labels = np.repeat(np.arange(3), 20)
+    bank = build_kernel_bank([MetricMatrix.identity(2)], x,
+                             tau_grid=(0.25, 1.0, 4.0, 16.0))
+    return [gram_matrix(bk, x) for bk in bank], labels
+
+
+class TestGridReuse:
+    @pytest.mark.parametrize("c_grid", [(0.1, 1.0, 10.0, 100.0), (100.0, 10.0, 1.0, 0.1)],
+                             ids=["increasing", "decreasing"])
+    def test_grid_models_equal_fresh_per_c_fits(self, monkeypatch, c_grid):
+        grams, labels = overlapping_three_class_problem()
+        runs = []  # (kernel bytes, C, solution) of every solve actually run
+
+        def recording_solve(k, y, c, **kwargs):
+            sol = svm_solve(k, y, c, **kwargs)
+            runs.append((k.tobytes() + y.tobytes(), c, sol))
+            return sol
+
+        monkeypatch.setattr("glmetric.kernel_mkl.svm_solve", recording_solve)
+        per_c = train_one_vs_all(grams, labels, 3, c_grid)
+        monkeypatch.undo()
+        assert len(per_c) == len(c_grid)
+        reused_across_c = 0
+        for c, models in zip(c_grid, per_c):
+            assert len(models) == 3
+            for cls, model in enumerate(models):
+                fresh = mkl_train(grams, np.where(labels == cls, 1.0, -1.0), c)
+                np.testing.assert_array_equal(model.weights, fresh.weights)
+                np.testing.assert_array_equal(model.beta, fresh.beta)
+                np.testing.assert_array_equal(model.labels, fresh.labels)
+                assert model.bias == fresh.bias
+                assert model.C == fresh.C == c
+                assert model.objective_curve == fresh.objective_curve
+                assert model.converged == fresh.converged
+                # the same solutions, fewer of them run
+                assert (model.svm_solves + model.reused_solves
+                        == fresh.svm_solves + fresh.reused_solves)
+                assert model.unconverged_solves == fresh.unconverged_solves
+                assert model.max_kkt_violation == fresh.max_kkt_violation
+                reused_across_c += model.reused_solves - fresh.reused_solves
+        assert reused_across_c > 0
+        assert sum(m.svm_solves for ms in per_c for m in ms) == len(runs)
+        # a problem solved again at another C had touched the box of one of them
+        first = {}
+        resolved = 0
+        for key, c, sol in runs:
+            if key in first:
+                c0, sol0 = first[key]
+                assert c0 != c and sol0.peak >= min(c0, c) - 1e-8
+                resolved += 1
+            else:
+                first[key] = (c, sol)
+        assert resolved > 0
+
+    def test_memo_is_filled_by_weight_bytes(self):
+        grams, labels = overlapping_three_class_problem()
+        y = np.where(labels == 0, 1.0, -1.0)
+        memo = {}
+        model = mkl_train(grams, y, 1.0, memo=memo)
+        uniform = np.full(len(grams), 0.25)
+        (c, sol), = memo[uniform.tobytes()]
+        assert c == 1.0
+        assert_same_solution(sol, svm_solve(_combine(uniform, grams), y, 1.0))
+        assert model.svm_solves == sum(len(v) for v in memo.values())
+        again = mkl_train(grams, y, 1.0, memo=memo)
+        assert again.svm_solves == 0
+        assert again.reused_solves == model.svm_solves + model.reused_solves
+        np.testing.assert_array_equal(again.beta, model.beta)
+
+
 class TestInputChecks:
     def test_gram_shape_must_match_labels(self):
         y = np.array([1.0, -1.0, 1.0])
@@ -469,7 +577,7 @@ class TestMkl:
                                  tau_grid=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0))
         grams = [gram_matrix(bk, x) for bk in bank]
         test_grams = [gram_matrix(bk, rng.normal(size=(25, 2)) * 2 + 1, x) for bk in bank]
-        models = train_one_vs_all(grams, labels, 3, c=10.0)
+        models = train_one_vs_all(grams, labels, 3, [10.0])[0]
         oracles = [oracle_mkl_train(grams, np.where(labels == cls, 1.0, -1.0), 10.0)
                    for cls in range(3)]
         assert all(m.weights[0] == 0.0 for m in models)
@@ -533,7 +641,7 @@ class TestMklPredict:
         grams = [gram_matrix(bk, x) for bk in bank]
         queries = rng.normal(size=(20, 2)) * 3 + 2
         test_grams = [gram_matrix(bk, queries, x) for bk in bank]
-        models = train_one_vs_all(grams, labels, 3, c=10.0)
+        models = train_one_vs_all(grams, labels, 3, [10.0])[0]
         combined = predict_one_vs_all(models, test_grams)
         # compositional oracle: per-class decision values, argmax by hand
         scores = []
