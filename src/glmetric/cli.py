@@ -2,6 +2,7 @@
 import argparse
 import csv
 import json
+import logging
 import sys
 import time
 import traceback
@@ -186,10 +187,16 @@ def _run_mkl(train, validation, test, metrics, grids, seed):
     test_err = float(np.mean(predict_one_vs_all(models, k_te) != test.labels))
     phases = {"gram_bank_s": t1 - t0, "mkl_fit_s": t2 - t1,
               "predict_s": time.perf_counter() - t2}
-    diagnostics = {key: sum(getattr(m, key) for m in models)
-                   for key in ("svm_solves", "smo_iterations", "reused_solves",
-                               "unconverged_solves")}
-    diagnostics["max_kkt_violation"] = max(m.max_kkt_violation for m in models)
+    # the chosen C's models, then per-C totals over the whole grid that
+    # mkl_fit_s times
+    counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
+              "reused_gradients")
+    totals = [{key: sum(getattr(m, key) for m in ms) for key in counts} for ms in per_c]
+    diagnostics = dict(totals[best],
+                       unconverged_solves=sum(m.unconverged_solves for m in models),
+                       max_kkt_violation=max(m.max_kkt_violation for m in models),
+                       grid={"C": list(grids["C"]),
+                             **{key: [t[key] for t in totals] for key in counts}})
     return {"kind": "error", "value": test_err, "validation_error": val_err,
             "chosen": {"C": c, "kernels": len(banks)}, "diagnostics": diagnostics,
             "phases": phases}
@@ -575,6 +582,9 @@ def _cmd_rank(args):
 def build_parser():
     parser = argparse.ArgumentParser(prog="glmetric",
                                      description="Generative local metric learning toolkit")
+    parser.add_argument("--log-level", type=str.upper, default="WARNING",
+                        choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
+                        help="lowest level of library log records shown on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("benchmark", help="run a config-driven experiment")
@@ -643,6 +653,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    logging.basicConfig(level=args.log_level)
     try:
         return args.func(args)
     except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:

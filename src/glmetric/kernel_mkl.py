@@ -18,7 +18,11 @@ at C0 is the solve at C bit for bit when C == C0 or peak < min(C0, C) - 1e-8,
 for the same kernel and labels. mkl_train keeps the solutions of a fit in a
 memo keyed by the weight bytes and reuses them by this rule, skipping both the
 kernel sum and the solve; train_one_vs_all(grams, labels, class_count, c_grid)
-shares one memo per class across the whole C grid.
+shares one memo per class across the whole C grid. A memo entry also keeps the
+weight gradient at its solution, computed the first time a fit steps from it.
+The gradient depends only on the grams, y and the solution, so a fit that
+continues from a reused solution reuses its gradient too, and each distinct
+solution gets one gradient per memo.
 """
 import logging
 from dataclasses import dataclass, field
@@ -85,11 +89,14 @@ class MklModel:
     objective_curve: list = field(default_factory=list)
     converged: bool = True
     # SVM solver record of the fit that produced this model: the solves run
-    # and their iterations, the solutions taken from the memo instead, and
-    # the convergence of every solution the fit used, run or reused
+    # and their iterations, the solutions taken from the memo instead, the
+    # weight gradients computed and those taken from the memo, and the
+    # convergence of every solution the fit used, run or reused
     svm_solves: int = 0
     smo_iterations: int = 0
     reused_solves: int = 0
+    gradients: int = 0
+    reused_gradients: int = 0
     unconverged_solves: int = 0
     max_kkt_violation: float = 0.0
 
@@ -177,7 +184,10 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     # index sets and of beta are updated. The signed gradient yg = -y * grad
     # moves by step * (K[:, j] - K[:, i]), which equals the product form bit
     # for bit since y is +-1; the columns of k are read as rows of k.T.
-    rows = list(np.ascontiguousarray(k.T))
+    # Every scalar is a Python float read with .item, and each builtin min or
+    # max is spelled as the comparisons it makes, so ties keep the same value.
+    kt = np.ascontiguousarray(k.T)
+    rows, kt_item = list(kt), kt.item
     kdiag = np.diag(k).tolist()
     ys = y.tolist()
     c_hi = c - 1e-12
@@ -190,6 +200,8 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     yg = y.copy()
     masked = np.empty(n)
     delta = np.empty(n)
+    add, subtract, yg_item = np.add, np.subtract, yg.item
+    argmax, argmin = masked.argmax, masked.argmin
     it = 0
     violation = np.inf
     peak = 0.0
@@ -197,26 +209,36 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
         if not n_up or not n_low:
             violation = 0.0
             break
-        i = int(np.add(yg, up_pen, out=masked).argmax())
-        j = int(np.add(yg, low_pen, out=masked).argmin())
-        violation = yg[i] - yg[j]
+        add(yg, up_pen, masked)
+        i = int(argmax())
+        add(yg, low_pen, masked)
+        j = int(argmin())
+        violation = yg_item(i) - yg_item(j)
         if violation < tol:
             break
         yi, yj = ys[i], ys[j]
-        quad = max(kdiag[i] + kdiag[j] - 2.0 * rows[j][i], 1e-12)
+        quad = kdiag[i] + kdiag[j] - 2.0 * kt_item(j, i)
+        if 1e-12 > quad:
+            quad = 1e-12
         step = violation / quad
         # box limits along the feasible pair direction
-        step = min(step,
-                   c - beta[i] if yi > 0 else beta[i],
-                   beta[j] if yj > 0 else c - beta[j])
-        beta[i] += yi * step
-        beta[j] -= yj * step
-        peak = max(peak, beta[i], beta[j])
-        np.subtract(rows[j], rows[i], out=delta)
+        bi, bj = beta[i], beta[j]
+        limit = c - bi if yi > 0 else bi
+        if limit < step:
+            step = limit
+        limit = bj if yj > 0 else c - bj
+        if limit < step:
+            step = limit
+        beta[i] = bi = bi + yi * step
+        beta[j] = bj = bj - yj * step
+        if bi > peak:
+            peak = bi
+        if bj > peak:
+            peak = bj
+        subtract(rows[j], rows[i], delta)
         delta *= step
         yg += delta
-        for r in (i, j):
-            b, pos = beta[r], ys[r] > 0
+        for r, b, pos in ((i, bi, yi > 0), (j, bj, yj > 0)):
             u = b < c_hi if pos else b > 1e-12
             l = b > 1e-12 if pos else b < c_hi
             if u != up[r]:
@@ -267,13 +289,15 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4, memo=None):
     recorded objective curve is non-increasing. Stops when the weights move
     less than tol in l1 or the objective decrease falls below tol.
 
-    memo maps weights.tobytes() to the (C, SvmSolution) pairs already solved
-    for those weights; it is filled in place and defaults to a fresh dict.
-    Share one memo only between fits of the same grams, y and svm_tol. A
-    stored solution is used instead of combining and solving when its C
-    equals c or its peak is below min(C, c) - 1e-8: then it is the solve at
-    c bit for bit (see svm_solve), so every iterate stays what a fit without
-    the memo computes.
+    memo maps weights.tobytes() to the [C, SvmSolution, gradient] entries
+    already solved for those weights; it is filled in place and defaults to a
+    fresh dict. Share one memo only between fits of the same grams, y and
+    svm_tol. A stored solution is used instead of combining and solving when
+    its C equals c or its peak is below min(C, c) - 1e-8: then it is the solve
+    at c bit for bit (see svm_solve), so every iterate stays what a fit without
+    the memo computes. The weight gradient depends only on the grams, y and the
+    solution, so it is computed once per entry, the first time a fit steps from
+    that solution, and every later fit that steps from the entry reuses it.
     """
     y = np.asarray(y, dtype=float)
     m = len(grams)
@@ -287,44 +311,55 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4, memo=None):
     combined, scratch = np.empty_like(grams[0]), np.empty_like(grams[0])
     memo = {} if memo is None else memo
     stats = {"svm_solves": 0, "smo_iterations": 0, "reused_solves": 0,
+             "gradients": 0, "reused_gradients": 0,
              "unconverged_solves": 0, "max_kkt_violation": 0.0}
 
     def solve(a):
         known = memo.setdefault(a.tobytes(), [])
-        s = next((s for c0, s in known if c0 == c or s.peak < min(c0, c) - 1e-8), None)
-        if s is None:
+        entry = next((e for e in known if e[0] == c or e[1].peak < min(e[0], c) - 1e-8),
+                     None)
+        if entry is None:
             s = svm_solve(_combine(a, grams, combined, scratch), y, c, tol=svm_tol)
-            known.append((c, s))
+            entry = [c, s, None]
+            known.append(entry)
             stats["svm_solves"] += 1
             stats["smo_iterations"] += s.iterations
         else:
             stats["reused_solves"] += 1
+        s = entry[1]
         stats["unconverged_solves"] += not s.converged
         stats["max_kkt_violation"] = max(stats["max_kkt_violation"], s.kkt_violation)
-        return s
+        return entry
 
-    sol = solve(weights)
+    entry = solve(weights)
+    sol = entry[1]
     curve = [sol.objective]
     step = 1.0
     converged = False
     for _ in range(max_outer):
-        yb = y * sol.beta
-        grad = np.array([-0.5 * yb @ kk @ yb for kk in grams])
+        if entry[2] is None:
+            yb = y * sol.beta
+            entry[2] = np.array([-0.5 * yb @ kk @ yb for kk in grams])
+            stats["gradients"] += 1
+        else:
+            stats["reused_gradients"] += 1
+        grad = entry[2]
         accepted = None
         for _ in range(25):
             cand = project_simplex(weights - step * grad)
             move = np.abs(cand - weights).sum()
             if move < 1e-14:
                 break
-            cand_sol = solve(cand)
-            if cand_sol.objective <= curve[-1] + 1e-12:
-                accepted = (cand, cand_sol, move)
+            cand_entry = solve(cand)
+            if cand_entry[1].objective <= curve[-1] + 1e-12:
+                accepted = (cand, cand_entry, move)
                 break
             step *= 0.5
         if accepted is None:
             converged = True  # no descent direction left at this scale
             break
-        weights, sol, move = accepted
+        weights, entry, move = accepted
+        sol = entry[1]
         decrease = curve[-1] - sol.objective
         curve.append(sol.objective)
         if move < tol or decrease < tol * max(1.0, abs(curve[0])):

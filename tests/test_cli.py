@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from glmetric import cli as cli_mod
+from glmetric import kernel_mkl
 from glmetric.cli import (ConfigError, average_ranks, main,
                           parse_experiment_config, run_experiment)
 from glmetric.classify import KnnConfig, knn_predict_batch
@@ -264,14 +265,39 @@ class TestRunExperiment:
             assert sum(timing[p] for p in phases) <= timing["wall_s"]
             # solver diagnostics sit beside chosen, never inside it
             (diag,) = saved[key]["diagnostics"]
-            assert set(diag) == {"svm_solves", "smo_iterations", "reused_solves",
-                                 "unconverged_solves", "max_kkt_violation"}
+            counts = {"svm_solves", "smo_iterations", "reused_solves", "gradients",
+                      "reused_gradients"}
+            assert set(diag) == counts | {"unconverged_solves", "max_kkt_violation",
+                                          "grid"}
             assert diag["svm_solves"] >= 3  # one-vs-all on 3 classes
             assert diag["smo_iterations"] >= diag["svm_solves"]
+            # per-C totals over the whole grid; the chosen C is one of them
+            grid = diag["grid"]
+            assert set(grid) == counts | {"C"} and grid["C"] == [0.1, 1.0, 10.0, 100.0]
+            best = grid["C"].index(saved[key]["chosen"][0]["C"])
+            assert all(len(grid[c]) == 4 and grid[c][best] == diag[c] for c in counts)
             assert diag["unconverged_solves"] == 0
             assert 0.0 <= diag["max_kkt_violation"] < 1e-4
             assert not set(diag) & set(saved[key]["chosen"][0])
         assert saved["euclidean"]["diagnostics"] == [{}]
+
+    def test_mkl_grid_totals_count_every_solve(self, tmp_path, monkeypatch):
+        solve = kernel_mkl.svm_solve
+        runs = []
+
+        def recording_solve(*args, **kwargs):
+            runs.append(solve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(kernel_mkl, "svm_solve", recording_solve)
+        path, _ = minimal_config(tmp_path, methods=["mkl_baseline"])
+        report, code = run_experiment(parse_experiment_config(json.loads(path.read_text())),
+                                      tmp_path / "out")
+        assert code == 0
+        (diag,) = report["methods"]["mkl_baseline"]["diagnostics"]
+        grid = diag["grid"]
+        assert sum(grid["svm_solves"]) == len(runs) > diag["svm_solves"]
+        assert sum(grid["smo_iterations"]) == sum(s.iterations for s in runs)
 
     def test_synthetic_dataset_config(self, tmp_path):
         cfg = parse_experiment_config({
@@ -381,6 +407,21 @@ class TestSubcommands:
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["benchmark", "--config", str(tmp_path / "none.json")]) == 2
+
+    @pytest.mark.parametrize("level, shown", [("WARNING", True), ("error", False)])
+    def test_log_level_filters_the_svm_cap_warning(self, tmp_path, level, shown):
+        path, _ = minimal_config(tmp_path, methods=["mkl_baseline"], grids={"C": [1.0]})
+        capped = ("import functools, sys\n"
+                  "from glmetric import cli, kernel_mkl\n"
+                  "kernel_mkl.svm_solve = functools.partial(kernel_mkl.svm_solve,"
+                  " max_iter=5)\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = subprocess.run([sys.executable, "-c", capped, "--log-level", level,
+                               "benchmark", "--config", str(path),
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert ("SVM solver hit the iteration cap" in proc.stderr) == shown
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "glmetric.cli", "--help"],

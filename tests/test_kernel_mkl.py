@@ -26,6 +26,7 @@ def oracle_svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     labels. Stops when the maximum KKT violation drops below tol; at the
     iteration cap the best iterate is returned with converged=False and a
     warning. The bias averages -y * gradient over unbounded support vectors.
+    peak is the largest dual value on the whole path.
     """
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) - {-1.0, 1.0}:
@@ -37,6 +38,7 @@ def oracle_svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     grad = -np.ones(n)  # gradient of 0.5 b'Qb - e'b
     it = 0
     violation = np.inf
+    peak = 0.0
     for it in range(1, max_iter + 1):
         yg = -y * grad
         up = np.where(y > 0, beta < c - 1e-12, beta > 1e-12)
@@ -59,6 +61,7 @@ def oracle_svm_solve(k, y, c, tol=1e-4, max_iter=200000):
                    beta[j] if y[j] > 0 else c - beta[j])
         beta[i] += y[i] * step
         beta[j] -= y[j] * step
+        peak = max(peak, beta[i], beta[j])
         grad += step * (y[i] * q[:, i] - y[j] * q[:, j])
     converged = violation < tol
     if not converged:
@@ -74,7 +77,8 @@ def oracle_svm_solve(k, y, c, tol=1e-4, max_iter=200000):
         lo = yg[low].min() if low.any() else 0.0
         bias = float(0.5 * (hi + lo))
     objective = float(beta.sum() - 0.5 * beta @ q @ beta)
-    return SvmSolution(beta, bias, objective, it, converged, float(max(violation, 0.0)))
+    return SvmSolution(beta, bias, objective, it, converged, float(max(violation, 0.0)),
+                       float(peak))
 
 
 def oracle_mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
@@ -313,6 +317,7 @@ def assert_same_solution(got, want):
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert got.kkt_violation == want.kkt_violation
+    assert got.peak == want.peak
 
 
 class TestSvmMatchesOracle:
@@ -357,6 +362,66 @@ class TestSvmMatchesOracle:
         assert_same_solution(sol, oracle_svm_solve(k, y, 10.0, max_iter=5))
 
 
+class TestSvmStepEdgeCases:
+    """Ties in the working-set choice and in the step limits, the quad floor
+    and tiny C, where the scalar comparisons of the step must act as the
+    builtin min and max of the oracle."""
+
+    def test_tied_gradients_pick_the_first_index(self):
+        k0, y0 = random_svm_problem(25, 20)
+        twice = np.tile(np.arange(20), 2)  # every point twice: exact duplicate rows
+        k, y = k0[np.ix_(twice, twice)], y0[twice]
+        sol = svm_solve(k, y, 1e6)
+        assert_same_solution(sol, oracle_svm_solve(k, y, 1e6))
+        # duplicates keep equal gradients, and the box is never reached, so the
+        # second copy of every point is never chosen
+        assert sol.beta[:20].any() and not sol.beta[20:].any()
+
+    @pytest.mark.parametrize("k, y, c, beta", [
+        (np.eye(2), [1.0, -1.0], 1.0, [1.0, 1.0]),  # step == C on both duals
+        ([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.5], [0.0, 0.0, 1.0, 0.5],
+          [0.0, 0.5, 0.5, 1.0]], [1.0, 1.0, 1.0, -1.0], 2.0,
+         [0.0, 1.0, 1.0, 2.0]),  # step 4 == beta_j of a positive j
+        ([[1.0, 0.5, 0.0, 0.0], [0.5, 1.0, 0.5, 0.0], [0.0, 0.5, 1.0, 0.0],
+          [0.0, 0.0, 0.0, 1.0]], [-1.0, -1.0, 1.0, -1.0], 0.5,
+         [0.0, 0.375, 0.5, 0.125]),  # step 2 == beta_i of a negative i and C - beta_j
+    ], ids=["c-limits", "beta-j-limit", "beta-i-limit"])
+    def test_step_equal_to_a_box_limit(self, k, y, c, beta):
+        k, y = np.array(k), np.array(y)
+        sol = svm_solve(k, y, c)
+        assert_same_solution(sol, oracle_svm_solve(k, y, c))
+        np.testing.assert_array_equal(sol.beta, beta)
+        assert sol.peak == max(beta)
+
+    @pytest.mark.parametrize("off", [1.0, 1.0 - 1e-13], ids=["zero", "below-floor"])
+    def test_quad_at_its_floor(self, off):
+        # one point twice with opposite labels: quad is 0 or 2e-13, so the
+        # step is violation / 1e-12 and the box clips it
+        k, y = np.array([[1.0, off], [off, 1.0]]), np.array([1.0, -1.0])
+        sol = svm_solve(k, y, 1.0)
+        assert_same_solution(sol, oracle_svm_solve(k, y, 1.0))
+        np.testing.assert_array_equal(sol.beta, [1.0, 1.0])
+
+    def test_quad_floor_inside_a_larger_problem(self, caplog):
+        # point 0 again at index 1 with label -1: the first step pairs the two
+        # copies, so its quad is exactly 0 and the box clips the floored step
+        k0, y0 = random_svm_problem(26, 24)
+        idx = np.r_[0, np.arange(24)]
+        k, y = k0[np.ix_(idx, idx)], np.r_[1.0, -1.0, y0[1:]]
+        for c in (0.5, 10.0):
+            with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
+                first = svm_solve(k, y, c, max_iter=1)
+            np.testing.assert_array_equal(first.beta, np.r_[c, c, np.zeros(23)])
+            assert_same_solution(svm_solve(k, y, c), oracle_svm_solve(k, y, c))
+
+    def test_c_between_the_index_and_bias_margins(self):
+        # 1e-12 < C < 1e-8: duals move, but none counts as unbounded for the bias
+        k, y = random_svm_problem(27, 20)
+        sol = svm_solve(k, y, 5e-9)
+        assert_same_solution(sol, oracle_svm_solve(k, y, 5e-9))
+        assert sol.iterations > 1 and sol.beta.any()
+
+
 class TestSolveReuse:
     """A solution whose path stayed below min(C, C') - 1e-8 is the solve at C'."""
 
@@ -381,9 +446,7 @@ class TestSolveReuse:
         sol = svm_solve(k, y, 10.0)
         assert 0.0 < sol.peak < 10.0 - 1e-8
         for other in (sol.peak + 2e-8, 0.5 * (sol.peak + 10.0), 100.0, 1e6):
-            fresh = svm_solve(k, y, other)
-            assert fresh.peak == sol.peak
-            assert_same_solution(fresh, sol)
+            assert_same_solution(svm_solve(k, y, other), sol)
         clipped = svm_solve(k, y, 0.5 * sol.peak)
         assert clipped.peak == pytest.approx(0.5 * sol.peak, rel=1e-12)
         assert not np.array_equal(clipped.beta, sol.beta)
@@ -432,6 +495,8 @@ class TestGridReuse:
                 # the same solutions, fewer of them run
                 assert (model.svm_solves + model.reused_solves
                         == fresh.svm_solves + fresh.reused_solves)
+                assert (model.gradients + model.reused_gradients
+                        == fresh.gradients + fresh.reused_gradients)
                 assert model.unconverged_solves == fresh.unconverged_solves
                 assert model.max_kkt_violation == fresh.max_kkt_violation
                 reused_across_c += model.reused_solves - fresh.reused_solves
@@ -449,19 +514,44 @@ class TestGridReuse:
                 first[key] = (c, sol)
         assert resolved > 0
 
+    def test_grid_computes_one_gradient_per_solution(self, monkeypatch):
+        grams, labels = overlapping_three_class_problem()
+        memos = []  # the memo of every fit, in call order
+
+        def recording_train(grams, y, c, memo=None, **kwargs):
+            memos.append((y, memo))
+            return mkl_train(grams, y, c, memo=memo, **kwargs)
+
+        monkeypatch.setattr("glmetric.kernel_mkl.mkl_train", recording_train)
+        per_c = train_one_vs_all(grams, labels, 3, (0.1, 1.0, 10.0, 100.0))
+        monkeypatch.undo()
+        for cls in range(3):
+            y, memo = memos[cls]
+            assert all(m is memo for _, m in memos[cls::3])  # one memo per class
+            stored = [e for known in memo.values() for e in known if e[2] is not None]
+            models = [ms[cls] for ms in per_c]
+            # every computation filled one empty entry, so none ran twice
+            assert sum(m.gradients for m in models) == len(stored)
+            for _, sol, grad in stored:
+                yb = y * sol.beta
+                np.testing.assert_array_equal(
+                    grad, [-0.5 * yb @ kk @ yb for kk in grams])
+        assert sum(m.reused_gradients for ms in per_c[1:] for m in ms) > 0
+
     def test_memo_is_filled_by_weight_bytes(self):
         grams, labels = overlapping_three_class_problem()
         y = np.where(labels == 0, 1.0, -1.0)
         memo = {}
         model = mkl_train(grams, y, 1.0, memo=memo)
         uniform = np.full(len(grams), 0.25)
-        (c, sol), = memo[uniform.tobytes()]
+        (c, sol, _), = memo[uniform.tobytes()]
         assert c == 1.0
         assert_same_solution(sol, svm_solve(_combine(uniform, grams), y, 1.0))
         assert model.svm_solves == sum(len(v) for v in memo.values())
         again = mkl_train(grams, y, 1.0, memo=memo)
-        assert again.svm_solves == 0
+        assert again.svm_solves == again.gradients == 0
         assert again.reused_solves == model.svm_solves + model.reused_solves
+        assert again.reused_gradients == model.gradients + model.reused_gradients
         np.testing.assert_array_equal(again.beta, model.beta)
 
 
