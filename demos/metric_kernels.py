@@ -21,15 +21,18 @@ validation, test = params.transform(validation), params.transform(test)
 
 def run(metrics, label):
     bank = build_kernel_bank(metrics, train.features, seed=0)
-    k_tr = [gram_matrix(bk, train.features) for bk in bank]
-    k_va = [gram_matrix(bk, validation.features, train.features) for bk in bank]
-    k_te = [gram_matrix(bk, test.features, train.features) for bk in bank]
     c_grid = (0.1, 1.0, 10.0, 100.0)
+    # one Gram bank at a time: the train bank is dropped once the grid is fitted
+    k_tr = [gram_matrix(bk, train.features) for bk in bank]
     per_c = train_one_vs_all(k_tr, train.labels, train.class_count, c_grid)
+    del k_tr
+    k_va = [gram_matrix(bk, validation.features, train.features) for bk in bank]
     errs = [np.mean(predict_one_vs_all(models, k_va) != validation.labels)
             for models in per_c]
+    del k_va
     best = int(np.argmin(errs))  # the first C of the lowest validation error
     c, models = c_grid[best], per_c[best]
+    k_te = [gram_matrix(bk, test.features, train.features) for bk in bank]
     test_err = np.mean(predict_one_vs_all(models, k_te) != test.labels)
     weights = np.concatenate([m.weights for m in models])
     print(f"{label:<18} {len(bank):>3} kernels  C = {c:<6g} "

@@ -3,6 +3,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import sys
 import time
 import traceback
@@ -36,6 +37,9 @@ DEFAULT_GRIDS = {
     "lam_cov": [1e-3, 1e-2, 1e-1],
     "cluster_lam_int": [0.0, 0.25, 0.5, 0.75],
 }
+
+# bound on the bytes of an MKL cell's train Gram bank, M float64 (n, n) grams: M * n**2 * 8
+MKL_TRAIN_BANK_BYTES = 2 ** 30
 
 
 class ConfigError(ValueError):
@@ -172,21 +176,37 @@ def _timed_metric(builder):
 
 
 def _run_mkl(train, validation, test, metrics, grids, seed):
+    """One MKL cell. It holds one Gram bank at a time: the train bank while the
+    C grid is fitted, then the validation bank to choose C, then the test bank.
+    A train bank over MKL_TRAIN_BANK_BYTES raises ValueError before any gram
+    is built."""
     t0 = time.perf_counter()
     banks = build_kernel_bank(metrics, train.features, DEFAULT_TAU_GRID, seed=seed)
+    need = len(banks) * train.n ** 2 * 8
+    if need > MKL_TRAIN_BANK_BYTES:
+        fits = math.isqrt(MKL_TRAIN_BANK_BYTES // (8 * len(banks)))
+        raise ValueError(
+            f"the train Gram bank of {len(banks)} kernels at {train.n} training points "
+            f"needs {need / 2 ** 20:.0f} MiB, over the {MKL_TRAIN_BANK_BYTES / 2 ** 20:.0f} "
+            f"MiB bound; set max_train to {fits} or less")
     k_tr = [gram_matrix(bk, train.features) for bk in banks]
-    k_va = [gram_matrix(bk, validation.features, train.features) for bk in banks]
-    k_te = [gram_matrix(bk, test.features, train.features) for bk in banks]
     t1 = time.perf_counter()
     per_c = train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
+    del k_tr  # prediction needs no train gram
     t2 = time.perf_counter()
+    k_va = [gram_matrix(bk, validation.features, train.features) for bk in banks]
+    t3 = time.perf_counter()
     val_errs = [float(np.mean(predict_one_vs_all(models, k_va) != validation.labels))
                 for models in per_c]
+    del k_va
+    t4 = time.perf_counter()
     best = int(np.argmin(val_errs))  # the first C of the lowest validation error
     val_err, c, models = val_errs[best], grids["C"][best], per_c[best]
+    k_te = [gram_matrix(bk, test.features, train.features) for bk in banks]
+    t5 = time.perf_counter()
     test_err = float(np.mean(predict_one_vs_all(models, k_te) != test.labels))
-    phases = {"gram_bank_s": t1 - t0, "mkl_fit_s": t2 - t1,
-              "predict_s": time.perf_counter() - t2}
+    phases = {"gram_bank_s": (t1 - t0) + (t3 - t2) + (t5 - t4), "mkl_fit_s": t2 - t1,
+              "predict_s": (t4 - t3) + (time.perf_counter() - t5)}
     # the chosen C's models, then per-C totals over the whole grid that
     # mkl_fit_s times
     counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",

@@ -5,8 +5,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 
 from ._linalg import pairwise_sq_dists, sym_sqrt
 from ._lloyd import lloyd, lloyd_best_of, member_means
@@ -194,6 +192,8 @@ def cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
 
 
 def _neighbor_graph(z, n_neighbors):
+    from scipy.sparse import csr_matrix  # scipy loads only on the Isomap path
+
     d = np.sqrt(pairwise_sq_dists(z, z))
     np.fill_diagonal(d, np.inf)
     n = len(z)
@@ -213,6 +213,8 @@ def isomap_embed(x, metric, n_neighbors, d):
     component is embedded (reported via kept_indices). Raises when d exceeds
     the number of positive eigenvalues of the centered geodesic Gram matrix.
     """
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     x = np.asarray(x, dtype=float)
     z = _transform(x, metric)
     graph = _neighbor_graph(z, n_neighbors)

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from glmetric.classify import KnnConfig, knn_predict_batch
 from glmetric.dataset import SplitSpec, load_csv, scale_features, split
 from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import uniform_combination
-from glmetric.local_metric import compute_all_local_metrics
+from glmetric.local_metric import MetricMatrix, compute_all_local_metrics, regional_metrics
 from glmetric.unsupervised import assign_to_centers, cluster_transfer_tune, rand_score
 
 
@@ -299,6 +300,42 @@ class TestRunExperiment:
         assert sum(grid["svm_solves"]) == len(runs) > diag["svm_solves"]
         assert sum(grid["smo_iterations"]) == sum(s.iterations for s in runs)
 
+    def test_mkl_train_bank_over_bound_fails_only_its_cell(self, tmp_path, monkeypatch):
+        # 15 kernels of 50 x 50 fit the bound exactly; the 90-point train set does not
+        monkeypatch.setattr(cli_mod, "MKL_TRAIN_BANK_BYTES", 15 * 50 ** 2 * 8)
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return kernel_mkl.gram_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "gram_matrix", counted)
+        path, _ = minimal_config(tmp_path, methods=["euclidean", "mkl_baseline"])
+        cfg = parse_experiment_config(json.loads(path.read_text()))
+        report, code = run_experiment(cfg, tmp_path / "out")
+        assert code == 0 and not built
+        assert not report["methods"]["euclidean"]["failures"]
+        (failure,) = report["methods"]["mkl_baseline"]["failures"]
+        assert failure["error"].startswith("ValueError: the train Gram bank of 15 kernels "
+                                           "at 90 training points")
+        assert failure["error"].endswith("set max_train to 50 or less")
+        assert "in _run_mkl" in failure["traceback"]
+        # the suggested max_train runs
+        path, _ = minimal_config(tmp_path, methods=[{"name": "mkl_baseline", "max_train": 50}])
+        report, code = run_experiment(parse_experiment_config(json.loads(path.read_text())),
+                                      tmp_path / "out2")
+        assert code == 0 and not report["methods"]["mkl_baseline"]["failures"]
+
+    def test_mkl_train_bank_bound_names_largest_fitting_max_train(self, monkeypatch):
+        # M = 75 kernels (5 partitions x 15 bandwidths) under the shipped 1 GiB
+        assert cli_mod.MKL_TRAIN_BANK_BYTES == 2 ** 30
+        monkeypatch.setattr(cli_mod, "build_kernel_bank",
+                            lambda metrics, *args, **kwargs: [None] * 75)
+        full = load_csv("data/iris.csv", "label", has_header=True)
+        big = full.subset(np.arange(150).repeat(9)[:1338])
+        with pytest.raises(ValueError, match="set max_train to 1337 or less"):
+            cli_mod._run_mkl(big, full, full, [None], cli_mod.DEFAULT_GRIDS, 0)
+
     def test_synthetic_dataset_config(self, tmp_path):
         cfg = parse_experiment_config({
             "version": 1,
@@ -309,6 +346,68 @@ class TestRunExperiment:
         report, code = run_experiment(cfg, tmp_path / "out")
         assert code == 0
         assert 0.0 <= report["methods"]["euclidean"]["per_split"][0] <= 1.0
+
+
+def oracle_run_mkl(train, validation, test, metrics, grids, seed):
+    """_run_mkl with all three Gram banks built before the fit."""
+    banks = kernel_mkl.build_kernel_bank(metrics, train.features,
+                                         kernel_mkl.DEFAULT_TAU_GRID, seed=seed)
+    k_tr = [kernel_mkl.gram_matrix(bk, train.features) for bk in banks]
+    k_va = [kernel_mkl.gram_matrix(bk, validation.features, train.features) for bk in banks]
+    k_te = [kernel_mkl.gram_matrix(bk, test.features, train.features) for bk in banks]
+    per_c = kernel_mkl.train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
+    val_errs = [float(np.mean(kernel_mkl.predict_one_vs_all(models, k_va)
+                              != validation.labels)) for models in per_c]
+    best = int(np.argmin(val_errs))
+    models = per_c[best]
+    test_err = float(np.mean(kernel_mkl.predict_one_vs_all(models, k_te) != test.labels))
+    counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
+              "reused_gradients")
+    totals = [{key: sum(getattr(m, key) for m in ms) for key in counts} for ms in per_c]
+    diagnostics = dict(totals[best],
+                       unconverged_solves=sum(m.unconverged_solves for m in models),
+                       max_kkt_violation=max(m.max_kkt_violation for m in models),
+                       grid={"C": list(grids["C"]),
+                             **{key: [t[key] for t in totals] for key in counts}})
+    return {"kind": "error", "value": test_err, "validation_error": val_errs[best],
+            "chosen": {"C": grids["C"][best], "kernels": len(banks)},
+            "diagnostics": diagnostics}
+
+
+class TestMklCellOrder:
+    @pytest.fixture(scope="class")
+    def iris_parts(self):
+        full = load_csv("data/iris.csv", "label", has_header=True)
+        train, validation, test = split(full, SplitSpec(seed=1000))
+        train, params = scale_features(train)
+        return train, params.transform(validation), params.transform(test)
+
+    @pytest.mark.parametrize("partitions", [None, 2])
+    def test_train_bank_dead_before_evaluation_banks_and_cell_unchanged(
+            self, iris_parts, partitions, monkeypatch):
+        train, validation, test = iris_parts
+        if partitions is None:
+            metrics = [MetricMatrix.identity(train.dim)]
+        else:
+            locals_ = compute_all_local_metrics(train, fit_gaussian_models(train, 1e-3))
+            metrics, _ = regional_metrics(locals_, train.features, partitions, seed=3)
+        train_refs, alive_at_eval = [], []
+
+        def recording(bk, x, x2=None):
+            k = kernel_mkl.gram_matrix(bk, x, x2)
+            if x2 is None:
+                train_refs.append(weakref.ref(k))
+            elif not alive_at_eval:
+                alive_at_eval.append(sum(r() is not None for r in train_refs))
+            return k
+
+        monkeypatch.setattr(cli_mod, "gram_matrix", recording)
+        cell = cli_mod._run_mkl(train, validation, test, metrics, cli_mod.DEFAULT_GRIDS, 3)
+        assert len(train_refs) == cell["chosen"]["kernels"] == 15 * len(metrics)
+        assert alive_at_eval == [0]
+        expected = oracle_run_mkl(train, validation, test, metrics, cli_mod.DEFAULT_GRIDS, 3)
+        assert {key: cell[key] for key in expected} == expected
+        assert set(cell["phases"]) == {"gram_bank_s", "mkl_fit_s", "predict_s"}
 
 
 class TestSubcommands:
