@@ -31,6 +31,10 @@ DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11)
 DEFAULT_LAMBDA_GRID = tuple(round(0.1 * i, 1) for i in range(11))
 DEFAULT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 
+# bound on the bytes of the (n, D*D) table of train outer products that the
+# glm_int distances hold at once
+OUTER_TABLE_BYTES = 2 ** 24
+
 
 @dataclass(frozen=True, eq=False)
 class KnnConfig:
@@ -86,21 +90,57 @@ def knn_predict_batch(train, cfg: KnnConfig, queries):
     return _vote_rows(d, train.labels, train.class_count, cfg.k)
 
 
+def _check_finite(d):
+    bad = int(np.sum(~np.isfinite(d).all(axis=1)))
+    if bad:
+        raise ValueError(f"non-finite distances in {bad} of {len(d)} query rows")
+
+
 def _vote_rows(d, labels, class_count, k):
-    """Majority-vote label for every row of a query-to-train distance matrix.
+    """Majority-vote label for every row of a query-to-train distance matrix:
+    _vote_grid on the one-element grid (k,)."""
+    return _vote_grid(d, labels, class_count, (k,))[0]
+
+
+def _vote_grid(d, labels, class_count, k_grid):
+    """Majority-vote labels for every k of k_grid, as a (len(k_grid), nq) array.
 
     Ties go to the smaller sum of member distances, then to the lower class
-    index. Each class sum adds its members in neighbor order.
+    index. Each class sum adds its members in neighbor order. One partition
+    at the largest k below n, sorted, gives every such k its neighbors as a
+    prefix, so an untied row adds its sums in ascending-distance order. A
+    row whose k-th and (k+1)-th smallest distances are equal takes its k
+    neighbors from argpartition(d[row], k) instead, so the tied set and its
+    summation order are the ones a per-k partition picks. A k of at least n
+    takes every point. Non-finite distances raise ValueError.
+
+    On an untied row a per-k partition picks the same neighbors, but may add
+    them in another order; a count tie between classes whose sums differ
+    only by that rounding could then flip. Equality with the per-k vote on
+    every reachable split was checked by a sweep, not guaranteed.
     """
-    if k < d.shape[1]:
-        idx = np.argpartition(d, k, axis=1)[:, :k]
-    else:
-        idx = np.tile(np.arange(d.shape[1]), (d.shape[0], 1))
-    near = np.take_along_axis(d, idx, axis=1)
-    member = labels[idx][:, :, None] == np.arange(class_count)
-    counts = member.sum(axis=1)
-    sums = np.where(member, near[:, :, None], 0.0).sum(axis=1)
-    return np.where(counts == counts.max(1, keepdims=True), sums, np.inf).argmin(1)
+    _check_finite(d)
+    nq, n = d.shape
+    top = max((k for k in k_grid if k < n), default=0)
+    if top:
+        part = np.argpartition(d, top, axis=1)[:, :top + 1]
+        order = np.argsort(np.take_along_axis(d, part, axis=1), axis=1, kind="stable")
+        ranked = np.take_along_axis(part, order, axis=1)
+        ranked_d = np.take_along_axis(d, ranked, axis=1)
+    out = np.empty((len(k_grid), nq), dtype=np.intp)
+    for g, k in enumerate(k_grid):
+        if k < n:
+            idx = ranked[:, :k].copy()
+            tied = np.flatnonzero(ranked_d[:, k - 1] == ranked_d[:, k])
+            idx[tied] = np.argpartition(d[tied], k, axis=1)[:, :k]
+        else:
+            idx = np.broadcast_to(np.arange(n), (nq, n))
+        near = np.take_along_axis(d, idx, axis=1)
+        member = labels[idx][:, :, None] == np.arange(class_count)
+        counts = member.sum(axis=1)
+        sums = np.where(member, near[:, :, None], 0.0).sum(axis=1)
+        out[g] = np.where(counts == counts.max(1, keepdims=True), sums, np.inf).argmin(1)
+    return out
 
 
 def _sorted_by_class(d, labels, class_count, k):
@@ -109,7 +149,9 @@ def _sorted_by_class(d, labels, class_count, k):
 
     C order makes each energy sum add its terms in the order a 1-D sum of
     the same values would (numpy sums along a contiguous last axis pairwise).
+    Non-finite distances raise ValueError.
     """
+    _check_finite(d)
     own = [np.sort(np.compress(labels == c, d, axis=1), axis=1)[:, :k]
            for c in range(class_count)]
     other = [np.sort(np.compress(labels != c, d, axis=1), axis=1)[:, :k]
@@ -170,17 +212,40 @@ def evaluate_error(predictor, test):
     return float(np.mean(pred != test.labels))
 
 
+def _outer_rows(x):
+    """vec(x_j x_j^T) of every row of x: an (n, D*D) table."""
+    return np.einsum("ij,ik->ijk", x, x).reshape(len(x), -1)
+
+
+def _per_query_sq_dists(q, ms, x):
+    """d[i, j] = (q_i - x_j)^T M_i (q_i - x_j) for a per-query (nq, D, D) stack ms.
+
+    The train term vec(M_i) . vec(x_j x_j^T) is a product with the
+    _outer_rows table of x, built and used in chunks of train rows of at
+    most OUTER_TABLE_BYTES each (one chunk when the whole table fits). Tiny
+    negative values from cancellation are clipped to 0, as in
+    pairwise_sq_dists.
+    """
+    qm = np.einsum("ij,ijk->ik", q, ms)
+    rq = np.einsum("ij,ij->i", qm, q)
+    flat = ms.reshape(len(ms), -1)
+    step = max(1, OUTER_TABLE_BYTES // (8 * flat.shape[1]))
+    rx = np.empty((len(q), len(x)))
+    for s in range(0, len(x), step):
+        rx[:, s:s + step] = flat @ _outer_rows(x[s:s + step]).T
+    d = rq[:, None] + rx - 2.0 * (qm @ x.T)
+    return np.clip(d, 0.0, None)
+
+
 def _glm_int_errors(train, queries, labels, ms, k_grid, lam_grid):
     """Error per (k, lam) using a per-query interpolated local metric."""
     base, _ = local_metric_stack(queries.features, ms)
     errors = {}
     for lam in lam_grid:
         metrics = interpolate_with_euclidean(base, lam)
-        d = np.empty((queries.n, train.n))
-        for i, m in enumerate(metrics):
-            d[i] = pairwise_sq_dists(queries.features[i:i + 1], train.features, m)[0]
-        for k in k_grid:
-            pred = _vote_rows(d, train.labels, train.class_count, k)
+        d = _per_query_sq_dists(queries.features, metrics, train.features)
+        preds = _vote_grid(d, train.labels, train.class_count, k_grid)
+        for k, pred in zip(k_grid, preds):
             errors[(k, lam)] = float(np.mean(pred != labels))
     return errors
 
@@ -208,9 +273,9 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
         if metric is None:
             raise ValueError("knn tuning requires a metric")
         dval = pairwise_sq_dists(validation.features, train.features, metric.matrix)
+        preds = _vote_grid(dval, train.labels, train.class_count, k_grid)
         cands = []
-        for k in k_grid:
-            pred = _vote_rows(dval, train.labels, train.class_count, k)
+        for k, pred in zip(k_grid, preds):
             err = float(np.mean(pred != validation.labels))
             grid.append({"k": k, "validation_error": err})
             cands.append((err, k, 0.0))

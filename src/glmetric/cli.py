@@ -388,6 +388,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
         "methods": methods,
         "timing": {"total_s": time.perf_counter() - t_start},
     }
+    write_report(report, out_dir)
+    return report, 0 if any_ok else 1
+
+
+def write_report(report, out_dir):
+    """Write a run_experiment report into out_dir: report.json, report.csv
+    (one row per successful cell) and table.txt (format_table)."""
+    methods = report["methods"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "report.json", "w") as f:
@@ -402,7 +410,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
                             json.dumps(entry["chosen"][r], sort_keys=True)])
     with open(out / "table.txt", "w") as f:
         f.write(format_table(methods) + "\n")
-    return report, 0 if any_ok else 1
 
 
 def format_table(methods):

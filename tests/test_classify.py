@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from glmetric import classify
 from glmetric.classify import (EnergyConfig, KnnConfig, _energy_labels, _glm_int_errors,
-                               _sorted_by_class, _vote_rows, energy_predict_batch,
+                               _per_query_sq_dists, _sorted_by_class, _vote_grid,
+                               _vote_rows, energy_predict_batch,
                                evaluate_error, knn_predict_batch, margin_candidates,
                                tune_and_test)
 from glmetric._linalg import pairwise_sq_dists
@@ -10,7 +12,9 @@ from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv, make_syntheti
                               scale_features, split, three_normal_preset)
 from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import metric_sqrt_transform
-from glmetric.local_metric import MetricMatrix, compute_all_local_metrics, solve_local_metric
+from glmetric.local_metric import (MetricMatrix, compute_all_local_metrics,
+                                   interpolate_with_euclidean, local_metric_stack,
+                                   solve_local_metric)
 from test_local_metric import oracle_interpolate, random_symmetric_indefinite
 
 
@@ -236,6 +240,53 @@ class TestVoteMatchesOracle:
         np.testing.assert_array_equal(_vote_rows(d[2:], labels, 3, 1), [2])
 
 
+class TestVoteGridMatchesOracle:
+    @pytest.mark.parametrize("lattice", [False, True])
+    @pytest.mark.parametrize("class_count", [2, 3, 4])
+    def test_every_k_of_the_grid(self, lattice, class_count):
+        rng = np.random.default_rng(40 + class_count + 10 * lattice)
+        boundary_ties = 0
+        for n_train in (12, 40, 300):
+            d, labels = distance_table(rng, lattice, 60, n_train, class_count)
+            ranked = np.sort(d, axis=1)
+            # at n = 300 a partition at k = 195 and one at k = 13 or 62 pick
+            # different members of a tied boundary
+            for k_grid in ((1, 3, 5, 7, 9, 11), tuple(range(1, 17)), (16, 2),
+                           (13, 62, 195), (n_train - 1, n_train, n_train + 3)):
+                got = _vote_grid(d, labels, class_count, k_grid)
+                assert got.shape == (len(k_grid), len(d))
+                for k, row in zip(k_grid, got):
+                    np.testing.assert_array_equal(
+                        row, oracle_vote_rows(d, labels, class_count, k))
+                    if k < n_train:
+                        boundary_ties += int(np.sum(ranked[:, k - 1] == ranked[:, k]))
+        # lattice tables exercise the rows that take a per-k partition
+        assert (boundary_ties > 0) == lattice
+
+
+class TestNonFiniteDistances:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_vote_and_energy_sort_reject(self, bad):
+        d, labels = distance_table(np.random.default_rng(50), False, 5, 12, 2)
+        d[3, 4] = bad
+        message = "non-finite distances in 1 of 5 query rows"
+        with pytest.raises(ValueError, match=message):
+            _vote_grid(d, labels, 2, (1, 3))
+        with pytest.raises(ValueError, match=message):
+            _vote_rows(d, labels, 2, 20)
+        with pytest.raises(ValueError, match=message):
+            _sorted_by_class(d, labels, 2, 3)
+
+    def test_overflowing_query_rejected(self):
+        train = LabeledDataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [0, 0, 1, 1], 2)
+        queries = np.array([[0.5], [1e300]])
+        for cfg, predict in ((KnnConfig(1, MetricMatrix.identity(1)), knn_predict_batch),
+                             (EnergyConfig(1, 0.0, MetricMatrix.identity(1)),
+                              energy_predict_batch)):
+            with pytest.raises(ValueError, match="non-finite distances in 1 of 2"):
+                predict(train, cfg, queries)
+
+
 class TestEnergyMatchesOracle:
     @pytest.mark.parametrize("margin", [0.0, 0.37, 5.0])
     @pytest.mark.parametrize("class_count", [2, 3, 4])
@@ -318,6 +369,12 @@ class TestEvaluate:
     def test_empty_test_rejected(self):
         with pytest.raises(ValueError):
             evaluate_error(lambda x: x, LabeledDataset(np.ones((1, 1)), [0], 1).subset([]))
+
+
+@pytest.fixture(scope="module")
+def three_normal_split():
+    ds = make_synthetic_mixture(three_normal_preset(dim=6), 300, seed=4)
+    return split(ds, SplitSpec(seed=2))
 
 
 @pytest.fixture(scope="module")
@@ -408,3 +465,41 @@ class TestGlmIntMatchesOracle:
         args = (train, validation, validation.labels, ms, (1, 3, 5, 7),
                 (0.0, 0.1, 0.25, 0.5, 0.9, 1.0))
         assert _glm_int_errors(*args) == oracle_glm_int_errors(*args)
+
+
+def oracle_per_query_sq_dists(q, ms, x):
+    """The per-row loop the batched glm_int distances replaced."""
+    return np.stack([pairwise_sq_dists(q[i:i + 1], x, m)[0] for i, m in enumerate(ms)])
+
+
+def interpolated_stack(train, queries, lam):
+    base, _ = local_metric_stack(queries.features, fit_gaussian_models(train, 1e-3))
+    return interpolate_with_euclidean(base, lam)
+
+
+class TestPerQueryDistances:
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("data", ["iris", "three_normal"])
+    def test_matches_per_row_oracle(self, data, lam, iris_split, three_normal_split):
+        train, validation, _ = iris_split if data == "iris" else three_normal_split
+        ms = interpolated_stack(train, validation, lam)
+        x = train.features
+        got = _per_query_sq_dists(validation.features, ms, x)
+        expect = oracle_per_query_sq_dists(validation.features, ms, x)
+        # the products add the same terms in another order: float64 rounding
+        np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-12 * expect.max())
+        assert got.min() >= 0.0
+
+    def test_chunked_table_equals_whole(self, three_normal_split, monkeypatch):
+        train, validation, _ = three_normal_split
+        ms = interpolated_stack(train, validation, 0.3)
+        x = train.features
+        whole = _per_query_sq_dists(validation.features, ms, x)
+        args = (train, validation, validation.labels, fit_gaussian_models(train, 1e-3),
+                (1, 5), (0.0, 0.3))
+        errors = _glm_int_errors(*args)
+        monkeypatch.setattr(classify, "OUTER_TABLE_BYTES", 7 * 8 * x.shape[1] ** 2)
+        chunked = _per_query_sq_dists(validation.features, ms, x)
+        # BLAS may add a 7-column product in another order than a whole one
+        np.testing.assert_allclose(chunked, whole, rtol=1e-12, atol=1e-12 * whole.max())
+        assert _glm_int_errors(*args) == errors

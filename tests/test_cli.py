@@ -7,10 +7,11 @@ import weakref
 import numpy as np
 import pytest
 
+from glmetric import classify
 from glmetric import cli as cli_mod
 from glmetric import kernel_mkl
-from glmetric.cli import (ConfigError, average_ranks, main,
-                          parse_experiment_config, run_experiment)
+from glmetric.cli import (ConfigError, average_ranks, format_table, main,
+                          parse_experiment_config, run_experiment, write_report)
 from glmetric.classify import KnnConfig, knn_predict_batch
 from glmetric.dataset import SplitSpec, load_csv, scale_features, split
 from glmetric.generative import fit_gaussian_models
@@ -166,6 +167,51 @@ class TestRunExperiment:
         a = json.loads((tmp_path / "a" / "report.json").read_text())
         b = json.loads((tmp_path / "b" / "report.json").read_text())
         assert strip_timing(a) == strip_timing(b)
+
+    def test_report_files_written_as_before(self, tmp_path):
+        methods = ("euclidean", {"name": "cluster_uni", "k": 100000}, "m_uni")
+        path, _ = minimal_config(tmp_path, methods=methods, n_repeats=2)
+        cfg = parse_experiment_config(json.loads(path.read_text()))
+        report, _ = run_experiment(cfg, tmp_path / "run")
+        oracle_write_report(report, tmp_path / "oracle")
+        write_report(report, tmp_path / "direct")
+        for name in ("report.json", "report.csv", "table.txt"):
+            expect = (tmp_path / "oracle" / name).read_bytes()
+            assert (tmp_path / "run" / name).read_bytes() == expect
+            assert (tmp_path / "direct" / name).read_bytes() == expect
+
+    def test_non_finite_distances_fail_only_the_classify_cells(self, tmp_path, monkeypatch):
+        # iris row 10 is in the validation portion at split seed 1000, and a
+        # feature of 1e300 overflows every squared distance of its row
+        rows = list(csv.reader(open("data/iris.csv")))
+        rows[1 + 10][0] = "1e300"
+        poisoned = tmp_path / "poisoned.csv"
+        with open(poisoned, "w", newline="") as f:
+            csv.writer(f).writerows(rows)
+        methods = ("euclidean", "glm_int", "m_uni", "m_kde", "cluster_uni")
+        path, _ = minimal_config(tmp_path, methods=methods, dataset={
+            "csv": str(poisoned), "label_column": "label", "has_header": True})
+        cfg = parse_experiment_config(json.loads(path.read_text()))
+        with np.errstate(invalid="ignore", over="ignore"):
+            report, code = run_experiment(cfg, tmp_path / "out")
+        assert code == 0
+        for key in ("euclidean", "glm_int", "m_uni"):
+            (failure,) = report["methods"][key]["failures"]
+            assert failure["error"] == "ValueError: non-finite distances in 1 of 30 query rows"
+        # without the check the kNN cells report an error rate, and every
+        # other cell reads the same
+        monkeypatch.setattr(classify, "_check_finite", lambda d: None)
+        with np.errstate(invalid="ignore", over="ignore"):
+            silent, _ = run_experiment(cfg, tmp_path / "silent")
+        for key in ("euclidean", "glm_int", "m_uni"):
+            assert not silent["methods"][key]["failures"]
+            assert len(silent["methods"][key]["per_split"]) == 1
+        for key in ("m_kde", "cluster_uni"):
+            assert strip_timing(report["methods"][key]) == strip_timing(silent["methods"][key])
+        (failure,) = report["methods"]["m_kde"]["failures"]
+        assert failure["error"] == ("ValueError: no bandwidth achieved finite "
+                                    "validation likelihood")
+        assert report["methods"]["cluster_uni"]["per_split"]
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         path, _ = minimal_config(tmp_path)
@@ -346,6 +392,24 @@ class TestRunExperiment:
         report, code = run_experiment(cfg, tmp_path / "out")
         assert code == 0
         assert 0.0 <= report["methods"]["euclidean"]["per_split"][0] <= 1.0
+
+
+def oracle_write_report(report, out_dir):
+    """The report writing that run_experiment did inline before write_report."""
+    methods = report["methods"]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "report.json", "w") as f:
+        json.dump(report, f, indent=2, sort_keys=True)
+        f.write("\n")
+    with open(out_dir / "report.csv", "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["method", "kind", "split", "value", "chosen"])
+        for key, entry in methods.items():
+            for r, v in enumerate(entry["per_split"]):
+                w.writerow([key, entry["kind"], r, repr(v),
+                            json.dumps(entry["chosen"][r], sort_keys=True)])
+    with open(out_dir / "table.txt", "w") as f:
+        f.write(format_table(methods) + "\n")
 
 
 def oracle_run_mkl(train, validation, test, metrics, grids, seed):

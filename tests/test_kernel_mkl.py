@@ -223,18 +223,19 @@ class TestGram:
 
 
 def project_box_hyperplane(v, y, c):
-    """Projection onto {0 <= b <= C, sum(b y) = 0} by bisection on the shift."""
-    def balance(t):
-        return np.clip(v - t * y, 0.0, c) @ y
+    """Projection onto {0 <= b <= C, sum(b y) = 0} (labels y of +-1), exactly.
 
-    lo, hi = -1e6, 1e6
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        step = (mid, hi) if balance(mid) > 0 else (lo, mid)
-        if step == (lo, hi):
-            break  # a fixed point: every later step would repeat this one
-        lo, hi = step
-    return np.clip(v - 0.5 * (lo + hi) * y, 0.0, c)
+    The balance sum(clip(v - t y, 0, C) y) is piecewise linear and
+    non-increasing in the shift t, with breakpoints where a coordinate
+    meets 0 or C. It is positive below the smallest breakpoint (both classes
+    present), so the root lies on the one segment where it changes sign.
+    """
+    t = np.sort(np.concatenate([v * y, (v - c) * y]))
+    balance = np.clip(v - t[:, None] * y, 0.0, c) @ y
+    j = np.flatnonzero(balance <= 0.0)[0]
+    t0, t1, b0, b1 = t[j - 1], t[j], balance[j - 1], balance[j]
+    root = t1 if b1 == 0.0 else t0 + (t1 - t0) * b0 / (b0 - b1)
+    return np.clip(v - root * y, 0.0, c)
 
 
 def projected_gradient_svm(k, y, c, steps=20000):
