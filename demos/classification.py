@@ -5,7 +5,7 @@ fit on each training portion, neighbor count tuned on validation.
 """
 import numpy as np
 
-from glmetric import (KnnConfig, MetricMatrix, SplitSpec, fit_gaussian_models,
+from glmetric import (MetricMatrix, SplitSpec, fit_gaussian_models,
                       compute_all_local_metrics, load_csv, scale_features,
                       tune_and_test, uniform_combination)
 from glmetric.dataset import split

@@ -17,7 +17,7 @@ from .local_metric import (MetricMatrix, compute_all_local_metrics,
 from .global_metric import (TransformFactor, density_weighted_combination,
                             fixed_point_residual, metric_sqrt_transform,
                             uniform_combination)
-from .classify import (EnergyConfig, KnnConfig, TunedResult, evaluate_error,
+from .classify import (TunedResult, energy_predict_batch, knn_predict_batch,
                        margin_candidates, tune_and_test)
 from .kernel_mkl import (BaseKernel, MklModel, build_kernel_bank, gram_matrix,
                          mkl_train, svm_solve)

@@ -1,4 +1,4 @@
-"""Small shared linear-algebra helpers for symmetric PSD matrices."""
+"""Small shared linear-algebra helpers for symmetric PSD and distance matrices."""
 import numpy as np
 
 
@@ -35,3 +35,10 @@ def pairwise_sq_dists(q, x, m=None):
     rx = np.einsum("ij,ij->i", x if m is None else x @ m, x)
     d = rq[:, None] + rx[None, :] - 2.0 * (qm @ x.T)
     return np.clip(d, 0.0, None)
+
+
+def _check_finite(d):
+    """Raise ValueError, counting the rows, when a query distance matrix is not finite."""
+    bad = int(np.sum(~np.isfinite(d).all(axis=1)))
+    if bad:
+        raise ValueError(f"non-finite distances in {bad} of {len(d)} query rows")

@@ -9,18 +9,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import pairwise_sq_dists
+from ._linalg import _check_finite, pairwise_sq_dists
 from .generative import fit_gaussian_models
 from .local_metric import MetricMatrix, interpolate_with_euclidean, local_metric_stack
 
 __all__ = [
-    "KnnConfig",
-    "EnergyConfig",
     "TunedResult",
     "knn_predict_batch",
     "energy_predict_batch",
     "margin_candidates",
-    "evaluate_error",
     "tune_and_test",
     "DEFAULT_K_GRID",
     "DEFAULT_LAMBDA_GRID",
@@ -36,37 +33,6 @@ DEFAULT_BETA_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)
 OUTER_TABLE_BYTES = 2 ** 24
 
 
-@dataclass(frozen=True, eq=False)
-class KnnConfig:
-    """k nearest neighbors under a fixed metric.
-
-    Ties in the vote are broken by the smaller sum of member distances, then
-    by the lower class index.
-    """
-
-    k: int
-    metric: MetricMatrix
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-
-
-@dataclass(frozen=True, eq=False)
-class EnergyConfig:
-    """Energy classifier: per-class sum of neighbor distances plus hinge terms."""
-
-    k: int
-    margin: float
-    metric: MetricMatrix
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be at least 1")
-        if self.margin < 0:
-            raise ValueError("margin must be non-negative")
-
-
 @dataclass
 class TunedResult:
     """Winner of a validation grid search plus the full grid table."""
@@ -79,27 +45,17 @@ class TunedResult:
     timing: dict = field(default_factory=dict)
 
 
-def knn_predict_batch(train, cfg: KnnConfig, queries):
-    """Majority-vote kNN labels for every row of queries."""
-    if train.n == 0:
-        raise ValueError("empty training set")
-    if cfg.k > train.n:
+def knn_predict_batch(train, k, metric: MetricMatrix, queries):
+    """Majority-vote kNN labels for every row of queries under the metric.
+    Ties go to the smaller sum of member distances, then to the lower class
+    index. Non-finite distances raise ValueError."""
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if k > train.n:
         raise ValueError("k exceeds the training size")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    d = pairwise_sq_dists(queries, train.features, cfg.metric.matrix)
-    return _vote_rows(d, train.labels, train.class_count, cfg.k)
-
-
-def _check_finite(d):
-    bad = int(np.sum(~np.isfinite(d).all(axis=1)))
-    if bad:
-        raise ValueError(f"non-finite distances in {bad} of {len(d)} query rows")
-
-
-def _vote_rows(d, labels, class_count, k):
-    """Majority-vote label for every row of a query-to-train distance matrix:
-    _vote_grid on the one-element grid (k,)."""
-    return _vote_grid(d, labels, class_count, (k,))[0]
+    d = pairwise_sq_dists(queries, train.features, metric.matrix)
+    return _vote_grid(d, train.labels, train.class_count, (k,))[0]
 
 
 def _vote_grid(d, labels, class_count, k_grid):
@@ -168,21 +124,25 @@ def _energy_labels(parts, k, margin):
     return energy.argmin(axis=1)
 
 
-def energy_predict_batch(train, cfg: EnergyConfig, queries):
+def energy_predict_batch(train, k, margin, metric: MetricMatrix, queries):
     """Labels minimizing the neighbor-distance-plus-hinge energy.
 
     For a class c the energy is the sum of distances to its k nearest members
     plus, for every pair of a same-class neighbor and an other-class
     neighbor, max(0, margin + d_same - d_other). Ties pick the lower class
-    index.
+    index. Non-finite distances raise ValueError.
     """
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if margin < 0:
+        raise ValueError("margin must be non-negative")
     counts = np.bincount(train.labels, minlength=train.class_count)
-    if counts.min() < cfg.k:
+    if counts.min() < k:
         raise ValueError("every class needs at least k members")
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    d = pairwise_sq_dists(queries, train.features, cfg.metric.matrix)
-    parts = _sorted_by_class(d, train.labels, train.class_count, cfg.k)
-    return _energy_labels(parts, cfg.k, cfg.margin)
+    d = pairwise_sq_dists(queries, train.features, metric.matrix)
+    parts = _sorted_by_class(d, train.labels, train.class_count, k)
+    return _energy_labels(parts, k, margin)
 
 
 def margin_candidates(train, metric: MetricMatrix, beta_grid=DEFAULT_BETA_GRID):
@@ -202,14 +162,6 @@ def margin_candidates(train, metric: MetricMatrix, beta_grid=DEFAULT_BETA_GRID):
         raise ValueError("every training point needs a same-class and an other-class neighbor")
     gamma0 = float(np.median(diffs))
     return [max(0.0, float(b) * gamma0) for b in beta_grid]
-
-
-def evaluate_error(predictor, test):
-    """Fraction of test points the predictor labels incorrectly."""
-    if test.n == 0:
-        raise ValueError("empty test set")
-    pred = np.asarray(predictor(test.features))
-    return float(np.mean(pred != test.labels))
 
 
 def _outer_rows(x):
@@ -282,8 +234,8 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
         err, k, _ = min(cands)
         chosen = {"k": k}
         t1 = time.perf_counter()
-        test_err = evaluate_error(
-            lambda x: knn_predict_batch(train, KnnConfig(k, metric), x), test)
+        pred = knn_predict_batch(train, k, metric, test.features)
+        test_err = float(np.mean(pred != test.labels))
 
     elif method == "glm_int":
         ms = fit_gaussian_models(train, lam_cov)
@@ -320,8 +272,8 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
         err, k, beta, margin = min(cands)
         chosen = {"k": k, "beta": beta, "margin": margin}
         t1 = time.perf_counter()
-        test_err = evaluate_error(
-            lambda x: energy_predict_batch(train, EnergyConfig(k, margin, metric), x), test)
+        pred = energy_predict_batch(train, k, margin, metric, test.features)
+        test_err = float(np.mean(pred != test.labels))
 
     else:
         raise ValueError(f"unknown method {method!r}")

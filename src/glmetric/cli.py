@@ -14,7 +14,7 @@ import numpy as np
 
 from . import dataset as ds_mod
 from .classify import (DEFAULT_BETA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID,
-                       tune_and_test)
+                       knn_predict_batch, tune_and_test)
 from .dataset import (LabeledDataset, ScaleParams, SplitSpec, load_csv,
                       make_synthetic_mixture, pca_reduce, scale_features,
                       three_normal_preset)
@@ -468,13 +468,19 @@ def _add_common(parser):
     parser.add_argument("--out", default=None)
 
 
+def _positive_int(text):
+    """argparse type of the count flags: an integer of at least 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def _load_cli_csv(path, args):
     label = args.label_column
     try:
-        label = int(label)
-    except (TypeError, ValueError):
-        pass
-    return load_csv(path, label, args.has_header)
+        return load_csv(path, int(label) if label.isdigit() else label, args.has_header)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _cmd_benchmark(args):
@@ -518,8 +524,7 @@ def _cmd_classify(args):
         params = ScaleParams.from_dict(payload["scale"])
         train = params.transform(train)
         test = params.transform(test)
-    from .classify import KnnConfig, knn_predict_batch
-    pred = knn_predict_batch(train, KnnConfig(args.k, metric), test.features)
+    pred = knn_predict_batch(train, args.k, metric, test.features)
     out = args.out or "predictions.csv"
     with open(out, "w", newline="") as f:
         w = csv.writer(f)
@@ -549,7 +554,7 @@ def _cmd_cluster(args):
     full, _ = scale_features(full)
     spec = SplitSpec(seed=args.seed)
     train, validation, test = ds_mod.split(full, spec)
-    k = args.k or full.class_count
+    k = full.class_count if args.k is None else args.k
     tuned, assigned, score = _cluster_cell(train, validation, test, k, DEFAULT_GRIDS, args.seed)
     out = Path(args.out or "cluster_out")
     out.mkdir(parents=True, exist_ok=True)
@@ -636,7 +641,7 @@ def build_parser():
     p.add_argument("--test", required=True)
     p.add_argument("--label-column", required=True)
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--k", type=int, default=3)
+    p.add_argument("--k", type=_positive_int, default=3)
     _add_common(p)
     p.set_defaults(func=_cmd_classify)
 
@@ -644,9 +649,9 @@ def build_parser():
     p.add_argument("--data", default=None)
     p.add_argument("--label-column", default="label")
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--n", type=int, default=600)
-    p.add_argument("--partitions", type=int, default=5)
-    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--n", type=_positive_int, default=600)
+    p.add_argument("--partitions", type=_positive_int, default=5)
+    p.add_argument("--repeats", type=_positive_int, default=5)
     _add_common(p)
     p.set_defaults(func=_cmd_mkl)
 
@@ -654,7 +659,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     p.add_argument("--label-column", required=True)
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--k", type=_positive_int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_cluster)
 
@@ -665,8 +670,8 @@ def build_parser():
     p.add_argument("--metric", default=None, help="serialized metric JSON")
     p.add_argument("--method", choices=["euclidean", "m_uni"], default="euclidean")
     p.add_argument("--lam-cov", type=float, default=1e-3)
-    p.add_argument("--neighbors", type=int, default=8)
-    p.add_argument("--dim", type=int, default=2)
+    p.add_argument("--neighbors", type=_positive_int, default=8)
+    p.add_argument("--dim", type=_positive_int, default=2)
     _add_common(p)
     p.set_defaults(func=_cmd_embed)
 
@@ -674,16 +679,18 @@ def build_parser():
     p.add_argument("reports", nargs="+")
     _add_common(p)
     p.set_defaults(func=_cmd_rank)
+    for p in (parser, *sub.choices.values()):
+        p.exit_on_error = False  # main reports a bad argument as one error line
     return parser
 
 
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
-    logging.basicConfig(level=args.log_level)
     try:
+        args = parser.parse_args(argv)
+        logging.basicConfig(level=args.log_level)
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (argparse.ArgumentError, ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import pairwise_sq_dists, sym_sqrt, symmetrize
-from .classify import KnnConfig, knn_predict_batch
+from .classify import knn_predict_batch
 from .dataset import LabeledDataset
 from .generative import _log_density_batch, bias_matrices, fit_gaussian_models
 from .local_metric import MetricMatrix, _as_stack, local_metric_stack
@@ -171,8 +171,7 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
             t_prev = factor @ t_prev
             if estimator_kind == "gmm" and ms_refit and weights_fn is None:
                 ref = LabeledDataset(v, validation.labels, validation.class_count)
-                k = min(3, len(v))
-                labels = knn_predict_batch(ref, KnnConfig(k, MetricMatrix.identity(d)), x)
+                labels = knn_predict_batch(ref, min(3, len(v)), MetricMatrix.identity(d), x)
     total_matrix = symmetrize(t_prev.T @ combined @ t_prev)
     info["factors"].append(sym_sqrt(combined))
     metric = MetricMatrix(total_matrix, f"global:{estimator_kind.upper()}")

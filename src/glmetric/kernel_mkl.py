@@ -50,6 +50,9 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_TAU_GRID = tuple(2.0 ** k for k in range(-6, 9))
 _MEDIAN_PAIRS = 10 ** 6  # most pairs a bank's bandwidth normalization reads
+MKL_TOL = 1e-4  # mkl_train stops when a step moves the weights or lowers the objective less
+MKL_MAX_OUTER = 50  # most weight steps of one mkl_train fit
+SVM_TOL = 1e-4  # KKT tolerance of the SVM solves of mkl_train
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,22 +283,22 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4, memo=None):
+def mkl_train(grams, y, c, memo=None):
     """Simplex-weighted kernel combination minimizing the SVM dual optimum.
 
     Alternates an exact SVM solve on the combined kernel with a projected
     gradient step on the weights (gradient -0.5 beta^T (y K_k y) beta per
     kernel), backtracking until the dual optimum does not increase, so the
     recorded objective curve is non-increasing. Stops when the weights move
-    less than tol in l1 or the objective decrease falls below tol.
+    less than MKL_TOL in l1 or the objective decrease falls below MKL_TOL.
 
     memo maps weights.tobytes() to the [C, SvmSolution, gradient] entries
     already solved for those weights; it is filled in place and defaults to a
-    fresh dict. Share one memo only between fits of the same grams, y and
-    svm_tol. A stored solution is used instead of combining and solving when
-    its C equals c or its peak is below min(C, c) - 1e-8: then it is the solve
-    at c bit for bit (see svm_solve), so every iterate stays what a fit without
-    the memo computes. The weight gradient depends only on the grams, y and the
+    fresh dict. Share one memo only between fits of the same grams and y. A
+    stored solution is used instead of combining and solving when its C
+    equals c or its peak is below min(C, c) - 1e-8: then it is the solve at c
+    bit for bit (see svm_solve), so every iterate stays what a fit without the
+    memo computes. The weight gradient depends only on the grams, y and the
     solution, so it is computed once per entry, the first time a fit steps from
     that solution, and every later fit that steps from the entry reuses it.
     """
@@ -319,7 +322,7 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4, memo=None):
         entry = next((e for e in known if e[0] == c or e[1].peak < min(e[0], c) - 1e-8),
                      None)
         if entry is None:
-            s = svm_solve(_combine(a, grams, combined, scratch), y, c, tol=svm_tol)
+            s = svm_solve(_combine(a, grams, combined, scratch), y, c, tol=SVM_TOL)
             entry = [c, s, None]
             known.append(entry)
             stats["svm_solves"] += 1
@@ -336,7 +339,7 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4, memo=None):
     curve = [sol.objective]
     step = 1.0
     converged = False
-    for _ in range(max_outer):
+    for _ in range(MKL_MAX_OUTER):
         if entry[2] is None:
             yb = y * sol.beta
             entry[2] = np.array([-0.5 * yb @ kk @ yb for kk in grams])
@@ -362,7 +365,7 @@ def mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4, memo=None):
         sol = entry[1]
         decrease = curve[-1] - sol.objective
         curve.append(sol.objective)
-        if move < tol or decrease < tol * max(1.0, abs(curve[0])):
+        if move < MKL_TOL or decrease < MKL_TOL * max(1.0, abs(curve[0])):
             converged = True
             break
         step *= 1.5

@@ -163,12 +163,12 @@ def _as_stack(metrics):
 def interpolate_with_euclidean(stack, lam_int):
     """Convex combination (1 - lam) * M + lam * I of each metric of an (N, D, D)
     stack of unit-determinant metrics, renormalized to unit determinant.
-    lam_int = 0 returns the input unchanged."""
+    lam_int = 0 returns the checked input stack unchanged."""
     if not (0.0 <= lam_int <= 1.0):
         raise ValueError("interpolation weight must lie in [0, 1]")
     checked = _as_stack(stack)
     if lam_int == 0.0:
-        return stack
+        return checked
     blended = (1.0 - lam_int) * checked + lam_int * np.eye(checked.shape[-1])
     w, u = np.linalg.eigh(blended)
     return symmetrize((u * det_normalize_eigs(w)[:, None, :]) @ u.transpose(0, 2, 1))
@@ -184,8 +184,8 @@ def compute_all_local_metrics(train, ms):
 
 
 def regional_metrics(local_metrics, x, p, seed):
-    """Average local metrics within each cell of a Euclidean k-means partition
-    (the best of 10 seeded k-means++ runs).
+    """Average local metrics, an (N, D, D) stack or N MetricMatrix, within each
+    cell of a Euclidean k-means partition (the best of 10 seeded k-means++ runs).
 
     Returns (list of p regional MetricMatrix, assignment vector). Regional
     averages are plain arithmetic means and are not re-normalized to unit
@@ -195,7 +195,8 @@ def regional_metrics(local_metrics, x, p, seed):
     n = len(x)
     if not (1 <= p <= n):
         raise ValueError("partition count must lie in [1, N]")
-    if len(local_metrics) != n:
+    stack = _as_stack(local_metrics)
+    if len(stack) != n:
         raise ValueError("one local metric per row of x is required")
     if p == 1:
         assign = np.zeros(n, dtype=int)
@@ -203,5 +204,5 @@ def regional_metrics(local_metrics, x, p, seed):
         rng = np.random.default_rng(seed)
         assign, _, _, _ = lloyd_best_of(x, p, rng)
     # lloyd leaves no cell empty: it raises when there are fewer distinct points than p
-    means = member_means(np.stack([m.matrix for m in local_metrics]), assign, p)
+    means = member_means(stack, assign, p)
     return [MetricMatrix(m, f"regional:{j}") for j, m in enumerate(means)], assign

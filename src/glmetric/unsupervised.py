@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import pairwise_sq_dists, sym_sqrt
+from ._linalg import _check_finite, pairwise_sq_dists, sym_sqrt
 from ._lloyd import lloyd, lloyd_best_of, member_means
 from .dataset import LabeledDataset
 from .generative import fit_gaussian_models
@@ -74,9 +74,10 @@ def kmeans(x, k, metric, seed, restarts=10):
 
 
 def assign_to_centers(x, centers, metric):
-    """Nearest-center ids for rows of x under the metric."""
+    """Nearest-center ids for rows of x under the metric; non-finite distances raise."""
     d = pairwise_sq_dists(np.asarray(x, dtype=float), np.asarray(centers, dtype=float),
                           metric.matrix)
+    _check_finite(d)
     return d.argmin(axis=1)
 
 

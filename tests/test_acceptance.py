@@ -11,7 +11,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import spearmanr
 
-from glmetric.classify import KnnConfig, knn_predict_batch
+from glmetric.classify import knn_predict_batch
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv,
                               make_synthetic_mixture, scale_features, split,
                               three_normal_preset)
@@ -148,15 +148,14 @@ def test_criterion_05_decision_invariances():
     a = rng.normal(size=(4, 4))
     metric = MetricMatrix(a @ a.T + 0.5 * np.eye(4))
     queries = rng.normal(size=(500, 4))
-    base = knn_predict_batch(train, KnnConfig(5, metric), queries)
+    base = knn_predict_batch(train, 5, metric, queries)
     for s in (1e-4, 3.7, 1e6):
         scaled = MetricMatrix(s * metric.matrix)
         np.testing.assert_array_equal(
-            knn_predict_batch(train, KnnConfig(5, scaled), queries), base)
+            knn_predict_batch(train, 5, scaled, queries), base)
     factor = metric_sqrt_transform(metric).L
     train_z = LabeledDataset(train.features @ factor, train.labels, 3)
-    rewritten = knn_predict_batch(train_z, KnnConfig(5, MetricMatrix.identity(4)),
-                                  queries @ factor)
+    rewritten = knn_predict_batch(train_z, 5, MetricMatrix.identity(4), queries @ factor)
     np.testing.assert_array_equal(rewritten, base)
     ok("criterion 5: kNN decisions invariant under metric scaling and the "
        "transform rewrite on 500 queries")

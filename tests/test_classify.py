@@ -2,11 +2,9 @@ import numpy as np
 import pytest
 
 from glmetric import classify
-from glmetric.classify import (EnergyConfig, KnnConfig, _energy_labels, _glm_int_errors,
-                               _per_query_sq_dists, _sorted_by_class, _vote_grid,
-                               _vote_rows, energy_predict_batch,
-                               evaluate_error, knn_predict_batch, margin_candidates,
-                               tune_and_test)
+from glmetric.classify import (_energy_labels, _glm_int_errors, _per_query_sq_dists,
+                               _sorted_by_class, _vote_grid, energy_predict_batch,
+                               knn_predict_batch, margin_candidates, tune_and_test)
 from glmetric._linalg import pairwise_sq_dists
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv, make_synthetic_mixture,
                               scale_features, split, three_normal_preset)
@@ -72,38 +70,43 @@ def brute_force_knn(train, metric, k, query):
 class TestKnn:
     def test_exact_training_point(self):
         train = LabeledDataset(np.array([[0.0, 0.0], [5.0, 5.0]]), [0, 1], 2)
-        cfg = KnnConfig(1, MetricMatrix.identity(2))
-        assert knn_predict_batch(train, cfg, np.array([[5.0, 5.0]]))[0] == 1
+        metric = MetricMatrix.identity(2)
+        assert knn_predict_batch(train, 1, metric, np.array([[5.0, 5.0]]))[0] == 1
 
     def test_majority_vote(self):
         train = LabeledDataset(np.array([[0.0], [0.1], [0.2], [5.0]]), [0, 0, 1, 1], 2)
-        cfg = KnnConfig(3, MetricMatrix.identity(1))
-        assert knn_predict_batch(train, cfg, np.array([[0.05]]))[0] == 0
+        metric = MetricMatrix.identity(1)
+        assert knn_predict_batch(train, 3, metric, np.array([[0.05]]))[0] == 0
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
         train = LabeledDataset(rng.normal(size=(200, 3)), rng.integers(0, 3, 200), 3)
         metric = random_psd_metric(rng, 3)
-        cfg = KnnConfig(5, metric)
         queries = rng.normal(size=(40, 3))
-        got = knn_predict_batch(train, cfg, queries)
+        got = knn_predict_batch(train, 5, metric, queries)
         expect = [brute_force_knn(train, metric, 5, q) for q in queries]
         assert got.tolist() == expect
 
     def test_k_larger_than_train_rejected(self):
         train = LabeledDataset(np.zeros((2, 1)) + np.arange(2)[:, None], [0, 1], 2)
         with pytest.raises(ValueError):
-            knn_predict_batch(train, KnnConfig(3, MetricMatrix.identity(1)), np.array([[0.0]]))
+            knn_predict_batch(train, 3, MetricMatrix.identity(1), np.array([[0.0]]))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        train = LabeledDataset(np.arange(4, dtype=float)[:, None], [0, 0, 1, 1], 2)
+        with pytest.raises(ValueError, match="k must be at least 1"):
+            knn_predict_batch(train, k, MetricMatrix.identity(1), np.array([[0.0]]))
 
     def test_scaling_invariance_of_decisions(self):
         rng = np.random.default_rng(2)
         train = LabeledDataset(rng.normal(size=(60, 3)), rng.integers(0, 2, 60), 2)
         metric = random_psd_metric(rng, 3)
         queries = rng.normal(size=(25, 3))
-        base = knn_predict_batch(train, KnnConfig(3, metric), queries)
+        base = knn_predict_batch(train, 3, metric, queries)
         for s in (1e-3, 7.0, 1e5):
             scaled = MetricMatrix(s * metric.matrix, "euclidean")
-            got = knn_predict_batch(train, KnnConfig(3, scaled), queries)
+            got = knn_predict_batch(train, 3, scaled, queries)
             np.testing.assert_array_equal(got, base)
 
     def test_transform_rewrite_invariance(self):
@@ -111,11 +114,10 @@ class TestKnn:
         train = LabeledDataset(rng.normal(size=(80, 4)), rng.integers(0, 3, 80), 3)
         metric = random_psd_metric(rng, 4)
         queries = rng.normal(size=(30, 4))
-        direct = knn_predict_batch(train, KnnConfig(4, metric), queries)
+        direct = knn_predict_batch(train, 4, metric, queries)
         l = metric_sqrt_transform(metric).L
         train_z = LabeledDataset(train.features @ l, train.labels, 3)
-        rewritten = knn_predict_batch(train_z, KnnConfig(4, MetricMatrix.identity(4)),
-                                      queries @ l)
+        rewritten = knn_predict_batch(train_z, 4, MetricMatrix.identity(4), queries @ l)
         np.testing.assert_array_equal(direct, rewritten)
 
 
@@ -138,37 +140,45 @@ def energy_oracle(train, metric, k, margin, query):
 class TestEnergy:
     def test_coincident_point_wins(self):
         train = LabeledDataset(np.array([[0.0], [0.1], [9.0], [9.1]]), [0, 0, 1, 1], 2)
-        cfg = EnergyConfig(1, 0.0, MetricMatrix.identity(1))
-        assert energy_predict_batch(train, cfg, np.array([[0.0]]))[0] == 0
+        metric = MetricMatrix.identity(1)
+        assert energy_predict_batch(train, 1, 0.0, metric, np.array([[0.0]]))[0] == 0
 
     def test_mirror_symmetric_tie_takes_lower_index(self):
         train = LabeledDataset(np.array([[-1.0], [-2.0], [1.0], [2.0]]), [0, 0, 1, 1], 2)
-        cfg = EnergyConfig(2, 0.5, MetricMatrix.identity(1))
-        assert energy_predict_batch(train, cfg, np.array([[0.0]]))[0] == 0
+        metric = MetricMatrix.identity(1)
+        assert energy_predict_batch(train, 2, 0.5, metric, np.array([[0.0]]))[0] == 0
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(4)
         train = LabeledDataset(rng.normal(size=(100, 2)), rng.integers(0, 2, 100), 2)
         metric = random_psd_metric(rng, 2)
         gamma0 = margin_candidates(train, metric, (1.0,))[0]
-        cfg = EnergyConfig(2, gamma0, metric)
         queries = rng.normal(size=(30, 2))
-        got = energy_predict_batch(train, cfg, queries)
+        got = energy_predict_batch(train, 2, gamma0, metric, queries)
         expect = [energy_oracle(train, metric, 2, gamma0, q) for q in queries]
         assert got.tolist() == expect
 
     def test_no_queries_give_no_labels(self):
         train = LabeledDataset(np.arange(6, dtype=float)[:, None], [0, 0, 1, 1, 2, 2], 3)
         metric = MetricMatrix.identity(1)
-        for got in (energy_predict_batch(train, EnergyConfig(2, 0.5, metric), np.zeros((0, 1))),
-                    knn_predict_batch(train, KnnConfig(2, metric), np.zeros((0, 1)))):
+        for got in (energy_predict_batch(train, 2, 0.5, metric, np.zeros((0, 1))),
+                    knn_predict_batch(train, 2, metric, np.zeros((0, 1)))):
             assert got.shape == (0,)
 
     def test_class_smaller_than_k_rejected(self):
         train = LabeledDataset(np.arange(3, dtype=float)[:, None], [0, 0, 1], 2)
         with pytest.raises(ValueError, match="at least k"):
-            energy_predict_batch(train, EnergyConfig(2, 0.0, MetricMatrix.identity(1)),
-                                 np.array([[0.0]]))
+            energy_predict_batch(train, 2, 0.0, MetricMatrix.identity(1), np.array([[0.0]]))
+
+    @pytest.mark.parametrize("k, margin, message", [
+        (0, 0.5, "k must be at least 1"),
+        (-1, 0.5, "k must be at least 1"),
+        (1, -1e-12, "margin must be non-negative"),
+    ])
+    def test_bad_k_or_margin_rejected(self, k, margin, message):
+        train = LabeledDataset(np.arange(4, dtype=float)[:, None], [0, 0, 1, 1], 2)
+        with pytest.raises(ValueError, match=message):
+            energy_predict_batch(train, k, margin, MetricMatrix.identity(1), np.array([[0.0]]))
 
 
 def oracle_vote(dist_row, idx, labels, class_count):
@@ -228,7 +238,7 @@ class TestVoteMatchesOracle:
             d, labels = distance_table(rng, lattice, 60, n_train, class_count)
             for k in range(1, 17):
                 np.testing.assert_array_equal(
-                    _vote_rows(d, labels, class_count, k),
+                    _vote_grid(d, labels, class_count, (k,))[0],
                     oracle_vote_rows(d, labels, class_count, k))
 
     def test_count_tie_goes_to_smaller_sum_then_lower_index(self):
@@ -236,8 +246,8 @@ class TestVoteMatchesOracle:
         d = np.array([[1.0, 2.0, 9.0, 4.0, 3.0],    # 0: 5.0, 1: 5.0 -> class 0
                       [2.0, 1.0, 9.0, 4.0, 3.0],    # 0: 6.0, 1: 4.0 -> class 1
                       [9.0, 9.0, 1.0, 9.0, 9.0]])   # k=1: class 2
-        np.testing.assert_array_equal(_vote_rows(d[:2], labels, 3, 4), [0, 1])
-        np.testing.assert_array_equal(_vote_rows(d[2:], labels, 3, 1), [2])
+        np.testing.assert_array_equal(_vote_grid(d[:2], labels, 3, (4,))[0], [0, 1])
+        np.testing.assert_array_equal(_vote_grid(d[2:], labels, 3, (1,))[0], [2])
 
 
 class TestVoteGridMatchesOracle:
@@ -273,18 +283,18 @@ class TestNonFiniteDistances:
         with pytest.raises(ValueError, match=message):
             _vote_grid(d, labels, 2, (1, 3))
         with pytest.raises(ValueError, match=message):
-            _vote_rows(d, labels, 2, 20)
+            _vote_grid(d, labels, 2, (20,))
         with pytest.raises(ValueError, match=message):
             _sorted_by_class(d, labels, 2, 3)
 
     def test_overflowing_query_rejected(self):
         train = LabeledDataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [0, 0, 1, 1], 2)
         queries = np.array([[0.5], [1e300]])
-        for cfg, predict in ((KnnConfig(1, MetricMatrix.identity(1)), knn_predict_batch),
-                             (EnergyConfig(1, 0.0, MetricMatrix.identity(1)),
-                              energy_predict_batch)):
-            with pytest.raises(ValueError, match="non-finite distances in 1 of 2"):
-                predict(train, cfg, queries)
+        metric = MetricMatrix.identity(1)
+        with pytest.raises(ValueError, match="non-finite distances in 1 of 2"):
+            knn_predict_batch(train, 1, metric, queries)
+        with pytest.raises(ValueError, match="non-finite distances in 1 of 2"):
+            energy_predict_batch(train, 1, 0.0, metric, queries)
 
 
 class TestEnergyMatchesOracle:
@@ -357,20 +367,6 @@ class TestMargins:
         assert got == [0.0, 0.0]
 
 
-class TestEvaluate:
-    def test_perfect_predictor(self):
-        ds = LabeledDataset(np.arange(4, dtype=float)[:, None], [0, 0, 1, 1], 2)
-        assert evaluate_error(lambda x: np.array([0, 0, 1, 1]), ds) == 0.0
-
-    def test_constant_predictor_on_balanced_binary(self):
-        ds = LabeledDataset(np.arange(4, dtype=float)[:, None], [0, 1, 0, 1], 2)
-        assert evaluate_error(lambda x: np.zeros(len(x), dtype=int), ds) == 0.5
-
-    def test_empty_test_rejected(self):
-        with pytest.raises(ValueError):
-            evaluate_error(lambda x: x, LabeledDataset(np.ones((1, 1)), [0], 1).subset([]))
-
-
 @pytest.fixture(scope="module")
 def three_normal_split():
     ds = make_synthetic_mixture(three_normal_preset(dim=6), 300, seed=4)
@@ -390,8 +386,8 @@ class TestTuning:
         train, validation, test = iris_split
         metric = MetricMatrix.identity(train.dim)
         r = tune_and_test("knn", train, validation, test, metric=metric, k_grid=(3,))
-        direct = evaluate_error(
-            lambda x: knn_predict_batch(train, KnnConfig(3, metric), x), test)
+        pred = knn_predict_batch(train, 3, metric, test.features)
+        direct = sum(int(p != t) for p, t in zip(pred, test.labels)) / test.n
         assert r.chosen == {"k": 3}
         assert r.test_error == direct
 
@@ -431,6 +427,12 @@ class TestTuning:
         assert 0.0 <= r.test_error <= 1.0
         assert set(r.chosen) == {"k", "beta", "margin"}
 
+    def test_empty_test_portion_cannot_be_built(self, iris_split):
+        # tune_and_test scores the test portion without an emptiness check
+        _, _, test = iris_split
+        with pytest.raises(ValueError, match="non-empty"):
+            test.subset([])
+
     def test_unknown_method(self, iris_split):
         train, validation, test = iris_split
         with pytest.raises(ValueError, match="unknown method"):
@@ -448,7 +450,7 @@ def oracle_glm_int_errors(train, queries, labels, ms, k_grid, lam_grid):
             mi = oracle_interpolate(m, lam)
             d[i] = pairwise_sq_dists(queries.features[i:i + 1], train.features, mi.matrix)[0]
         for k in k_grid:
-            pred = _vote_rows(d, train.labels, train.class_count, k)
+            pred = _vote_grid(d, train.labels, train.class_count, (k,))[0]
             errors[(k, lam)] = float(np.mean(pred != labels))
     return errors
 

@@ -9,10 +9,10 @@ import pytest
 
 from glmetric import classify
 from glmetric import cli as cli_mod
-from glmetric import kernel_mkl
+from glmetric import kernel_mkl, unsupervised
 from glmetric.cli import (ConfigError, average_ranks, format_table, main,
                           parse_experiment_config, run_experiment, write_report)
-from glmetric.classify import KnnConfig, knn_predict_batch
+from glmetric.classify import knn_predict_batch
 from glmetric.dataset import SplitSpec, load_csv, scale_features, split
 from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import uniform_combination
@@ -142,6 +142,49 @@ class TestConfig:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag", [
+        ("classify", "--k"), ("cluster", "--k"), ("embed", "--neighbors"),
+        ("embed", "--dim"), ("mkl", "--n"), ("mkl", "--partitions"), ("mkl", "--repeats"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-2", "2.5"])
+    def test_count_flags_reject_non_positive_integers(self, tmp_path, capsys, command,
+                                                      flag, value):
+        out = tmp_path / "out"
+        data = {"classify": ["--metric", "m.json", "--train", "data/iris.csv",
+                             "--test", "data/iris.csv", "--label-column", "label"],
+                "cluster": ["--data", "data/iris.csv", "--label-column", "label"],
+                "embed": ["--data", "data/iris.csv", "--label-column", "label"],
+                "mkl": []}[command]
+        assert main([command, *data, f"{flag}={value}", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == [f"error: argument {flag}: must be a positive integer, got {value!r}"]
+        assert not out.exists()
+
+    def test_cluster_k_zero_is_not_the_class_count(self, tmp_path, monkeypatch):
+        args = cli_mod.build_parser().parse_args(
+            ["cluster", "--data", "data/iris.csv", "--label-column", "label",
+             "--has-header", "--out", str(tmp_path / "out")])
+        seen = []
+
+        def record_k(train, validation, test, k, *rest):
+            seen.append(k)
+            raise RuntimeError("k recorded")  # stop before any output is written
+
+        monkeypatch.setattr(cli_mod, "_cluster_cell", record_k)
+        for k in (0, None):  # `args.k or class_count` turned 0 into 3
+            args.k = k
+            with pytest.raises(RuntimeError, match="k recorded"):
+                cli_mod._cmd_cluster(args)
+        assert seen == [0, 3]
+
+    def test_missing_label_column_exits_2_with_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "metric.json"
+        assert main(["fit-metric", "--data", "data/iris.csv", "--label-column", "nope",
+                     "--has-header", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: data/iris.csv: label column 'nope' not found in header"]
+        assert not out.exists()
+
     def test_invalid_mkl_partitions_exit_2(self, tmp_path):
         assert main(["mkl", "--partitions", "0", "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
@@ -180,7 +223,8 @@ class TestRunExperiment:
             assert (tmp_path / "run" / name).read_bytes() == expect
             assert (tmp_path / "direct" / name).read_bytes() == expect
 
-    def test_non_finite_distances_fail_only_the_classify_cells(self, tmp_path, monkeypatch):
+    def test_non_finite_distances_fail_the_classify_and_cluster_cells(self, tmp_path,
+                                                                      monkeypatch):
         # iris row 10 is in the validation portion at split seed 1000, and a
         # feature of 1e300 overflows every squared distance of its row
         rows = list(csv.reader(open("data/iris.csv")))
@@ -194,24 +238,23 @@ class TestRunExperiment:
         cfg = parse_experiment_config(json.loads(path.read_text()))
         with np.errstate(invalid="ignore", over="ignore"):
             report, code = run_experiment(cfg, tmp_path / "out")
-        assert code == 0
-        for key in ("euclidean", "glm_int", "m_uni"):
+        assert code == 1  # no cell of the run succeeds
+        for key in ("euclidean", "glm_int", "m_uni", "cluster_uni"):
             (failure,) = report["methods"][key]["failures"]
             assert failure["error"] == "ValueError: non-finite distances in 1 of 30 query rows"
-        # without the check the kNN cells report an error rate, and every
-        # other cell reads the same
+            assert not report["methods"][key]["per_split"]
+        # without the check those cells report a value, and m_kde reads the same
         monkeypatch.setattr(classify, "_check_finite", lambda d: None)
+        monkeypatch.setattr(unsupervised, "_check_finite", lambda d: None)
         with np.errstate(invalid="ignore", over="ignore"):
             silent, _ = run_experiment(cfg, tmp_path / "silent")
-        for key in ("euclidean", "glm_int", "m_uni"):
+        for key in ("euclidean", "glm_int", "m_uni", "cluster_uni"):
             assert not silent["methods"][key]["failures"]
             assert len(silent["methods"][key]["per_split"]) == 1
-        for key in ("m_kde", "cluster_uni"):
-            assert strip_timing(report["methods"][key]) == strip_timing(silent["methods"][key])
+        assert strip_timing(report["methods"]["m_kde"]) == strip_timing(silent["methods"]["m_kde"])
         (failure,) = report["methods"]["m_kde"]["failures"]
         assert failure["error"] == ("ValueError: no bandwidth achieved finite "
                                     "validation likelihood")
-        assert report["methods"]["cluster_uni"]["per_split"]
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         path, _ = minimal_config(tmp_path)
@@ -498,7 +541,7 @@ class TestSubcommands:
         test_s = params.transform(test)
         ms = fit_gaussian_models(train_s, 1e-3)
         metric = uniform_combination(compute_all_local_metrics(train_s, ms))
-        expect = knn_predict_batch(train_s, KnnConfig(3, metric), test_s.features)
+        expect = knn_predict_batch(train_s, 3, metric, test_s.features)
 
         rows = list(csv.DictReader(open(preds_csv)))
         got = [int(r["predicted"]) for r in rows]

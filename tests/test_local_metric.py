@@ -236,6 +236,15 @@ class TestInterpolation:
         with pytest.raises(ValueError, match=r"\(N, D, D\) stack"):
             uniform_combination(np.ones(shape))
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_list_input_gives_the_stack_result(self, lam):
+        stack, degenerate = mixed_local_stack(3)
+        metrics = [MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
+                   for m, bad in zip(stack, degenerate)]
+        out = interpolate_with_euclidean(metrics, lam)
+        assert isinstance(out, np.ndarray)
+        np.testing.assert_array_equal(out, interpolate_with_euclidean(stack, lam))
+
     def test_full_weight_gives_identity(self):
         m = solve_local_metric(np.diag([2.0, -1.0]))
         out = interpolate_with_euclidean(m.matrix[None], 1.0)
@@ -328,6 +337,19 @@ class TestRegional:
         for j in range(2):
             np.testing.assert_allclose(regionals[j].matrix,
                                        stack[assign == j].mean(axis=0), rtol=1e-12)
+
+    def test_stack_input_equals_list_input(self):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=(15, 3))
+        locals_ = self.make_locals(15, 3, seed=4)
+        from_list, assign_list = regional_metrics(locals_, x, 3, seed=0)
+        stack = np.stack([m.matrix for m in locals_])
+        from_stack, assign_stack = regional_metrics(stack, x, 3, seed=0)
+        np.testing.assert_array_equal(assign_stack, assign_list)
+        for a, b in zip(from_stack, from_list):
+            np.testing.assert_array_equal(a.matrix, b.matrix)
+        with pytest.raises(ValueError, match="one local metric per row"):
+            regional_metrics(stack[:-1], x, 3, seed=0)
 
     def test_regional_metrics_not_renormalized(self):
         rng = np.random.default_rng(9)

@@ -145,6 +145,15 @@ class TestKmeans:
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 1)), 4, MetricMatrix.identity(1), seed=0)
 
+    @pytest.mark.parametrize("bad", [1e300, np.inf, np.nan])
+    def test_non_finite_distances_rejected(self, bad):
+        x = np.array([[0.0, 0.0], [bad, 0.0], [1.0, 1.0]])
+        centers = np.array([[0.0, 0.0], [1.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite distances in 1 of 3 query rows"):
+                assign_to_centers(x, centers, MetricMatrix.identity(2))
+        assert assign_to_centers(x[[0, 2]], centers, MetricMatrix.identity(2)).tolist() == [0, 1]
+
 
 def oracle_iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
                                    seed=0, restarts=10):
