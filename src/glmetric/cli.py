@@ -224,12 +224,16 @@ def _run_mkl(train, validation, test, metrics, grids, seed):
 
 def _cluster_cell(train, validation, test, k, grids, seed, outer_iters=10):
     """Transfer-tuned metric clustering scored on test: (the tuning result,
-    the test points' nearest-center ids, their Rand score)."""
+    the test points' nearest-center ids, their Rand score, the phases)."""
+    t0 = time.perf_counter()
     tuned = cluster_transfer_tune(train, validation, k, grids["lam_cov"],
                                   grids["cluster_lam_int"], seed=seed,
                                   outer_iters=outer_iters)
+    t1 = time.perf_counter()
     assigned = assign_to_centers(test.features, tuned["clustering"].centers, tuned["metric"])
-    return tuned, assigned, rand_score(assigned, test.labels)
+    score = rand_score(assigned, test.labels)
+    phases = {"tuning_s": t1 - t0, "testing_s": time.perf_counter() - t1}
+    return tuned, assigned, score, phases
 
 
 def _maybe_subsample(portion, limit, seed):
@@ -280,9 +284,10 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
     if name == "cluster_uni":
         k = entry.get("k", train.class_count)
         outer = entry.get("outer_iters", 10)
-        tuned, _, score = _cluster_cell(train, validation, test, k, grids, seed, outer)
+        tuned, _, score, phases = _cluster_cell(train, validation, test, k, grids, seed, outer)
         return {"kind": "rand", "value": score,
-                "chosen": {"lam_cov": tuned["lam_cov"], "lam_int": tuned["lam_int"], "k": k}}
+                "chosen": {"lam_cov": tuned["lam_cov"], "lam_int": tuned["lam_int"], "k": k},
+                "diagnostics": tuned["diagnostics"], "phases": phases}
     if name == "isomap":
         metric = (MetricMatrix.identity(train.dim)
                   if entry.get("metric", "m_uni") == "euclidean"
@@ -514,12 +519,28 @@ def _cmd_fit_metric(args):
     return 0
 
 
-def _cmd_classify(args):
-    with open(args.metric) as f:
+def _load_metric(path, *data):
+    """The payload of a metric JSON file and its MetricMatrix. A payload
+    without a valid metric, or a metric whose dimension differs from the
+    feature count of a (CSV path, dataset) pair in data, raises ConfigError
+    naming the file."""
+    with open(path) as f:
         payload = json.load(f)
-    metric = MetricMatrix.from_dict(payload["metric"])
+    try:
+        metric = MetricMatrix.from_dict(payload["metric"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: no valid metric: {type(exc).__name__}: {exc}") from exc
+    for csv_path, dataset in data:
+        if dataset.dim != metric.dim:
+            raise ConfigError(f"{path}: a {metric.dim}-dimensional metric for the "
+                              f"{dataset.dim} features of {csv_path}")
+    return payload, metric
+
+
+def _cmd_classify(args):
     train = _load_cli_csv(args.train, args)
     test = _load_cli_csv(args.test, args)
+    payload, metric = _load_metric(args.metric, (args.train, train), (args.test, test))
     if payload.get("scale"):
         params = ScaleParams.from_dict(payload["scale"])
         train = params.transform(train)
@@ -555,7 +576,10 @@ def _cmd_cluster(args):
     spec = SplitSpec(seed=args.seed)
     train, validation, test = ds_mod.split(full, spec)
     k = full.class_count if args.k is None else args.k
-    tuned, assigned, score = _cluster_cell(train, validation, test, k, DEFAULT_GRIDS, args.seed)
+    if k > train.n:
+        raise ConfigError(f"--k {k} exceeds the {train.n} training points of {args.data}")
+    tuned, assigned, score, _ = _cluster_cell(train, validation, test, k, DEFAULT_GRIDS,
+                                              args.seed)
     out = Path(args.out or "cluster_out")
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "assignments.csv", "w", newline="") as f:
@@ -576,8 +600,7 @@ def _cmd_embed(args):
     full = _load_cli_csv(args.data, args)
     full, _ = scale_features(full)
     if args.metric:
-        with open(args.metric) as f:
-            metric = MetricMatrix.from_dict(json.load(f)["metric"])
+        _, metric = _load_metric(args.metric, (args.data, full))
     elif args.method == "m_uni":
         metric = _fit_uniform(full, args.lam_cov)
     else:

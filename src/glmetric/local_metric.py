@@ -51,22 +51,8 @@ class MetricMatrix:
     degenerate: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if not np.isfinite(m).all():
-            raise ValueError("metric matrix must be finite")
-        scale = max(1.0, np.abs(m).max())
-        if np.abs(m - m.T).max() >= 1e-12 * scale:
-            raise ValueError("metric matrix must be symmetric")
-        m = symmetrize(m)
-        w = np.linalg.eigvalsh(m)
-        if w.min() < -1e-10 * max(w.max(), 0.0):
-            raise ValueError("metric matrix must be positive semidefinite")
-        if self.det_normalized:
-            pos = w[w > 0]
-            log_det = np.sum(np.log(pos)) if len(pos) == len(w) else -np.inf
-            if abs(np.exp(log_det) - 1.0) >= 1e-6:
-                raise ValueError("det_normalized metric must have unit determinant")
-        object.__setattr__(self, "matrix", m)
+        m = _check_stack(np.asarray(self.matrix, dtype=float)[None], self.det_normalized)
+        object.__setattr__(self, "matrix", m[0])
 
     @property
     def dim(self):
@@ -84,6 +70,32 @@ class MetricMatrix:
     def from_dict(cls, d):
         return cls(np.asarray(d["matrix"], dtype=float), d["provenance"],
                    d["det_normalized"], d.get("degenerate", False))
+
+
+def _check_stack(stack, det_normalized):
+    """The symmetrized float (N, D, D) stack, after the checks that a
+    MetricMatrix makes of its matrix, in one batched pass: every row finite,
+    symmetric within 1e-12 of its largest magnitude (at least 1), positive
+    semidefinite by a batched eigvalsh and, when det_normalized, of unit
+    determinant within 1e-6. A row that fails raises ValueError."""
+    m = np.asarray(stack, dtype=float)
+    if m.ndim != 3 or m.shape[1] != m.shape[2]:
+        raise ValueError(f"metric matrix must be square, got shape {m.shape[1:]}")
+    if not np.isfinite(m).all():
+        raise ValueError("metric matrix must be finite")
+    scale = np.maximum(1.0, np.abs(m).max(axis=(1, 2)))
+    if (np.abs(m - m.transpose(0, 2, 1)).max(axis=(1, 2)) >= 1e-12 * scale).any():
+        raise ValueError("metric matrix must be symmetric")
+    m = symmetrize(m)
+    w = np.linalg.eigvalsh(m)  # ascending per row
+    if (w[:, 0] < -1e-10 * np.maximum(w[:, -1], 0.0)).any():
+        raise ValueError("metric matrix must be positive semidefinite")
+    if det_normalized:
+        # a row with an eigenvalue <= 0 has no finite log determinant and fails
+        log_det = np.log(np.maximum(w, np.finfo(float).tiny)).sum(axis=1)
+        if ((w[:, 0] <= 0) | (np.abs(np.exp(log_det) - 1.0) >= 1e-6)).any():
+            raise ValueError("det_normalized metric must have unit determinant")
+    return m
 
 
 def _split_stack(b, eps_rel):
@@ -177,10 +189,16 @@ def interpolate_with_euclidean(stack, lam_int):
 def compute_all_local_metrics(train, ms):
     """One determinant-normalized local metric per training point: the rows
     of local_metric_stack as MetricMatrix objects, in the row order of the
-    training features."""
+    training features. The stack is validated once, in one batched pass of
+    the MetricMatrix checks."""
     stack, degenerate = local_metric_stack(train.features, ms)
-    return [MetricMatrix(m, f"local:{i}", det_normalized=True, degenerate=bool(bad))
-            for i, (m, bad) in enumerate(zip(stack, degenerate))]
+    metrics = []
+    for i, (m, bad) in enumerate(zip(_check_stack(stack, det_normalized=True), degenerate)):
+        metric = object.__new__(MetricMatrix)  # its row is checked: skip __post_init__
+        metric.__dict__.update(matrix=m, provenance=f"local:{i}", det_normalized=True,
+                               degenerate=bool(bad))
+        metrics.append(metric)
+    return metrics
 
 
 def regional_metrics(local_metrics, x, p, seed):

@@ -26,6 +26,10 @@ __all__ = [
 
 logger = logging.getLogger(__name__)
 
+# bound on the bytes of the local-metric stacks that cluster_transfer_tune keeps
+# for reuse, N * D * D * 8 bytes per stack of N points in D dimensions
+CLUSTER_MEMO_BYTES = 2 ** 26
+
 
 @dataclass(eq=False)
 class ClusteringResult:
@@ -98,9 +102,10 @@ def iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
     return _refine_metric(x, start, outer_iters, lam_cov, lam_int)
 
 
-def _refine_metric(x, start, outer_iters, lam_cov, lam_int):
+def _refine_metric(x, start, outer_iters, lam_cov, lam_int, memo=None):
     """The metric rounds of iterative_metric_kmeans from its Euclidean k-means
-    start; a start with fewer than two clusters comes back with its metric."""
+    start; a start with fewer than two clusters comes back with its metric.
+    A _StackMemo, when given, supplies each round's local-metric stack."""
     k = len(start.centers)
     result, metric = start, start.metric
     if k < 2:
@@ -114,12 +119,10 @@ def _refine_metric(x, start, outer_iters, lam_cov, lam_int):
         skipped = k - len(keep)
         if skipped:
             logger.info("skipping %d collapsed cluster(s) this round", skipped)
-        remap = np.full(k, -1)
-        remap[keep] = np.arange(len(keep))
-        mask = remap[result.assignments] >= 0
-        pseudo = LabeledDataset(x[mask], remap[result.assignments][mask], len(keep))
-        ms = fit_gaussian_models(pseudo, lam_cov)
-        stack, _ = local_metric_stack(x, ms)
+        if memo is None:
+            stack = _pseudo_label_stack(x, result.assignments, keep, lam_cov)
+        else:
+            stack = memo.stack(x, result.assignments, keep, lam_cov)
         metric = uniform_combination(interpolate_with_euclidean(stack, lam_int))
         new_result = _warm_kmeans(x, k, metric, result.centers)
         stable = np.array_equal(new_result.assignments, result.assignments)
@@ -127,6 +130,43 @@ def _refine_metric(x, start, outer_iters, lam_cov, lam_int):
         if stable:
             break
     return result, metric
+
+
+def _pseudo_label_stack(x, assignments, keep, lam_cov):
+    """Local metrics at the rows of x from class Gaussians fitted to the
+    clusters in keep, with the cluster ids as labels."""
+    remap = np.full(assignments.max() + 1, -1)
+    remap[keep] = np.arange(len(keep))
+    mask = remap[assignments] >= 0
+    pseudo = LabeledDataset(x[mask], remap[assignments][mask], len(keep))
+    stack, _ = local_metric_stack(x, fit_gaussian_models(pseudo, lam_cov))
+    return stack
+
+
+class _StackMemo:
+    """The local-metric stacks of the current lam_cov of a tuning grid, keyed
+    by the assignments they were fitted to, while they fit in
+    CLUSTER_MEMO_BYTES; a new lam_cov drops them. A stack depends only on
+    (lam_cov, assignments), so a reused stack is the one a fresh solve would
+    give, bit for bit. Counts the stacks solved and reused."""
+
+    def __init__(self):
+        self.stacks, self.nbytes, self.lam_cov = {}, 0, None
+        self.solves = self.reused = 0
+
+    def stack(self, x, assignments, keep, lam_cov):
+        if lam_cov != self.lam_cov:
+            self.stacks, self.nbytes, self.lam_cov = {}, 0, lam_cov
+        key = assignments.tobytes()
+        if key in self.stacks:
+            self.reused += 1
+            return self.stacks[key]
+        stack = _pseudo_label_stack(x, assignments, keep, lam_cov)
+        self.solves += 1
+        if self.nbytes + stack.nbytes <= CLUSTER_MEMO_BYTES:
+            self.stacks[key] = stack
+            self.nbytes += stack.nbytes
+        return stack
 
 
 def _warm_kmeans(x, k, metric, prev_centers):
@@ -173,14 +213,21 @@ def cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
     assign the validation points to the nearest centers under that metric,
     and score against the validation labels. Ties prefer the smaller lam_int,
     then the smaller lam_cov. Returns a dict with the winning parameters, the
-    fitted clustering/metric, and the full grid.
+    fitted clustering/metric, the full grid, and diagnostics: the metric
+    rounds of the whole grid (rounds), the local-metric stacks they solved
+    (stack_solves) and those they reused (reused_stacks). A round that
+    repeats the assignments of an earlier round of the same lam_cov reuses
+    its stack (_StackMemo), so every result equals the per-cell
+    iterative_metric_kmeans.
     """
     start = kmeans(train.features, k, MetricMatrix.identity(train.dim, degenerate=(k < 2)), seed)
+    memo = _StackMemo()
     best = None
     grid = []
     for lam_cov in lam_cov_grid:
         for lam_int in lam_int_grid:
-            result, metric = _refine_metric(train.features, start, outer_iters, lam_cov, lam_int)
+            result, metric = _refine_metric(train.features, start, outer_iters, lam_cov,
+                                            lam_int, memo)
             assigned = assign_to_centers(validation.features, result.centers, metric)
             score = rand_score(assigned, validation.labels)
             grid.append({"lam_cov": lam_cov, "lam_int": lam_int, "rand": score})
@@ -189,7 +236,9 @@ def cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
                 best = (key, lam_cov, lam_int, result, metric)
     _, lam_cov, lam_int, result, metric = best
     return {"lam_cov": lam_cov, "lam_int": lam_int, "clustering": result,
-            "metric": metric, "grid": grid}
+            "metric": metric, "grid": grid,
+            "diagnostics": {"rounds": memo.solves + memo.reused,
+                            "stack_solves": memo.solves, "reused_stacks": memo.reused}}
 
 
 def _neighbor_graph(z, n_neighbors):

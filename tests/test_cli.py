@@ -177,6 +177,37 @@ class TestConfig:
                 cli_mod._cmd_cluster(args)
         assert seen == [0, 3]
 
+    def test_cluster_k_above_training_size_exits_2_with_one_error_line(self, tmp_path,
+                                                                        capsys):
+        out = tmp_path / "out"
+        assert main(["cluster", "--data", "data/iris.csv", "--label-column", "label",
+                     "--has-header", "--k", "1000", "--out", str(out)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: --k 1000 exceeds the 90 training points of data/iris.csv"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"method": "m_uni"}, "no valid metric: KeyError: 'metric'"),
+        ({"metric": {"matrix": (np.eye(4) + np.eye(4, k=1)).tolist(),
+                     "provenance": "global:UNI", "det_normalized": False}},
+         "no valid metric: ValueError: metric matrix must be symmetric"),
+        ({"metric": {"matrix": np.diag([1.0, 1.0, 1.0, -1.0]).tolist(),
+                     "provenance": "global:UNI", "det_normalized": False}},
+         "no valid metric: ValueError: metric matrix must be positive semidefinite"),
+        ({"metric": MetricMatrix.identity(2).to_dict()},
+         "a 2-dimensional metric for the 4 features of data/iris.csv"),
+    ], ids=["no_metric_key", "asymmetric", "indefinite", "wrong_dimension"])
+    def test_classify_bad_metric_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                             payload, message):
+        metric_json, out = tmp_path / "m.json", tmp_path / "predictions.csv"
+        metric_json.write_text(json.dumps(payload))
+        assert main(["classify", "--metric", str(metric_json), "--train", "data/iris.csv",
+                     "--test", "data/iris.csv", "--label-column", "label", "--has-header",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {metric_json}: {message}"]
+        assert captured.out == "" and not out.exists()
+
     def test_missing_label_column_exits_2_with_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "metric.json"
         assert main(["fit-metric", "--data", "data/iris.csv", "--label-column", "nope",
@@ -370,6 +401,14 @@ class TestRunExperiment:
             assert 0.0 <= diag["max_kkt_violation"] < 1e-4
             assert not set(diag) & set(saved[key]["chosen"][0])
         assert saved["euclidean"]["diagnostics"] == [{}]
+        cluster = saved["cluster_uni"]
+        timing = cluster["timing"]
+        assert timing["tuning_s"] > 0 and timing["testing_s"] > 0
+        assert timing["tuning_s"] + timing["testing_s"] <= timing["wall_s"]
+        (diag,) = cluster["diagnostics"]
+        assert set(diag) == {"rounds", "stack_solves", "reused_stacks"}
+        assert diag["rounds"] == diag["stack_solves"] + diag["reused_stacks"] > 0
+        assert set(cluster["chosen"][0]) == {"lam_cov", "lam_int", "k"}
 
     def test_mkl_grid_totals_count_every_solve(self, tmp_path, monkeypatch):
         solve = kernel_mkl.svm_solve

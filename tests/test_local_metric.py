@@ -9,7 +9,7 @@ from glmetric._linalg import det_normalize_eigs, symmetrize
 from glmetric.dataset import LabeledDataset, make_synthetic_mixture, three_normal_preset
 from glmetric.generative import bias_matrices, fit_gaussian_models
 from glmetric.global_metric import uniform_combination
-from glmetric.local_metric import (MetricMatrix, _solve_stack, _split_stack,
+from glmetric.local_metric import (MetricMatrix, _check_stack, _solve_stack, _split_stack,
                                    compute_all_local_metrics, interpolate_with_euclidean,
                                    local_metric_stack, regional_metrics, solve_local_metric)
 from test_generative import model_set
@@ -196,8 +196,9 @@ def oracle_interpolate(metric, lam_int):
                         det_normalized=metric.det_normalized, degenerate=metric.degenerate)
 
 
-def mixed_local_stack(dim, seed=0):
-    """Local metrics at fitted points plus identity rows at far-tail points."""
+def mixed_local_inputs(dim, seed=0):
+    """Fitted points plus two far-tail points, as a LabeledDataset, and the
+    class Gaussians fitted to the fitted points."""
     rng = np.random.default_rng(seed)
     comps = []
     for c in range(3):
@@ -206,7 +207,13 @@ def mixed_local_stack(dim, seed=0):
     ds = make_synthetic_mixture(comps, 90, seed=seed)
     ms = fit_gaussian_models(ds, 1e-3)
     x = np.vstack([ds.features, np.full((2, dim), 1e6)])
-    stack, degenerate = local_metric_stack(x, ms)
+    return LabeledDataset(x, np.append(ds.labels, [0, 1]), 3), ms
+
+
+def mixed_local_stack(dim, seed=0):
+    """Local metrics at fitted points plus identity rows at far-tail points."""
+    train, ms = mixed_local_inputs(dim, seed)
+    stack, degenerate = local_metric_stack(train.features, ms)
     assert degenerate[-2:].all() and not degenerate[:-2].all()
     return stack, degenerate
 
@@ -297,6 +304,78 @@ class TestComputeAll:
             if bad or metric.degenerate:
                 continue
             check_constraints(metric, bias)
+
+
+    @pytest.mark.parametrize("dim", [2, 4, 10])
+    def test_batched_check_matches_per_row_construction(self, dim):
+        train, ms = mixed_local_inputs(dim)
+        stack, degenerate = local_metric_stack(train.features, ms)
+        metrics = compute_all_local_metrics(train, ms)
+        assert len(metrics) == len(stack) and degenerate.any()
+        for i, (metric, row, bad) in enumerate(zip(metrics, stack, degenerate)):
+            expect = MetricMatrix(row, f"local:{i}", det_normalized=True, degenerate=bool(bad))
+            np.testing.assert_array_equal(metric.matrix, expect.matrix)
+            np.testing.assert_array_equal(metric.matrix, oracle_check_metric(row, True))
+            assert (metric.provenance, metric.det_normalized, metric.degenerate) == (
+                expect.provenance, True, expect.degenerate)
+
+
+def oracle_check_metric(matrix, det_normalized):
+    """The per-matrix check that _check_stack batches: the symmetrized matrix,
+    or ValueError."""
+    m = np.asarray(matrix, dtype=float)
+    if not np.isfinite(m).all():
+        raise ValueError("metric matrix must be finite")
+    scale = max(1.0, np.abs(m).max())
+    if np.abs(m - m.T).max() >= 1e-12 * scale:
+        raise ValueError("metric matrix must be symmetric")
+    m = symmetrize(m)
+    w = np.linalg.eigvalsh(m)
+    if w.min() < -1e-10 * max(w.max(), 0.0):
+        raise ValueError("metric matrix must be positive semidefinite")
+    if det_normalized:
+        pos = w[w > 0]
+        log_det = np.sum(np.log(pos)) if len(pos) == len(w) else -np.inf
+        if abs(np.exp(log_det) - 1.0) >= 1e-6:
+            raise ValueError("det_normalized metric must have unit determinant")
+    return m
+
+
+class TestCheckStack:
+    def test_valid_stack_matches_per_row_oracle(self):
+        stack, _ = mixed_local_stack(4)
+        checked = _check_stack(stack, det_normalized=True)
+        for row, got in zip(stack, checked):
+            np.testing.assert_array_equal(got, oracle_check_metric(row, True))
+
+    @pytest.mark.parametrize("defect, message", [
+        ("non_finite", "finite"), ("asymmetric", "symmetric"),
+        ("indefinite", "semidefinite"), ("determinant", "unit determinant"),
+    ])
+    def test_one_bad_row_rejects_the_stack(self, defect, message):
+        stack, _ = mixed_local_stack(3)
+        bad, row = stack.copy(), 7
+        if defect == "non_finite":
+            bad[row, 0, 0] = np.inf
+        elif defect == "asymmetric":
+            bad[row, 0, 1] += 1e-6
+        elif defect == "indefinite":
+            bad[row] = np.diag([2.0, 1.0, -0.5])
+        else:
+            bad[row] *= 2.0
+        for check in (lambda m: _check_stack(m, det_normalized=True),
+                      lambda m: oracle_check_metric(m[row], True),
+                      lambda m: MetricMatrix(m[row], det_normalized=True)):
+            with pytest.raises(ValueError, match=message):
+                check(bad)
+        if defect == "determinant":  # the determinant is checked only when claimed
+            np.testing.assert_array_equal(_check_stack(bad, det_normalized=False)[row],
+                                          oracle_check_metric(bad[row], False))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(ValueError, match="square"):
+            MetricMatrix(np.ones(shape))
 
 
 class TestRegional:

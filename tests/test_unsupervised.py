@@ -5,6 +5,7 @@ import pytest
 from scipy.sparse.csgraph import shortest_path
 from scipy.stats import spearmanr
 
+from glmetric import unsupervised
 from glmetric._linalg import pairwise_sq_dists
 from glmetric._lloyd import MAX_ITER, _seed_centers, lloyd, member_means
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv,
@@ -289,6 +290,51 @@ def iris_parts():
     return train, params.transform(validation), params.transform(test)
 
 
+def assert_matches_per_cell_oracle(parts, monkeypatch, k, seed, lam_cov_grid, lam_int_grid):
+    """cluster_transfer_tune, with its stack memo, against one iterative_metric_kmeans
+    per grid cell: the same grid, choice, clustering and metric, bit for bit, and
+    one stack solve per distinct (lam_cov, assignments) pair of a lam_cov block."""
+    train, validation, _ = parts
+    solved = []  # (lam_cov, assignments) of every stack solve
+    solve = unsupervised._pseudo_label_stack
+
+    def record(x, assignments, keep, lam_cov):
+        solved.append((lam_cov, assignments.tobytes()))
+        return solve(x, assignments, keep, lam_cov)
+
+    monkeypatch.setattr(unsupervised, "_pseudo_label_stack", record)
+    tuned = cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
+                                  seed=seed)
+    tuned_solves = len(solved)
+    solved.clear()
+    best, grid = None, []
+    for lam_cov in lam_cov_grid:
+        for lam_int in lam_int_grid:
+            res, metric = iterative_metric_kmeans(train.features, k, lam_cov=lam_cov,
+                                                  lam_int=lam_int, seed=seed)
+            assigned = assign_to_centers(validation.features, res.centers, metric)
+            score = rand_score(assigned, validation.labels)
+            grid.append({"lam_cov": lam_cov, "lam_int": lam_int, "rand": score})
+            if best is None or (-score, lam_int, lam_cov) < best[0]:
+                best = ((-score, lam_int, lam_cov), res, metric)
+    assert tuned["grid"] == grid
+    assert (tuned["lam_cov"], tuned["lam_int"]) == (best[0][2], best[0][1])
+    np.testing.assert_array_equal(tuned["clustering"].centers, best[1].centers)
+    np.testing.assert_array_equal(tuned["clustering"].assignments, best[1].assignments)
+    np.testing.assert_array_equal(tuned["metric"].matrix, best[2].matrix)
+    # the oracle solves every round; the memo solves each distinct pair of a
+    # lam_cov block once
+    blocks = [{key for _, key in rounds}
+              for _, rounds in itertools.groupby(solved, key=lambda r: r[0])]
+    solves = sum(len(b) for b in blocks)
+    assert tuned["diagnostics"] == {"rounds": len(solved), "stack_solves": solves,
+                                    "reused_stacks": len(solved) - solves}
+    assert tuned_solves == solves
+    if len(blocks) == len(set(lam_cov_grid)):
+        assert solves == len(set(solved))
+    assert (solves < len(solved)) == (k > 1)
+
+
 class TestClusterTransferTune:
 
     def test_selected_cell_is_grid_argmax(self, iris_parts):
@@ -315,25 +361,36 @@ class TestClusterTransferTune:
         np.testing.assert_array_equal(a["metric"].matrix, b["metric"].matrix)
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_matches_per_cell_iterative_metric_kmeans(self, iris_parts, k):
+    def test_matches_per_cell_iterative_metric_kmeans(self, iris_parts, monkeypatch, k):
+        assert_matches_per_cell_oracle(iris_parts, monkeypatch, k, 0, (1e-3, 1e-1), (0.0, 0.5))
+
+    @pytest.mark.parametrize("seed, lam_cov_grid, lam_int_grid", [
+        (1, (1e-2, 1e-2, 1e-1), (0.0, 0.25, 0.75)),  # a repeated lam_cov: one memo block
+        (2, (1e-1, 1e-3, 1e-1), (0.5, 0.0)),  # lam_cov comes back after the memo was dropped
+        (3, (1e-3, 1e-2, 1e-1), (0.0, 0.25, 0.5, 0.75)),  # the shipped grid
+    ])
+    def test_memo_matches_per_cell_oracle_across_grids(self, iris_parts, monkeypatch, seed,
+                                                       lam_cov_grid, lam_int_grid):
+        assert_matches_per_cell_oracle(iris_parts, monkeypatch, 3, seed, lam_cov_grid,
+                                       lam_int_grid)
+
+    def test_zero_memo_budget_caches_nothing_and_changes_nothing(self, iris_parts,
+                                                                 monkeypatch):
         train, validation, _ = iris_parts
-        lam_cov_grid, lam_int_grid = (1e-3, 1e-1), (0.0, 0.5)
-        tuned = cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid, seed=0)
-        best, grid = None, []
-        for lam_cov in lam_cov_grid:
-            for lam_int in lam_int_grid:
-                res, metric = iterative_metric_kmeans(train.features, k, lam_cov=lam_cov,
-                                                      lam_int=lam_int, seed=0)
-                assigned = assign_to_centers(validation.features, res.centers, metric)
-                score = rand_score(assigned, validation.labels)
-                grid.append({"lam_cov": lam_cov, "lam_int": lam_int, "rand": score})
-                if best is None or (-score, lam_int, lam_cov) < best[0]:
-                    best = ((-score, lam_int, lam_cov), res, metric)
-        assert tuned["grid"] == grid
-        assert (tuned["lam_cov"], tuned["lam_int"]) == (best[0][2], best[0][1])
-        np.testing.assert_array_equal(tuned["clustering"].centers, best[1].centers)
-        np.testing.assert_array_equal(tuned["clustering"].assignments, best[1].assignments)
-        np.testing.assert_array_equal(tuned["metric"].matrix, best[2].matrix)
+        args = (train, validation, 3, (1e-3, 1e-2), (0.0, 0.25, 0.5))
+        kept = cluster_transfer_tune(*args, seed=4)
+        monkeypatch.setattr(unsupervised, "CLUSTER_MEMO_BYTES", 0)
+        bare = cluster_transfer_tune(*args, seed=4)
+        rounds = kept["diagnostics"]["rounds"]
+        assert kept["diagnostics"]["reused_stacks"] > 0
+        assert bare["diagnostics"] == {"rounds": rounds, "stack_solves": rounds,
+                                       "reused_stacks": 0}
+        assert bare["grid"] == kept["grid"]
+        assert (bare["lam_cov"], bare["lam_int"]) == (kept["lam_cov"], kept["lam_int"])
+        for a, b in ((bare["clustering"].assignments, kept["clustering"].assignments),
+                     (bare["clustering"].centers, kept["clustering"].centers),
+                     (bare["metric"].matrix, kept["metric"].matrix)):
+            np.testing.assert_array_equal(a, b)
 
     def test_transfer_assignment_consistency(self, iris_parts):
         train, validation, test = iris_parts
