@@ -22,8 +22,7 @@ uni = uniform_combination(compute_all_local_metrics(train, models))
 
 rows = [("euclidean", MetricMatrix.identity(train.dim)), ("uniform", uni)]
 for kind in ("kde", "gmm"):
-    metric, info = density_weighted_combination(train, validation, kind,
-                                                max_iter=20, return_info=True)
+    metric, info = density_weighted_combination(train, validation, kind, max_iter=20)
     gaps = [np.abs(a - b).sum()
             for a, b in zip(info["weights"][1:], info["weights"][:-1])]
     print(f"{kind}: weight movement per iteration "
@@ -32,7 +31,7 @@ for kind in ("kde", "gmm"):
     # single iteration: a pure density-weighted convex combination, directly
     # comparable to the uniform average (no composed transforms)
     rows.append((f"{kind} x1",
-                 density_weighted_combination(train, validation, kind, max_iter=1)))
+                 density_weighted_combination(train, validation, kind, max_iter=1)[0]))
 
 print(f"\n{'metric':<12}{'test error (%)':>16}")
 for name, metric in rows:

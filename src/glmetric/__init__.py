@@ -14,8 +14,7 @@ from .generative import (GaussianModel, GenerativeModelSet, asymptotic_error_mc,
 from .local_metric import (MetricMatrix, compute_all_local_metrics,
                            interpolate_with_euclidean, local_metric_stack,
                            regional_metrics, solve_local_metric)
-from .global_metric import (TransformFactor, density_weighted_combination,
-                            fixed_point_residual, metric_sqrt_transform,
+from .global_metric import (density_weighted_combination, fixed_point_residual,
                             uniform_combination)
 from .classify import (TunedResult, energy_predict_batch, knn_predict_batch,
                        margin_candidates, tune_and_test)

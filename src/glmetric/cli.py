@@ -259,7 +259,7 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
             kind = "kde" if name == "m_kde" else "gmm"
             metric, phases = _timed_metric(
                 lambda: density_weighted_combination(train, validation, kind,
-                                                     max_iter=20, lam_cov=cfg.lam_cov))
+                                                     max_iter=20, lam_cov=cfg.lam_cov)[0])
         method = {"glm_int": "glm_int", "m_uni_energy": "energy"}.get(name, "knn")
         r = tune_and_test(method, train, validation, test, metric=metric,
                           lam_cov=cfg.lam_cov, k_grid=grids["k"],
@@ -508,8 +508,8 @@ def _cmd_fit_metric(args):
                          args.seed, True)
         train, validation, _ = ds_mod.split(full, spec)
         kind = "kde" if args.method == "m_kde" else "gmm"
-        metric = density_weighted_combination(train, validation, kind, max_iter=20,
-                                              lam_cov=args.lam_cov)
+        metric, _ = density_weighted_combination(train, validation, kind, max_iter=20,
+                                                 lam_cov=args.lam_cov)
     payload = {"metric": metric.to_dict(), "method": args.method,
                "lam_cov": args.lam_cov, "seed": args.seed,
                "scale": scale.to_dict() if scale else None}
@@ -520,31 +520,42 @@ def _cmd_fit_metric(args):
 
 
 def _load_metric(path, *data):
-    """The payload of a metric JSON file and its MetricMatrix. A payload
-    without a valid metric, or a metric whose dimension differs from the
-    feature count of a (CSV path, dataset) pair in data, raises ConfigError
-    naming the file."""
+    """The MetricMatrix of a metric JSON file and its ScaleParams (None when
+    the payload has no scale). A payload without a valid metric, a scale
+    without finite low and high lists of the metric's dimension, or a metric
+    whose dimension differs from the feature count of a (CSV path, dataset)
+    pair in data raises ConfigError naming the file."""
     with open(path) as f:
         payload = json.load(f)
     try:
         metric = MetricMatrix.from_dict(payload["metric"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: no valid metric: {type(exc).__name__}: {exc}") from exc
+    scale = payload.get("scale") or None
+    if scale is not None:
+        try:
+            scale = ScaleParams.from_dict(scale)
+            valid = all(a.shape == (metric.dim,) and np.isfinite(a).all()
+                        for a in (scale.low, scale.high))
+        except (KeyError, TypeError, ValueError):
+            valid = False
+        if not valid:
+            raise ConfigError(f"{path}: scale needs finite low and high lists of "
+                              f"{metric.dim} values")
     for csv_path, dataset in data:
         if dataset.dim != metric.dim:
             raise ConfigError(f"{path}: a {metric.dim}-dimensional metric for the "
                               f"{dataset.dim} features of {csv_path}")
-    return payload, metric
+    return metric, scale
 
 
 def _cmd_classify(args):
     train = _load_cli_csv(args.train, args)
     test = _load_cli_csv(args.test, args)
-    payload, metric = _load_metric(args.metric, (args.train, train), (args.test, test))
-    if payload.get("scale"):
-        params = ScaleParams.from_dict(payload["scale"])
-        train = params.transform(train)
-        test = params.transform(test)
+    metric, scale = _load_metric(args.metric, (args.train, train), (args.test, test))
+    if scale is not None:
+        train = scale.transform(train)
+        test = scale.transform(test)
     pred = knn_predict_batch(train, args.k, metric, test.features)
     out = args.out or "predictions.csv"
     with open(out, "w", newline="") as f:
@@ -600,7 +611,7 @@ def _cmd_embed(args):
     full = _load_cli_csv(args.data, args)
     full, _ = scale_features(full)
     if args.metric:
-        _, metric = _load_metric(args.metric, (args.data, full))
+        metric, _ = _load_metric(args.metric, (args.data, full))
     elif args.method == "m_uni":
         metric = _fit_uniform(full, args.lam_cov)
     else:

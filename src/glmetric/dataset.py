@@ -227,6 +227,11 @@ def _allocate(total, ratios):
     return counts
 
 
+def _cut(idx, ratios):
+    """The three consecutive portions of idx sized by _allocate."""
+    return np.split(idx, np.cumsum(_allocate(len(idx), ratios))[:2])
+
+
 def split(ds: LabeledDataset, spec: SplitSpec):
     """Partition ds into (train, validation, test) per spec.
 
@@ -235,28 +240,18 @@ def split(ds: LabeledDataset, spec: SplitSpec):
     largest-remainder rule, so class proportions hold within one sample.
     """
     rng = np.random.default_rng(spec.seed)
-    parts = [[], [], []]
     if spec.stratified:
+        per_class = []
         for c in range(ds.class_count):
             idx = np.flatnonzero(ds.labels == c)
             if len(idx) < 3:
                 raise ValueError(f"stratified split needs >= 3 members per class; class {c} has {len(idx)}")
             rng.shuffle(idx)
-            counts = _allocate(len(idx), spec.ratios)
-            s = 0
-            for j in range(3):
-                parts[j].append(idx[s:s + counts[j]])
-                s += counts[j]
-        parts = [np.sort(np.concatenate(p)) for p in parts]
+            per_class.append(_cut(idx, spec.ratios))
+        parts = [np.concatenate(p) for p in zip(*per_class)]
     else:
-        idx = rng.permutation(ds.n)
-        counts = _allocate(ds.n, spec.ratios)
-        s = 0
-        out = []
-        for j in range(3):
-            out.append(np.sort(idx[s:s + counts[j]]))
-            s += counts[j]
-        parts = out
+        parts = _cut(rng.permutation(ds.n), spec.ratios)
+    parts = [np.sort(p) for p in parts]
     if any(len(p) == 0 for p in parts):
         raise ValueError("split produced an empty portion; dataset too small for these ratios")
     return tuple(ds.subset(p) for p in parts)

@@ -139,9 +139,7 @@ def fit_gaussian_models(train, lam_cov=1e-3):
 
 def log_density(model: GaussianModel, x):
     """Finite log density, even where the density itself underflows."""
-    delta = np.asarray(x, dtype=float) - model.mean
-    q = delta @ model.precision @ delta
-    return -0.5 * (model.dim * _LOG_2PI + model.log_det + q)
+    return _log_density_batch([model], np.asarray(x, dtype=float)[None])[0, 0]
 
 
 def density(model: GaussianModel, x):

@@ -1,5 +1,5 @@
 """Global metrics from local ones: uniform and density-weighted combinations,
-the induced square-root transform, and the fixed-point diagnostic.
+and the fixed-point diagnostic.
 
 The density-weighted combination iterates: estimate a density at every
 training point in the current coordinates, average the fixed local metrics
@@ -8,7 +8,6 @@ square root of that average, and repeat. The returned metric is expressed in
 the original coordinates by composing the per-iteration factors.
 """
 import logging
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,32 +18,13 @@ from .generative import _log_density_batch, bias_matrices, fit_gaussian_models
 from .local_metric import MetricMatrix, _as_stack, local_metric_stack
 
 __all__ = [
-    "TransformFactor",
     "uniform_combination",
-    "metric_sqrt_transform",
     "select_kde_bandwidth",
     "density_weighted_combination",
     "fixed_point_residual",
 ]
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, eq=False)
-class TransformFactor:
-    """Symmetric PSD factor L with L^T L equal to the source metric."""
-
-    L: np.ndarray
-    source: MetricMatrix
-
-    def __post_init__(self):
-        m = self.source.matrix
-        err = np.abs(self.L.T @ self.L - m).max()
-        if err > 1e-8 * max(1.0, np.abs(m).max()):
-            raise ValueError("factor does not reproduce the source metric")
-
-    def transform(self, x):
-        return np.asarray(x, dtype=float) @ self.L  # L symmetric, so rows map by L
 
 
 def uniform_combination(local_metrics):
@@ -57,20 +37,18 @@ def uniform_combination(local_metrics):
     return MetricMatrix(np.einsum("n,nij->ij", weights, stack), "global:UNI")
 
 
-def metric_sqrt_transform(metric: MetricMatrix):
-    """Principal square root of the metric as a TransformFactor."""
-    return TransformFactor(sym_sqrt(metric.matrix), metric)
+def _row_logsumexp(logs):
+    """Log of the sum of exp(logs) over each row, shifted by the row maximum."""
+    m = logs.max(axis=1)
+    with np.errstate(under="ignore"):
+        return m + np.log(np.exp(logs - m[:, None]).sum(axis=1))
 
 
 def _kde_log_density(sq_dists, dim, sigma):
     """Log of (1/h) sum_i exp(-||q - x_i||^2 / sigma^2), h normalizing to 1, for
     every row of the query-to-train squared distances of dim-dimensional points."""
     log_h = np.log(sq_dists.shape[1]) + 0.5 * dim * np.log(np.pi) + dim * np.log(sigma)
-    sq = sq_dists / sigma ** 2
-    m = -sq.min(axis=1)
-    with np.errstate(under="ignore"):
-        lse = m + np.log(np.exp(-sq - m[:, None]).sum(axis=1))
-    return lse - log_h
+    return _row_logsumexp(-(sq_dists / sigma ** 2)) - log_h
 
 
 def select_kde_bandwidth(x_train, x_val):
@@ -106,29 +84,26 @@ def _mixture_from_labels(features, labels, lam_cov):
 
 
 def _mixture_log_density(ms, x):
-    logs = _log_density_batch(ms.models, x) + np.log([m.prior for m in ms.models])
-    m = logs.max(axis=1)
-    with np.errstate(under="ignore"):
-        return m + np.log(np.exp(logs - m[:, None]).sum(axis=1))
+    return _row_logsumexp(_log_density_batch(ms.models, x)
+                          + np.log([m.prior for m in ms.models]))
 
 
 def density_weighted_combination(train, validation, estimator_kind="kde",
-                                 max_iter=20, ms_refit=True, lam_cov=1e-3,
-                                 weights_fn=None, return_info=False):
+                                 max_iter=20, lam_cov=1e-3):
     """Iterated density-weighted average of the local metrics.
 
     estimator_kind is "kde" (bandwidth re-tuned on the validation portion each
-    iteration), "gmm" (per-class Gaussians; with ms_refit the training points
-    are re-labeled each iteration by 3-NN against the validation portion, which
-    makes the density metric-dependent), or "custom" (weights_fn(x, v, t) must
-    return per-point weights). Weights are normalized to sum to one, so every
-    iterate is a convex combination; if every density underflows the iteration
-    falls back to uniform weights and logs a warning.
+    iteration) or "gmm" (per-class Gaussians; the training points are
+    re-labeled each iteration by 3-NN against the validation portion, which
+    makes the density metric-dependent). Weights are normalized to sum to one,
+    so every iterate is a convex combination; if every density underflows the
+    iteration falls back to uniform weights and logs a warning.
 
-    Returns the composed metric in the original coordinates; with
-    return_info=True also a dict with the weight trajectory, the KDE
-    bandwidths, and the per-iteration factors.
+    Returns the composed metric in the original coordinates and a dict with
+    the weight trajectory, the KDE bandwidths, and the per-iteration factors.
     """
+    if estimator_kind not in ("kde", "gmm"):
+        raise ValueError(f"unknown estimator kind {estimator_kind!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     ms = fit_gaussian_models(train, lam_cov)
@@ -139,22 +114,17 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
     d = train.dim
     t_prev = np.eye(d)
     info = {"weights": [], "bandwidths": [], "factors": []}
-    combined = None
     for it in range(max_iter):
-        if weights_fn is not None:
-            w = np.asarray(weights_fn(x, v, it), dtype=float)
-        elif estimator_kind == "kde":
+        if estimator_kind == "kde":
             sigma = select_kde_bandwidth(x, v)
             info["bandwidths"].append(sigma)
             with np.errstate(under="ignore"):
                 w = np.exp(_kde_log_density(pairwise_sq_dists(x, x), d, sigma))
-        elif estimator_kind == "gmm":
+        else:
             mix = _mixture_from_labels(x, labels, lam_cov)
             logp = _mixture_log_density(mix, x)
             shift = logp.max()
             w = np.exp(logp - shift) if np.isfinite(shift) else np.zeros(len(x))
-        else:
-            raise ValueError(f"unknown estimator kind {estimator_kind!r}")
         total = w.sum()
         if not np.isfinite(total) or total <= 0:
             logger.warning("all densities underflowed at iteration %d; uniform weights", it)
@@ -169,13 +139,12 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
             x = x @ factor
             v = v @ factor
             t_prev = factor @ t_prev
-            if estimator_kind == "gmm" and ms_refit and weights_fn is None:
+            if estimator_kind == "gmm":
                 ref = LabeledDataset(v, validation.labels, validation.class_count)
                 labels = knn_predict_batch(ref, min(3, len(v)), MetricMatrix.identity(d), x)
     total_matrix = symmetrize(t_prev.T @ combined @ t_prev)
     info["factors"].append(sym_sqrt(combined))
-    metric = MetricMatrix(total_matrix, f"global:{estimator_kind.upper()}")
-    return (metric, info) if return_info else metric
+    return MetricMatrix(total_matrix, f"global:{estimator_kind.upper()}"), info
 
 
 def fixed_point_residual(train, metric: MetricMatrix, lam_cov=0.0):

@@ -59,8 +59,8 @@ class MetricMatrix:
         return self.matrix.shape[0]
 
     @classmethod
-    def identity(cls, dim, provenance="euclidean", degenerate=False):
-        return cls(np.eye(dim), provenance, det_normalized=True, degenerate=degenerate)
+    def identity(cls, dim, degenerate=False):
+        return cls(np.eye(dim), det_normalized=True, degenerate=degenerate)
 
     def to_dict(self):
         return {"matrix": self.matrix.tolist(), "provenance": self.provenance,

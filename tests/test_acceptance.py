@@ -11,14 +11,14 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import spearmanr
 
+from glmetric._linalg import sym_sqrt
 from glmetric.classify import knn_predict_batch
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv,
                               make_synthetic_mixture, scale_features, split,
                               three_normal_preset)
 from glmetric.generative import (asymptotic_error_mc, bias_matrix, density,
                                  fit_gaussian_models, hessian)
-from glmetric.global_metric import (fixed_point_residual, metric_sqrt_transform,
-                                    uniform_combination)
+from glmetric.global_metric import fixed_point_residual, uniform_combination
 from glmetric.kernel_mkl import (BaseKernel, build_kernel_bank, gram_matrix,
                                  mkl_train)
 from glmetric.local_metric import (MetricMatrix, compute_all_local_metrics,
@@ -153,7 +153,7 @@ def test_criterion_05_decision_invariances():
         scaled = MetricMatrix(s * metric.matrix)
         np.testing.assert_array_equal(
             knn_predict_batch(train, 5, scaled, queries), base)
-    factor = metric_sqrt_transform(metric).L
+    factor = sym_sqrt(metric.matrix)
     train_z = LabeledDataset(train.features @ factor, train.labels, 3)
     rewritten = knn_predict_batch(train_z, 5, MetricMatrix.identity(4), queries @ factor)
     np.testing.assert_array_equal(rewritten, base)

@@ -5,11 +5,10 @@ from glmetric import classify
 from glmetric.classify import (_energy_labels, _glm_int_errors, _per_query_sq_dists,
                                _sorted_by_class, _vote_grid, energy_predict_batch,
                                knn_predict_batch, margin_candidates, tune_and_test)
-from glmetric._linalg import pairwise_sq_dists
+from glmetric._linalg import pairwise_sq_dists, sym_sqrt
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv, make_synthetic_mixture,
                               scale_features, split, three_normal_preset)
 from glmetric.generative import fit_gaussian_models
-from glmetric.global_metric import metric_sqrt_transform
 from glmetric.local_metric import (MetricMatrix, compute_all_local_metrics,
                                    interpolate_with_euclidean, local_metric_stack,
                                    solve_local_metric)
@@ -44,9 +43,9 @@ class TestDistance:
     def test_equals_euclidean_after_sqrt_transform(self):
         rng = np.random.default_rng(0)
         m = random_psd_metric(rng, 4)
-        f = metric_sqrt_transform(m)
+        l = sym_sqrt(m.matrix)
         x, y = rng.normal(size=(2, 4))
-        transformed = np.sum((f.transform(x) - f.transform(y)) ** 2)
+        transformed = np.sum((x @ l - y @ l) ** 2)
         for direct in (sq_dist(m, x, y), oracle_mahalanobis_distance(m, x, y)):
             assert abs(direct - transformed) <= 1e-10 * direct
 
@@ -54,7 +53,7 @@ class TestDistance:
 def brute_force_knn(train, metric, k, query):
     """Independent oracle: exhaustive scan in the square-root-transformed space,
     same tie rules (distance sum, then class index)."""
-    l = metric_sqrt_transform(metric).L
+    l = sym_sqrt(metric.matrix)
     z_train = train.features @ l
     z_query = query @ l
     d = np.array([np.sum((z_query - z) ** 2) for z in z_train])
@@ -115,7 +114,7 @@ class TestKnn:
         metric = random_psd_metric(rng, 4)
         queries = rng.normal(size=(30, 4))
         direct = knn_predict_batch(train, 4, metric, queries)
-        l = metric_sqrt_transform(metric).L
+        l = sym_sqrt(metric.matrix)
         train_z = LabeledDataset(train.features @ l, train.labels, 3)
         rewritten = knn_predict_batch(train_z, 4, MetricMatrix.identity(4), queries @ l)
         np.testing.assert_array_equal(direct, rewritten)

@@ -196,7 +196,18 @@ class TestConfig:
          "no valid metric: ValueError: metric matrix must be positive semidefinite"),
         ({"metric": MetricMatrix.identity(2).to_dict()},
          "a 2-dimensional metric for the 4 features of data/iris.csv"),
-    ], ids=["no_metric_key", "asymmetric", "indefinite", "wrong_dimension"])
+        ({"metric": MetricMatrix.identity(4).to_dict(),
+          "scale": {"low": [4.3, 2.0], "high": [7.9, 4.4]}},
+         "scale needs finite low and high lists of 4 values"),
+        ({"metric": MetricMatrix.identity(4).to_dict(),
+          "scale": {"low": [4.3, 2.0, 1.0, float("nan")], "high": [7.9, 4.4, 6.9, 2.5]}},
+         "scale needs finite low and high lists of 4 values"),
+        ({"metric": MetricMatrix.identity(4).to_dict(), "scale": {"low": [4.3, 2.0, 1.0, 0.1]}},
+         "scale needs finite low and high lists of 4 values"),
+        ({"metric": MetricMatrix.identity(4).to_dict(), "scale": [[4.3], [7.9]]},
+         "scale needs finite low and high lists of 4 values"),
+    ], ids=["no_metric_key", "asymmetric", "indefinite", "wrong_dimension",
+            "short_scale", "nonfinite_scale", "scale_without_high", "scale_not_a_dict"])
     def test_classify_bad_metric_exits_2_with_one_error_line(self, tmp_path, capsys,
                                                              payload, message):
         metric_json, out = tmp_path / "m.json", tmp_path / "predictions.csv"

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from glmetric._linalg import pairwise_sq_dists
+from glmetric import global_metric
+from glmetric._linalg import pairwise_sq_dists, sym_sqrt
+from glmetric.classify import knn_predict_batch
 from glmetric.dataset import (LabeledDataset, SplitSpec, make_synthetic_mixture,
                               split, three_normal_preset)
 from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import (_kde_log_density, density_weighted_combination,
-                                    fixed_point_residual, metric_sqrt_transform,
-                                    select_kde_bandwidth, uniform_combination)
+                                    fixed_point_residual, select_kde_bandwidth,
+                                    uniform_combination)
 from glmetric.local_metric import (MetricMatrix, compute_all_local_metrics,
-                                   solve_local_metric)
+                                   local_metric_stack, solve_local_metric)
 from test_local_metric import random_symmetric_indefinite
 
 
@@ -66,19 +68,18 @@ class TestUniform:
 
 class TestSqrtTransform:
     def test_diagonal(self):
-        f = metric_sqrt_transform(MetricMatrix(np.diag([4.0, 9.0])))
-        np.testing.assert_allclose(f.L, np.diag([2.0, 3.0]))
+        l = sym_sqrt(MetricMatrix(np.diag([4.0, 9.0])).matrix)
+        np.testing.assert_allclose(l, np.diag([2.0, 3.0]))
 
     def test_identity(self):
-        f = metric_sqrt_transform(MetricMatrix.identity(3))
-        np.testing.assert_array_equal(f.L, np.eye(3))
+        np.testing.assert_array_equal(sym_sqrt(MetricMatrix.identity(3).matrix), np.eye(3))
 
     def test_reconstruction(self):
         rng = np.random.default_rng(2)
         a = rng.normal(size=(5, 5))
         m = MetricMatrix(a @ a.T + np.eye(5))
-        f = metric_sqrt_transform(m)
-        err = np.linalg.norm(f.L.T @ f.L - m.matrix, "fro") / np.linalg.norm(m.matrix, "fro")
+        l = sym_sqrt(m.matrix)
+        err = np.linalg.norm(l.T @ l - m.matrix, "fro") / np.linalg.norm(m.matrix, "fro")
         assert err < 1e-10
 
 
@@ -87,43 +88,22 @@ class TestDensityWeighted:
         ds = gaussian_classes(3, 3, 120, seed=3)
         self.train, self.validation, _ = split(ds, SplitSpec(seed=0))
 
-    def test_uniform_weights_single_iteration_equals_uniform_combination(self):
-        ms = fit_gaussian_models(self.train, 1e-3)
-        expected = uniform_combination(compute_all_local_metrics(self.train, ms))
-        got = density_weighted_combination(
-            self.train, self.validation, "custom", max_iter=1,
-            weights_fn=lambda x, v, t: np.ones(len(x)))
-        np.testing.assert_array_equal(got.matrix, expected.matrix)
-
-    def test_first_point_only_weights_return_first_local_metric(self):
-        ms = fit_gaussian_models(self.train, 1e-3)
-        locals_ = compute_all_local_metrics(self.train, ms)
-        w = np.zeros(self.train.n)
-        w[0] = 1.0
-        got = density_weighted_combination(
-            self.train, self.validation, "custom", max_iter=1,
-            weights_fn=lambda x, v, t: w)
-        np.testing.assert_allclose(got.matrix, locals_[0].matrix, atol=1e-14)
-
     def test_kde_weights_converge(self):
         # fixed-seed observation: the weight trajectory contracts below 1e-3
         # before the iteration cap, and a rerun reproduces it exactly
         ds = gaussian_classes(4, 3, 180, seed=3)
         train, validation, _ = split(ds, SplitSpec(seed=1))
-        _, info = density_weighted_combination(train, validation, "kde",
-                                               max_iter=20, return_info=True)
+        _, info = density_weighted_combination(train, validation, "kde", max_iter=20)
         gaps = [np.abs(a - b).sum()
                 for a, b in zip(info["weights"][1:], info["weights"][:-1])]
         assert min(gaps[:19]) < 1e-3
-        _, rerun = density_weighted_combination(train, validation, "kde",
-                                                max_iter=20, return_info=True)
+        _, rerun = density_weighted_combination(train, validation, "kde", max_iter=20)
         for a, b in zip(info["weights"], rerun["weights"]):
             np.testing.assert_array_equal(a, b)
 
     def test_composed_transform_matches_sequential_factors(self):
         metric, info = density_weighted_combination(self.train, self.validation,
-                                                    "kde", max_iter=4,
-                                                    return_info=True)
+                                                    "kde", max_iter=4)
         rng = np.random.default_rng(4)
         a, b = rng.normal(size=(2, 3))
         za, zb = a.copy(), b.copy()
@@ -133,35 +113,50 @@ class TestDensityWeighted:
         direct = (a - b) @ metric.matrix @ (a - b)
         assert abs(sequential - direct) <= 1e-8 * abs(direct)
 
-    def test_gmm_variant_runs_and_reclassifies(self):
+    def test_gmm_variant_runs_and_reclassifies(self, monkeypatch):
+        seen = []  # (coordinates, labels) of each iteration's class mixture
+        fit = global_metric._mixture_from_labels
+        monkeypatch.setattr(global_metric, "_mixture_from_labels",
+                            lambda x, labels, lam_cov: seen.append((x, labels))
+                            or fit(x, labels, lam_cov))
         metric, info = density_weighted_combination(self.train, self.validation,
-                                                    "gmm", max_iter=3,
-                                                    return_info=True)
+                                                    "gmm", max_iter=3)
         assert info["bandwidths"] == []
         assert len(info["weights"]) == 3
         assert np.linalg.eigvalsh(metric.matrix).min() > 0
+        # the first mixture uses the given labels, each later one the 3-NN
+        # labels against the validation portion in the current coordinates
+        assert len(seen) == 3
+        np.testing.assert_array_equal(seen[0][1], self.train.labels)
+        v = self.validation.features
+        for it in (1, 2):
+            v = v @ info["factors"][it - 1]
+            ref = LabeledDataset(v, self.validation.labels, self.validation.class_count)
+            knn = knn_predict_batch(ref, 3, MetricMatrix.identity(3), seen[it][0])
+            np.testing.assert_array_equal(seen[it][1], knn)
+        assert (seen[1][1] != self.train.labels).any()
 
-    def test_gmm_without_refit_has_transform_invariant_weights(self):
-        # with fixed labels and no covariance regularization the class mixture
-        # transforms covariantly, so the normalized weights cannot change
-        # across iterations (the regularizer is not transform-covariant)
-        _, info = density_weighted_combination(self.train, self.validation,
-                                               "gmm", max_iter=4, ms_refit=False,
-                                               lam_cov=0.0, return_info=True)
-        first = info["weights"][0]
-        for w in info["weights"][1:]:
-            np.testing.assert_allclose(w, first, rtol=1e-8)
-
-    def test_all_zero_densities_fall_back_to_uniform(self, caplog):
+    def test_all_zero_densities_fall_back_to_uniform(self, caplog, monkeypatch):
         import logging
+        monkeypatch.setattr(global_metric, "_mixture_log_density",
+                            lambda ms, x: np.full(len(x), -np.inf))
         with caplog.at_level(logging.WARNING, logger="glmetric.global_metric"):
-            got = density_weighted_combination(
-                self.train, self.validation, "custom", max_iter=1,
-                weights_fn=lambda x, v, t: np.zeros(len(x)))
+            got, info = density_weighted_combination(self.train, self.validation, "gmm",
+                                                     max_iter=1)
         assert "underflow" in caplog.text
-        ms = fit_gaussian_models(self.train, 1e-3)
-        expected = uniform_combination(compute_all_local_metrics(self.train, ms))
-        np.testing.assert_array_equal(got.matrix, expected.matrix)
+        stack, _ = local_metric_stack(self.train.features,
+                                      fit_gaussian_models(self.train, 1e-3))
+        np.testing.assert_array_equal(got.matrix, uniform_combination(stack).matrix)
+        np.testing.assert_array_equal(info["weights"][0],
+                                      np.full(self.train.n, 1.0 / self.train.n))
+
+    def test_unknown_kind_rejected_before_fitting(self, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the kind was checked")
+
+        monkeypatch.setattr(global_metric, "fit_gaussian_models", no_fit)
+        with pytest.raises(ValueError, match="unknown estimator kind 'custom'"):
+            density_weighted_combination(self.train, self.validation, "custom")
 
     def test_invalid_iteration_count(self):
         with pytest.raises(ValueError):
@@ -243,8 +238,7 @@ class TestKde:
     def test_bandwidths_and_weights_match_per_candidate_oracle(self, dim, seed):
         ds = gaussian_classes(dim, 3, 150, seed=seed)
         train, validation, _ = split(ds, SplitSpec(seed=seed))
-        _, info = density_weighted_combination(train, validation, "kde",
-                                               max_iter=4, return_info=True)
+        _, info = density_weighted_combination(train, validation, "kde", max_iter=4)
         x, v = train.features, validation.features
         for it in range(4):
             sigma = oracle_select_kde_bandwidth(x, v)

@@ -6,7 +6,8 @@ import re
 from pathlib import Path
 
 import glmetric
-from glmetric import classify, kernel_mkl
+from glmetric import classify, global_metric, kernel_mkl
+from glmetric.local_metric import MetricMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = {path.stem for path in Path(glmetric.__file__).parent.glob("*.py")}
@@ -53,7 +54,8 @@ def test_readme_removed_names_are_gone():
     rows = removed_table()
     removed = [pair for cell, _ in rows for pair in dotted_names(cell)]
     assert {("classify", "KnnConfig"), ("classify", "EnergyConfig"), ("classify", "evaluate_error"),
-            ("local_metric", "SpectralSolution")} <= set(removed)
+            ("local_metric", "SpectralSolution"), ("global_metric", "TransformFactor"),
+            ("global_metric", "metric_sqrt_transform")} <= set(removed)
     for module, name in removed:
         assert not hasattr(importlib.import_module(f"glmetric.{module}"), name), (module, name)
         assert not hasattr(glmetric, name), name
@@ -71,3 +73,6 @@ def test_direct_call_signatures():
         "train", "k", "margin", "metric", "queries"]
     assert str(inspect.signature(kernel_mkl.mkl_train)) == "(grams, y, c, memo=None)"
     assert (kernel_mkl.MKL_TOL, kernel_mkl.MKL_MAX_OUTER, kernel_mkl.SVM_TOL) == (1e-4, 50, 1e-4)
+    assert str(inspect.signature(global_metric.density_weighted_combination)) == (
+        "(train, validation, estimator_kind='kde', max_iter=20, lam_cov=0.001)")
+    assert str(inspect.signature(MetricMatrix.identity)) == "(dim, degenerate=False)"

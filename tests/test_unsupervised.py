@@ -6,7 +6,7 @@ from scipy.sparse.csgraph import shortest_path
 from scipy.stats import spearmanr
 
 from glmetric import unsupervised
-from glmetric._linalg import pairwise_sq_dists
+from glmetric._linalg import pairwise_sq_dists, sym_sqrt
 from glmetric._lloyd import MAX_ITER, _seed_centers, lloyd, member_means
 from glmetric.dataset import (LabeledDataset, SplitSpec, load_csv,
                               make_synthetic_mixture, scale_features, split)
@@ -130,8 +130,7 @@ class TestKmeans:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(50, 3))
         metric = solve_local_metric(random_symmetric_indefinite(rng, 3))
-        from glmetric.global_metric import metric_sqrt_transform
-        z = metric_sqrt_transform(metric).transform(x)
+        z = x @ sym_sqrt(metric.matrix)
         a = kmeans(x, 4, metric, seed=5)
         b = kmeans(z, 4, MetricMatrix.identity(3), seed=5)
         np.testing.assert_array_equal(a.assignments, b.assignments)
