@@ -15,9 +15,8 @@ import numpy as np
 from . import dataset as ds_mod
 from .classify import (DEFAULT_BETA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID,
                        knn_predict_batch, tune_and_test)
-from .dataset import (LabeledDataset, ScaleParams, SplitSpec, load_csv,
-                      make_synthetic_mixture, pca_reduce, scale_features,
-                      three_normal_preset)
+from .dataset import (ScaleParams, SplitSpec, load_csv, make_synthetic_mixture,
+                      pca_reduce, scale_features, three_normal_preset)
 from .generative import fit_gaussian_models
 from .global_metric import density_weighted_combination, uniform_combination
 from .kernel_mkl import (DEFAULT_TAU_GRID, build_kernel_bank, gram_matrix,
@@ -26,8 +25,18 @@ from .local_metric import MetricMatrix, compute_all_local_metrics, regional_metr
 from .unsupervised import (assign_to_centers, cluster_transfer_tune,
                            isomap_embed, rand_score)
 
-METHOD_NAMES = ("euclidean", "glm_int", "m_uni", "m_uni_energy", "m_gmm",
-                "m_kde", "mkl_baseline", "mkl_metric", "cluster_uni", "isomap")
+# Each benchmark method: the kind of value it reports, and its config keys
+# with their defaults. None is a default the data supplies: cluster_uni's k
+# is the class count, and max_train keeps every training point. isomap's
+# metric is "euclidean" or "m_uni"; every other key is a positive integer.
+METHODS = {
+    **{name: ("error", {}) for name in
+       ("euclidean", "glm_int", "m_uni", "m_uni_energy", "m_gmm", "m_kde")},
+    "mkl_baseline": ("error", {"max_train": None}),
+    "mkl_metric": ("error", {"partitions": 5, "max_train": None}),
+    "cluster_uni": ("rand", {"k": None, "outer_iters": 10}),
+    "isomap": ("residual_variance", {"n_neighbors": 8, "dim": 2, "metric": "m_uni"}),
+}
 
 DEFAULT_GRIDS = {
     "k": list(DEFAULT_K_GRID),
@@ -75,24 +84,63 @@ def _check_count(value, what, low=1):
     return value
 
 
-def _check_method_values(entry):
-    name = entry["name"]
-    for key in ("k", "outer_iters", "n_neighbors", "dim", "partitions", "max_train"):
-        _check_count(entry.get(key, 1), f"{key} of method {name}")  # absent keeps its default
-    if entry.get("metric", "m_uni") not in ("euclidean", "m_uni"):
-        raise ConfigError(f"metric of method {name} must be 'euclidean' or 'm_uni', "
-                          f"got {entry['metric']!r}")
+def _is_finite_number(value):
+    """An int or float within the finite float range; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _parse_method(entry):
+    """A method name, or an object of a name and that method's METHODS keys, as a dict."""
+    if isinstance(entry, str):
+        entry = {"name": entry}
+    if not isinstance(entry, dict):
+        raise ConfigError(f"each method must be a name or an object, got {entry!r}")
+    name = entry.get("name")
+    if not isinstance(name, str) or name not in METHODS:
+        raise ConfigError(f"unknown method {name!r}")
+    _check_keys(entry, {"name", *METHODS[name][1]}, f"method {name}")
+    for key, value in entry.items():
+        if key == "metric" and value not in ("euclidean", "m_uni"):
+            raise ConfigError(f"metric of method {name} must be 'euclidean' or 'm_uni', "
+                              f"got {value!r}")
+        if key not in ("name", "metric"):
+            _check_count(value, f"{key} of method {name}")
+    return entry
+
+
+def _parse_grids(raw):
+    """DEFAULT_GRIDS with the config's grids in place: non-empty lists of finite
+    numbers, k positive integers, C positive, lam_int and cluster_lam_int in [0, 1]."""
+    grids = dict(DEFAULT_GRIDS)
+    for key, values in raw.get("grids", {}).items():
+        if key not in DEFAULT_GRIDS:
+            raise ConfigError(f"unknown grid {key!r}")
+        if not (isinstance(values, list) and values and all(map(_is_finite_number, values))):
+            raise ConfigError(f"grids.{key} must be a non-empty list of finite numbers, "
+                              f"got {values!r}")
+        grids[key] = list(values)
+    for value in grids["k"]:
+        _check_count(value, "each k of grids.k")
+    if min(grids["C"]) <= 0:
+        raise ConfigError(f"each C of grids.C must be positive, got {grids['C']!r}")
+    for key in ("lam_int", "cluster_lam_int"):
+        if not all(0 <= value <= 1 for value in grids[key]):
+            raise ConfigError(f"each value of grids.{key} must lie in [0, 1], "
+                              f"got {grids[key]!r}")
+    return grids
 
 
 def parse_experiment_config(raw):
     """Validate the versioned JSON config; unknown keys are rejected."""
+    if not isinstance(raw, dict) or raw.get("version") != 1:
+        raise ConfigError("config must be a JSON object with version 1")
     _check_keys(raw, {"version", "dataset", "preprocess", "split", "methods",
                       "grids", "lam_cov", "output_dir"}, "config")
-    if raw.get("version") != 1:
-        raise ConfigError("config version must be 1")
-    dataset = raw.get("dataset")
-    if not isinstance(dataset, dict):
-        raise ConfigError("config needs a dataset object")
+    for section in ("dataset", "preprocess", "split", "grids"):
+        if not isinstance(raw.get(section, {}), dict):
+            raise ConfigError(f"{section} must be a JSON object, got {raw[section]!r}")
+    dataset = raw.get("dataset", {})
     if "csv" in dataset:
         _check_keys(dataset, {"csv", "label_column", "has_header"}, "dataset")
         if "label_column" not in dataset:
@@ -119,38 +167,15 @@ def parse_experiment_config(raw):
                          bool(split.get("stratified", True)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"split ratios: {exc}") from exc
-    methods = []
-    for entry in raw.get("methods", []):
-        if isinstance(entry, str):
-            entry = {"name": entry}
-        else:
-            entry = dict(entry)
-        name = entry.get("name")
-        if name not in METHOD_NAMES:
-            raise ConfigError(f"unknown method {name!r}")
-        allowed = {"name"}
-        if name == "mkl_metric":
-            allowed |= {"partitions"}
-        if name in ("mkl_metric", "mkl_baseline"):
-            allowed |= {"max_train"}
-        if name == "cluster_uni":
-            allowed |= {"k", "outer_iters"}
-        if name == "isomap":
-            allowed |= {"n_neighbors", "dim", "metric"}
-        _check_keys(entry, allowed, f"method {name}")
-        _check_method_values(entry)
-        methods.append(entry)
-    if not methods:
-        raise ConfigError("config needs at least one method")
-    grids = dict(DEFAULT_GRIDS)
-    for key, val in raw.get("grids", {}).items():
-        if key not in DEFAULT_GRIDS:
-            raise ConfigError(f"unknown grid {key!r}")
-        grids[key] = list(val)
-    for value in grids["k"]:
-        _check_count(value, "each k of grids.k")
+    methods = raw.get("methods")
+    if not isinstance(methods, list) or not methods:
+        raise ConfigError(f"config needs a non-empty list of methods, got {methods!r}")
+    lam_cov = raw.get("lam_cov", 1e-3)
+    if not _is_finite_number(lam_cov):
+        raise ConfigError(f"lam_cov must be a finite number, got {lam_cov!r}")
     return ExperimentConfig(raw, dataset, dict(preprocess), spec, n_repeats,
-                            methods, grids, float(raw.get("lam_cov", 1e-3)),
+                            [_parse_method(entry) for entry in methods],
+                            _parse_grids(raw), float(lam_cov),
                             raw.get("output_dir"))
 
 
@@ -164,15 +189,28 @@ def _load_config_dataset(cfg: ExperimentConfig):
     return make_synthetic_mixture(preset, d.get("n", 1200), d.get("seed", 7))
 
 
+class _phase:
+    """`with _phase(phases, name):` adds the block's wall time to phases[name]."""
+
+    def __init__(self, phases, name):
+        self.phases, self.name, self.t0 = phases, name, time.perf_counter()
+
+    def __enter__(self):
+        pass
+
+    def __exit__(self, *exc):
+        self.phases[self.name] = self.phases.get(self.name, 0.0) + (time.perf_counter() - self.t0)
+
+
 def _fit_uniform(train, lam_cov):
     ms = fit_gaussian_models(train, lam_cov)
     return uniform_combination(compute_all_local_metrics(train, ms))
 
 
-def _timed_metric(builder):
-    t0 = time.perf_counter()
-    metric = builder()
-    return metric, {"fit_metric_s": time.perf_counter() - t0}
+def _fit_density(method, train, validation, lam_cov):
+    """The density-weighted global metric of method m_kde or m_gmm."""
+    kind = {"m_kde": "kde", "m_gmm": "gmm"}[method]
+    return density_weighted_combination(train, validation, kind, lam_cov=lam_cov)[0]
 
 
 def _run_mkl(train, validation, test, metrics, grids, seed):
@@ -180,33 +218,32 @@ def _run_mkl(train, validation, test, metrics, grids, seed):
     C grid is fitted, then the validation bank to choose C, then the test bank.
     A train bank over MKL_TRAIN_BANK_BYTES raises ValueError before any gram
     is built."""
-    t0 = time.perf_counter()
-    banks = build_kernel_bank(metrics, train.features, DEFAULT_TAU_GRID, seed=seed)
-    need = len(banks) * train.n ** 2 * 8
-    if need > MKL_TRAIN_BANK_BYTES:
-        fits = math.isqrt(MKL_TRAIN_BANK_BYTES // (8 * len(banks)))
-        raise ValueError(
-            f"the train Gram bank of {len(banks)} kernels at {train.n} training points "
-            f"needs {need / 2 ** 20:.0f} MiB, over the {MKL_TRAIN_BANK_BYTES / 2 ** 20:.0f} "
-            f"MiB bound; set max_train to {fits} or less")
-    k_tr = [gram_matrix(bk, train.features) for bk in banks]
-    t1 = time.perf_counter()
-    per_c = train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
-    del k_tr  # prediction needs no train gram
-    t2 = time.perf_counter()
-    k_va = [gram_matrix(bk, validation.features, train.features) for bk in banks]
-    t3 = time.perf_counter()
-    val_errs = [float(np.mean(predict_one_vs_all(models, k_va) != validation.labels))
-                for models in per_c]
-    del k_va
-    t4 = time.perf_counter()
+    phases = {}
+    with _phase(phases, "gram_bank_s"):
+        banks = build_kernel_bank(metrics, train.features, DEFAULT_TAU_GRID, seed=seed)
+        need = len(banks) * train.n ** 2 * 8
+        if need > MKL_TRAIN_BANK_BYTES:
+            fits = math.isqrt(MKL_TRAIN_BANK_BYTES // (8 * len(banks)))
+            raise ValueError(
+                f"the train Gram bank of {len(banks)} kernels at {train.n} training points "
+                f"needs {need / 2 ** 20:.0f} MiB, over the {MKL_TRAIN_BANK_BYTES / 2 ** 20:.0f} "
+                f"MiB bound; set max_train to {fits} or less")
+        k_tr = [gram_matrix(bk, train.features) for bk in banks]
+    with _phase(phases, "mkl_fit_s"):
+        per_c = train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
+        del k_tr  # prediction needs no train gram
+
+    def errors(portion, per_model):  # one bank of grams against train, freed on return
+        with _phase(phases, "gram_bank_s"):
+            grams = [gram_matrix(bk, portion.features, train.features) for bk in banks]
+        with _phase(phases, "predict_s"):
+            return [float(np.mean(predict_one_vs_all(models, grams) != portion.labels))
+                    for models in per_model]
+
+    val_errs = errors(validation, per_c)
     best = int(np.argmin(val_errs))  # the first C of the lowest validation error
-    val_err, c, models = val_errs[best], grids["C"][best], per_c[best]
-    k_te = [gram_matrix(bk, test.features, train.features) for bk in banks]
-    t5 = time.perf_counter()
-    test_err = float(np.mean(predict_one_vs_all(models, k_te) != test.labels))
-    phases = {"gram_bank_s": (t1 - t0) + (t3 - t2) + (t5 - t4), "mkl_fit_s": t2 - t1,
-              "predict_s": (t4 - t3) + (time.perf_counter() - t5)}
+    models = per_c[best]
+    (test_err,) = errors(test, [models])
     # the chosen C's models, then per-C totals over the whole grid that
     # mkl_fit_s times
     counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
@@ -217,22 +254,24 @@ def _run_mkl(train, validation, test, metrics, grids, seed):
                        max_kkt_violation=max(m.max_kkt_violation for m in models),
                        grid={"C": list(grids["C"]),
                              **{key: [t[key] for t in totals] for key in counts}})
-    return {"kind": "error", "value": test_err, "validation_error": val_err,
-            "chosen": {"C": c, "kernels": len(banks)}, "diagnostics": diagnostics,
-            "phases": phases}
+    return {"value": test_err, "validation_error": val_errs[best],
+            "chosen": {"C": grids["C"][best], "kernels": len(banks)},
+            "diagnostics": diagnostics, "phases": phases}
 
 
-def _cluster_cell(train, validation, test, k, grids, seed, outer_iters=10):
+def _cluster_cell(train, validation, test, k, grids, seed,
+                  outer_iters=METHODS["cluster_uni"][1]["outer_iters"]):
     """Transfer-tuned metric clustering scored on test: (the tuning result,
     the test points' nearest-center ids, their Rand score, the phases)."""
-    t0 = time.perf_counter()
-    tuned = cluster_transfer_tune(train, validation, k, grids["lam_cov"],
-                                  grids["cluster_lam_int"], seed=seed,
-                                  outer_iters=outer_iters)
-    t1 = time.perf_counter()
-    assigned = assign_to_centers(test.features, tuned["clustering"].centers, tuned["metric"])
-    score = rand_score(assigned, test.labels)
-    phases = {"tuning_s": t1 - t0, "testing_s": time.perf_counter() - t1}
+    phases = {}
+    with _phase(phases, "tuning_s"):
+        tuned = cluster_transfer_tune(train, validation, k, grids["lam_cov"],
+                                      grids["cluster_lam_int"], seed=seed,
+                                      outer_iters=outer_iters)
+    with _phase(phases, "testing_s"):
+        assigned = assign_to_centers(test.features, tuned["clustering"].centers,
+                                     tuned["metric"])
+        score = rand_score(assigned, test.labels)
     return tuned, assigned, score, phases
 
 
@@ -245,59 +284,49 @@ def _maybe_subsample(portion, limit, seed):
 
 
 def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
-    """One (split, method) cell. uniform_metric() returns the split's uniform
-    metric and the phases of fitting it (empty once another method has)."""
-    name = entry["name"]
-    grids = cfg.grids
-    if name in ("euclidean", "glm_int", "m_uni", "m_uni_energy", "m_kde", "m_gmm"):
-        metric, phases = None, {}
-        if name == "euclidean":
-            metric = MetricMatrix.identity(train.dim)
-        elif name in ("m_uni", "m_uni_energy"):
-            metric, phases = uniform_metric()
-        elif name in ("m_kde", "m_gmm"):
-            kind = "kde" if name == "m_kde" else "gmm"
-            metric, phases = _timed_metric(
-                lambda: density_weighted_combination(train, validation, kind,
-                                                     max_iter=20, lam_cov=cfg.lam_cov)[0])
-        method = {"glm_int": "glm_int", "m_uni_energy": "energy"}.get(name, "knn")
-        r = tune_and_test(method, train, validation, test, metric=metric,
-                          lam_cov=cfg.lam_cov, k_grid=grids["k"],
-                          lam_grid=grids["lam_int"], beta_grid=grids["beta"])
-        return {"kind": "error", "value": r.test_error,
-                "validation_error": r.validation_error, "chosen": r.chosen,
-                "phases": {**phases, **r.timing}}
-    if name == "mkl_baseline":
-        tr = _maybe_subsample(train, entry.get("max_train"), seed)
-        return _run_mkl(tr, validation, test, [MetricMatrix.identity(train.dim)],
-                        grids, seed)
-    if name == "mkl_metric":
-        tr = _maybe_subsample(train, entry.get("max_train"), seed)
-        p = entry.get("partitions", 5)
-        (regionals, _), phases = _timed_metric(lambda: regional_metrics(
-            compute_all_local_metrics(tr, fit_gaussian_models(tr, cfg.lam_cov)),
-            tr.features, p, seed))
-        out = _run_mkl(tr, validation, test, regionals, grids, seed)
-        out["chosen"]["partitions"] = p
-        out["phases"].update(phases)
-        return out
+    """One (split, method) cell: its value, chosen settings, diagnostics and
+    phases. uniform_metric(phases) returns the split's uniform metric and
+    adds fit_metric_s to phases when this call is the one that fits it."""
+    name, grids = entry["name"], cfg.grids
+    opts = {**METHODS[name][1], **entry}  # the defaults of absent keys
+    phases = {}
+    if name in ("mkl_baseline", "mkl_metric"):
+        tr = _maybe_subsample(train, opts["max_train"], seed)
+        if name == "mkl_baseline":
+            return _run_mkl(tr, validation, test, [MetricMatrix.identity(tr.dim)], grids, seed)
+        with _phase(phases, "fit_metric_s"):
+            metrics, _ = regional_metrics(
+                compute_all_local_metrics(tr, fit_gaussian_models(tr, cfg.lam_cov)),
+                tr.features, opts["partitions"], seed)
+        cell = _run_mkl(tr, validation, test, metrics, grids, seed)
+        cell["chosen"]["partitions"] = opts["partitions"]
+        cell["phases"].update(phases)
+        return cell
     if name == "cluster_uni":
-        k = entry.get("k", train.class_count)
-        outer = entry.get("outer_iters", 10)
-        tuned, _, score, phases = _cluster_cell(train, validation, test, k, grids, seed, outer)
-        return {"kind": "rand", "value": score,
+        k = train.class_count if opts["k"] is None else opts["k"]
+        tuned, _, score, phases = _cluster_cell(train, validation, test, k, grids, seed,
+                                                opts["outer_iters"])
+        return {"value": score,
                 "chosen": {"lam_cov": tuned["lam_cov"], "lam_int": tuned["lam_int"], "k": k},
                 "diagnostics": tuned["diagnostics"], "phases": phases}
+    metric = None  # glm_int interpolates its own local metrics
+    if name == "euclidean" or opts.get("metric") == "euclidean":
+        metric = MetricMatrix.identity(train.dim)
+    elif name in ("m_uni", "m_uni_energy", "isomap"):
+        metric = uniform_metric(phases)
+    elif name in ("m_kde", "m_gmm"):
+        with _phase(phases, "fit_metric_s"):
+            metric = _fit_density(name, train, validation, cfg.lam_cov)
     if name == "isomap":
-        metric = (MetricMatrix.identity(train.dim)
-                  if entry.get("metric", "m_uni") == "euclidean"
-                  else uniform_metric()[0])
-        emb = isomap_embed(train.features, metric,
-                           entry.get("n_neighbors", 8), entry.get("dim", 2))
-        return {"kind": "residual_variance", "value": emb.residual_variance,
-                "chosen": {"n_neighbors": emb.n_neighbors,
-                           "embedded": int(len(emb.kept_indices))}}
-    raise ConfigError(f"unknown method {name!r}")
+        with _phase(phases, "embed_s"):
+            emb = isomap_embed(train.features, metric, opts["n_neighbors"], opts["dim"])
+        return {"value": emb.residual_variance, "phases": phases,
+                "chosen": {"n_neighbors": emb.n_neighbors, "embedded": len(emb.kept_indices)}}
+    method = {"glm_int": "glm_int", "m_uni_energy": "energy"}.get(name, "knn")
+    r = tune_and_test(method, train, validation, test, metric=metric,
+                      lam_cov=cfg.lam_cov, k_grid=grids["k"],
+                      lam_grid=grids["lam_int"], beta_grid=grids["beta"])
+    return {"value": r.test_error, "chosen": r.chosen, "phases": {**phases, **r.timing}}
 
 
 def _run_repeat(cfg, full, repeat):
@@ -315,31 +344,28 @@ def _run_repeat(cfg, full, repeat):
         raise ConfigError(f"preparing split seed {seed}: {exc}") from exc
     fitted = []  # the uniform metric, kept once a method has fitted it
 
-    def uniform_metric():
-        if fitted:
-            return fitted[0], {}
-        metric, phases = _timed_metric(lambda: _fit_uniform(train, cfg.lam_cov))
-        fitted.append(metric)
-        return metric, phases
+    def uniform_metric(phases):
+        if not fitted:
+            with _phase(phases, "fit_metric_s"):
+                fitted.append(_fit_uniform(train, cfg.lam_cov))
+        return fitted[0]
 
     out = {}
     for entry in cfg.methods:
         t0 = time.perf_counter()
         try:
-            result = _run_method(entry, train, validation, test, cfg, seed, uniform_metric)
+            cell = _run_method(entry, train, validation, test, cfg, seed, uniform_metric)
         except Exception as exc:  # recorded per method, run continues
-            result = {"kind": "failed", "error": f"{type(exc).__name__}: {exc}",
-                      "traceback": traceback.format_exc()}
-        result["timing"] = {"wall_s": time.perf_counter() - t0}
-        out[_method_key(entry)] = result
+            cell = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
+        cell["timing"] = {"wall_s": time.perf_counter() - t0}
+        out[_method_key(entry)] = cell
     return out
 
 
 def _method_key(entry):
-    name = entry["name"]
-    if name == "mkl_metric":
-        return f"mkl_metric(P={entry.get('partitions', 5)})"
-    return name
+    if entry["name"] == "mkl_metric":
+        return f"mkl_metric(P={entry.get('partitions', METHODS['mkl_metric'][1]['partitions'])})"
+    return entry["name"]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
@@ -357,64 +383,68 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
         full = _load_config_dataset(cfg)
     except ValueError as exc:
         raise ConfigError(f"dataset: {exc}") from exc
-    n_repeats = cfg.n_repeats
-    results = [_run_repeat(cfg, full, r) for r in range(n_repeats)]
+    results = [_run_repeat(cfg, full, r) for r in range(cfg.n_repeats)]
 
     methods = {}
-    any_ok = False
-    for key in results[0]:
-        values, chosen, diagnostics, errors = [], [], [], []
-        for r in range(n_repeats):
-            cell = results[r][key]
-            if cell["kind"] == "failed":
-                errors.append({"repeat": r, "error": cell["error"], "traceback": cell["traceback"]})
-            else:
-                values.append(cell["value"])
-                chosen.append(cell.get("chosen", {}))
-                diagnostics.append(cell.get("diagnostics", {}))
-        timing = {"wall_s": sum(results[r][key]["timing"]["wall_s"]
-                                for r in range(n_repeats))}
-        for r in range(n_repeats):
-            for phase, secs in results[r][key].get("phases", {}).items():
+    for key, name in {_method_key(e): e["name"] for e in cfg.methods}.items():
+        cells = [result[key] for result in results]
+        ok = [cell for cell in cells if "error" not in cell]
+        timing = {"wall_s": sum(cell["timing"]["wall_s"] for cell in cells)}
+        for cell in ok:
+            for phase, secs in cell["phases"].items():
                 timing[phase] = timing.get(phase, 0.0) + secs
-        entry = {"kind": results[0][key]["kind"], "per_split": values,
-                 "chosen": chosen, "diagnostics": diagnostics, "failures": errors,
+        entry = {"kind": METHODS[name][0], "per_split": [cell["value"] for cell in ok],
+                 "chosen": [cell["chosen"] for cell in ok],
+                 "diagnostics": [cell.get("diagnostics", {}) for cell in ok],
+                 "failures": [{"repeat": r, "error": cell["error"],
+                               "traceback": cell["traceback"]}
+                              for r, cell in enumerate(cells) if "error" in cell],
                  "timing": timing}
-        if values:
-            any_ok = True
-            arr = np.asarray(values, dtype=float)
+        if ok:
+            arr = np.asarray(entry["per_split"], dtype=float)
             entry["mean"] = float(arr.mean())
             entry["stderr"] = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
         methods[key] = entry
 
     report = {
         "config": {k: v for k, v in cfg.raw.items() if k != "output_dir"},
-        "n_repeats": n_repeats,
+        "n_repeats": cfg.n_repeats,
         "methods": methods,
         "timing": {"total_s": time.perf_counter() - t_start},
     }
     write_report(report, out_dir)
-    return report, 0 if any_ok else 1
+    return report, 0 if any("mean" in entry for entry in methods.values()) else 1
+
+
+def _write_json(path, payload):
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def write_report(report, out_dir):
     """Write a run_experiment report into out_dir: report.json, report.csv
-    (one row per successful cell) and table.txt (format_table)."""
+    (one row per successful cell, split being its repeat index) and
+    table.txt (format_table)."""
     methods = report["methods"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "report.json", "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
-        f.write("\n")
-    with open(out / "report.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["method", "kind", "split", "value", "chosen"])
-        for key, entry in methods.items():
-            for r, v in enumerate(entry["per_split"]):
-                w.writerow([key, entry["kind"], r, repr(v),
-                            json.dumps(entry["chosen"][r], sort_keys=True)])
-    with open(out / "table.txt", "w") as f:
-        f.write(format_table(methods) + "\n")
+    _write_json(out / "report.json", report)
+    rows = []
+    for key, entry in methods.items():
+        failed = {failure["repeat"] for failure in entry["failures"]}
+        repeats = [r for r in range(report["n_repeats"]) if r not in failed]
+        rows += [[key, entry["kind"], r, repr(v), json.dumps(chosen, sort_keys=True)]
+                 for r, v, chosen in zip(repeats, entry["per_split"], entry["chosen"])]
+    _write_csv(out / "report.csv", ["method", "kind", "split", "value", "chosen"], rows)
+    (out / "table.txt").write_text(format_table(methods) + "\n")
 
 
 def format_table(methods):
@@ -468,9 +498,20 @@ def average_ranks(reports):
 # subcommands
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=None)
+def _subcommand(sub, name, func, summary):
+    """The subparser of name, which runs func and takes --seed and --out."""
+    p = sub.add_parser(name, help=summary, exit_on_error=False)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=func)
+    return p
+
+
+def _add_csv_flags(parser, label_column):
+    """--label-column with the given default (required when that is None) and --has-header."""
+    parser.add_argument("--label-column", required=label_column is None,
+                        default=label_column)
+    parser.add_argument("--has-header", action="store_true")
 
 
 def _positive_int(text):
@@ -489,8 +530,7 @@ def _load_cli_csv(path, args):
 
 
 def _cmd_benchmark(args):
-    with open(args.config) as f:
-        cfg = parse_experiment_config(json.load(f))
+    cfg = parse_experiment_config(json.loads(Path(args.config).read_text()))
     out_dir = args.out or cfg.output_dir or "glmetric_out"
     _, code = run_experiment(cfg, out_dir)
     return code
@@ -507,15 +547,11 @@ def _cmd_fit_metric(args):
         spec = SplitSpec((1.0 - args.val_ratio, args.val_ratio / 2, args.val_ratio / 2),
                          args.seed, True)
         train, validation, _ = ds_mod.split(full, spec)
-        kind = "kde" if args.method == "m_kde" else "gmm"
-        metric, _ = density_weighted_combination(train, validation, kind, max_iter=20,
-                                                 lam_cov=args.lam_cov)
-    payload = {"metric": metric.to_dict(), "method": args.method,
-               "lam_cov": args.lam_cov, "seed": args.seed,
-               "scale": scale.to_dict() if scale else None}
-    with open(args.out or "metric.json", "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
+        metric = _fit_density(args.method, train, validation, args.lam_cov)
+    _write_json(args.out or "metric.json",
+                {"metric": metric.to_dict(), "method": args.method,
+                 "lam_cov": args.lam_cov, "seed": args.seed,
+                 "scale": scale.to_dict() if scale else None})
     return 0
 
 
@@ -525,8 +561,7 @@ def _load_metric(path, *data):
     without finite low and high lists of the metric's dimension, or a metric
     whose dimension differs from the feature count of a (CSV path, dataset)
     pair in data raises ConfigError naming the file."""
-    with open(path) as f:
-        payload = json.load(f)
+    payload = json.loads(Path(path).read_text())
     try:
         metric = MetricMatrix.from_dict(payload["metric"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -557,12 +592,8 @@ def _cmd_classify(args):
         train = scale.transform(train)
         test = scale.transform(test)
     pred = knn_predict_batch(train, args.k, metric, test.features)
-    out = args.out or "predictions.csv"
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "predicted", "label"])
-        for i, (p, t) in enumerate(zip(pred, test.labels)):
-            w.writerow([i, int(p), int(t)])
+    _write_csv(args.out or "predictions.csv", ["id", "predicted", "label"],
+               ([i, int(p), int(t)] for i, (p, t) in enumerate(zip(pred, test.labels))))
     print(f"test error: {float(np.mean(pred != test.labels)):.4f}")
     return 0
 
@@ -584,8 +615,7 @@ def _cmd_mkl(args):
 def _cmd_cluster(args):
     full = _load_cli_csv(args.data, args)
     full, _ = scale_features(full)
-    spec = SplitSpec(seed=args.seed)
-    train, validation, test = ds_mod.split(full, spec)
+    train, validation, test = ds_mod.split(full, SplitSpec(seed=args.seed))
     k = full.class_count if args.k is None else args.k
     if k > train.n:
         raise ConfigError(f"--k {k} exceeds the {train.n} training points of {args.data}")
@@ -593,16 +623,11 @@ def _cmd_cluster(args):
                                               args.seed)
     out = Path(args.out or "cluster_out")
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "assignments.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "cluster", "label"])
-        for i, (a, t) in enumerate(zip(assigned, test.labels)):
-            w.writerow([i, int(a), int(t)])
-    with open(out / "metric.json", "w") as f:
-        json.dump({"metric": tuned["metric"].to_dict(),
-                   "lam_cov": tuned["lam_cov"], "lam_int": tuned["lam_int"],
-                   "test_rand": score}, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_csv(out / "assignments.csv", ["id", "cluster", "label"],
+               ([i, int(a), int(t)] for i, (a, t) in enumerate(zip(assigned, test.labels))))
+    _write_json(out / "metric.json", {"metric": tuned["metric"].to_dict(),
+                                      "lam_cov": tuned["lam_cov"],
+                                      "lam_int": tuned["lam_int"], "test_rand": score})
     print(f"test rand score: {score:.4f}")
     return 0
 
@@ -617,104 +642,76 @@ def _cmd_embed(args):
     else:
         metric = MetricMatrix.identity(full.dim)
     emb = isomap_embed(full.features, metric, args.neighbors, args.dim)
-    out = args.out or "embedding.csv"
-    with open(out, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id"] + [f"coord{j}" for j in range(args.dim)] + ["label"])
-        for row, i in enumerate(emb.kept_indices):
-            w.writerow([int(i)] + [repr(float(v)) for v in emb.coordinates[row]]
-                       + [int(full.labels[i])])
+    _write_csv(args.out or "embedding.csv",
+               ["id"] + [f"coord{j}" for j in range(args.dim)] + ["label"],
+               ([int(i)] + [repr(float(v)) for v in emb.coordinates[row]]
+                + [int(full.labels[i])] for row, i in enumerate(emb.kept_indices)))
     print(f"residual variance: {emb.residual_variance:.6f}")
     return 0
 
 
 def _cmd_rank(args):
-    reports = []
-    for path in args.reports:
-        with open(path) as f:
-            reports.append(json.load(f))
-    ranks = average_ranks(reports)
+    ranks = average_ranks([json.loads(Path(path).read_text()) for path in args.reports])
     lines = [f"{'method':<24}{'avg rank':>10}"]
     for k in sorted(ranks, key=lambda k: ranks[k]):
         lines.append(f"{k:<24}{ranks[k]:>10.2f}")
     text = "\n".join(lines)
     print(text)
     if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
+        Path(args.out).write_text(text + "\n")
     return 0
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(prog="glmetric",
+    # exit_on_error=False here and in _subcommand: main reports a bad argument as one line
+    parser = argparse.ArgumentParser(prog="glmetric", exit_on_error=False,
                                      description="Generative local metric learning toolkit")
     parser.add_argument("--log-level", type=str.upper, default="WARNING",
                         choices=["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"],
                         help="lowest level of library log records shown on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("benchmark", help="run a config-driven experiment")
+    p = _subcommand(sub, "benchmark", _cmd_benchmark, "run a config-driven experiment")
     p.add_argument("--config", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_benchmark)
 
-    p = sub.add_parser("fit-metric", help="fit a global metric and serialize it")
+    p = _subcommand(sub, "fit-metric", _cmd_fit_metric, "fit a global metric and serialize it")
     p.add_argument("--data", required=True)
-    p.add_argument("--label-column", required=True)
-    p.add_argument("--has-header", action="store_true")
+    _add_csv_flags(p, None)
     p.add_argument("--method", choices=["m_uni", "m_kde", "m_gmm"], default="m_uni")
     p.add_argument("--lam-cov", type=float, default=1e-3)
     p.add_argument("--scale", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--val-ratio", type=float, default=0.4)
-    _add_common(p)
-    p.set_defaults(func=_cmd_fit_metric)
 
-    p = sub.add_parser("classify", help="kNN predictions with a serialized metric")
+    p = _subcommand(sub, "classify", _cmd_classify, "kNN predictions with a serialized metric")
     p.add_argument("--metric", required=True)
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--label-column", required=True)
-    p.add_argument("--has-header", action="store_true")
+    _add_csv_flags(p, None)
     p.add_argument("--k", type=_positive_int, default=3)
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("mkl", help="baseline vs metric kernel experiment")
+    p = _subcommand(sub, "mkl", _cmd_mkl, "baseline vs metric kernel experiment")
     p.add_argument("--data", default=None)
-    p.add_argument("--label-column", default="label")
-    p.add_argument("--has-header", action="store_true")
+    _add_csv_flags(p, "label")
     p.add_argument("--n", type=_positive_int, default=600)
     p.add_argument("--partitions", type=_positive_int, default=5)
     p.add_argument("--repeats", type=_positive_int, default=5)
-    _add_common(p)
-    p.set_defaults(func=_cmd_mkl)
 
-    p = sub.add_parser("cluster", help="transfer-tuned metric clustering")
+    p = _subcommand(sub, "cluster", _cmd_cluster, "transfer-tuned metric clustering")
     p.add_argument("--data", required=True)
-    p.add_argument("--label-column", required=True)
-    p.add_argument("--has-header", action="store_true")
+    _add_csv_flags(p, None)
     p.add_argument("--k", type=_positive_int, default=None)
-    _add_common(p)
-    p.set_defaults(func=_cmd_cluster)
 
-    p = sub.add_parser("embed", help="geodesic embedding coordinates as CSV")
+    p = _subcommand(sub, "embed", _cmd_embed, "geodesic embedding coordinates as CSV")
     p.add_argument("--data", required=True)
-    p.add_argument("--label-column", required=True)
-    p.add_argument("--has-header", action="store_true")
+    _add_csv_flags(p, None)
     p.add_argument("--metric", default=None, help="serialized metric JSON")
     p.add_argument("--method", choices=["euclidean", "m_uni"], default="euclidean")
     p.add_argument("--lam-cov", type=float, default=1e-3)
     p.add_argument("--neighbors", type=_positive_int, default=8)
     p.add_argument("--dim", type=_positive_int, default=2)
-    _add_common(p)
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("rank", help="average-rank table across report files")
+    p = _subcommand(sub, "rank", _cmd_rank, "average-rank table across report files")
     p.add_argument("reports", nargs="+")
-    _add_common(p)
-    p.set_defaults(func=_cmd_rank)
-    for p in (parser, *sub.choices.values()):
-        p.exit_on_error = False  # main reports a bad argument as one error line
     return parser
 
 

@@ -127,6 +127,46 @@ class TestConfig:
         assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("override, message", [
+        ({"grids": {"C": 5}}, "grids.C must be a non-empty list of finite numbers, got 5"),
+        ({"grids": {"k": 3}}, "grids.k must be a non-empty list of finite numbers, got 3"),
+        ({"grids": []}, "grids must be a JSON object, got []"),
+        ({"lam_cov": "x"}, "lam_cov must be a finite number, got 'x'"),
+        ({"preprocess": 5}, "preprocess must be a JSON object, got 5"),
+        ({"methods": [5]}, "each method must be a name or an object, got 5"),
+        ({"grids": {"lam_int": "ab"}}, "grids.lam_int must be a non-empty list of finite numbers"),
+        ({"grids": {"C": []}}, "grids.C must be a non-empty list of finite numbers, got []"),
+        ({"grids": {"beta": [1.0, True]}}, "grids.beta must be a non-empty list of finite"),
+        ({"grids": {"lam_cov": [1e-3, float("inf")]}}, "grids.lam_cov must be a non-empty list"),
+        ({"lam_cov": float("nan")}, "lam_cov must be a finite number, got nan"),
+        ({"lam_cov": True}, "lam_cov must be a finite number, got True"),
+        ({"grids": {"C": [1.0, 0.0]}}, "each C of grids.C must be positive, got [1.0, 0.0]"),
+        ({"grids": {"lam_int": [0.5, 1.5]}}, "each value of grids.lam_int must lie in [0, 1]"),
+        ({"grids": {"cluster_lam_int": [-0.25]}},
+         "each value of grids.cluster_lam_int must lie in [0, 1]"),
+        ({"split": [0.6, 0.2, 0.2]}, "split must be a JSON object"),
+        ({"dataset": "data/iris.csv"}, "dataset must be a JSON object"),
+        ({"methods": "euclidean"}, "config needs a non-empty list of methods, got 'euclidean'"),
+    ], ids=["C_number", "k_number", "grids_list", "lam_cov_string", "preprocess_number",
+            "method_number", "lam_int_string", "C_empty", "beta_bool", "lam_cov_grid_inf",
+            "lam_cov_nan", "lam_cov_bool", "C_zero", "lam_int_above_1",
+            "cluster_lam_int_negative", "split_list", "dataset_string", "methods_string"])
+    def test_malformed_config_exits_2_with_one_error_line(self, tmp_path, capsys, override,
+                                                          message):
+        path, raw = minimal_config(tmp_path)
+        path.write_text(json.dumps({**raw, **override}))
+        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
+        assert not (tmp_path / "out").exists()
+
+    def test_config_that_is_not_an_object_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        assert main(["benchmark", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: config must be a JSON object with version 1"]
+
     @pytest.mark.parametrize("dataset,extra", [
         ({"synthetic": "three_normal", "n": 60, "dim": 1}, {}),
         ({"synthetic": "three_normal", "n": 60, "dim": 2}, {}),
@@ -365,6 +405,69 @@ class TestRunExperiment:
         saved = json.loads((tmp_path / "out" / "report.json").read_text())
         assert saved["methods"]["cluster_uni"]["failures"] == failures
 
+    def test_first_repeat_failing_keeps_kind_and_repeat_index(self, tmp_path, monkeypatch):
+        path, _ = minimal_config(tmp_path, n_repeats=3)
+        cfg = parse_experiment_config(json.loads(path.read_text()))
+        clean, _ = run_experiment(cfg, tmp_path / "clean")
+        calls = []
+
+        def failing_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise RuntimeError("first repeat")
+            return classify.tune_and_test(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "tune_and_test", failing_first)
+        report, code = run_experiment(cfg, tmp_path / "out")
+        entry = report["methods"]["euclidean"]
+        assert code == 0 and entry["kind"] == "error"
+        assert [failure["repeat"] for failure in entry["failures"]] == [0]
+        assert entry["per_split"] == clean["methods"]["euclidean"]["per_split"][1:]
+        rows = list(csv.DictReader(open(tmp_path / "out" / "report.csv")))
+        assert [(row["kind"], row["split"]) for row in rows] == [("error", "1"), ("error", "2")]
+        assert [float(row["value"]) for row in rows] == entry["per_split"]
+        table = (tmp_path / "out" / "table.txt").read_text().splitlines()
+        assert table[1].startswith("euclidean") and table[1].endswith(" %")
+        assert average_ranks([report]) == {"euclidean": 1.0}
+
+    def test_isomap_phases_cover_the_uniform_fit_and_the_embedding(self, tmp_path):
+        path, _ = minimal_config(tmp_path, methods=[{"name": "isomap", "metric": "m_uni"}])
+        report, code = run_experiment(parse_experiment_config(json.loads(path.read_text())),
+                                      tmp_path / "out")
+        assert code == 0
+        timing = report["methods"]["isomap"]["timing"]
+        assert timing["fit_metric_s"] > 0 and timing["embed_s"] > 0
+        assert timing["fit_metric_s"] + timing["embed_s"] <= timing["wall_s"]
+
+    @pytest.mark.parametrize("entry, key, chosen", [
+        ({"name": "mkl_metric", "max_train": 30}, "mkl_metric(P=5)", {"partitions": 5}),
+        ("cluster_uni", "cluster_uni", {"k": 3}),
+        ("isomap", "isomap", {"n_neighbors": 8}),
+    ], ids=["mkl_metric", "cluster_uni", "isomap"])
+    def test_absent_method_keys_take_the_table_defaults(self, tmp_path, monkeypatch, entry,
+                                                         key, chosen):
+        fit, fitted, embedded = cli_mod._fit_uniform, [], []
+
+        def recording_fit(*args):
+            fitted.append(fit(*args))
+            return fitted[-1]
+
+        def recording_embed(x, metric, n_neighbors, d):
+            embedded.append((metric, n_neighbors, d))
+            return unsupervised.isomap_embed(x, metric, n_neighbors, d)
+
+        monkeypatch.setattr(cli_mod, "_fit_uniform", recording_fit)
+        monkeypatch.setattr(cli_mod, "isomap_embed", recording_embed)
+        path, _ = minimal_config(tmp_path, methods=[entry])
+        report, code = run_experiment(parse_experiment_config(json.loads(path.read_text())),
+                                      tmp_path / "out")
+        assert code == 0 and list(report["methods"]) == [key]
+        (got,) = report["methods"][key]["chosen"]
+        assert chosen.items() <= got.items()
+        if key == "isomap":  # 8 neighbours, 2 dimensions, the split's uniform metric
+            ((metric, n_neighbors, d),) = embedded
+            assert (n_neighbors, d) == (8, 2) and metric is fitted[0]
+
     def test_all_methods_failing_exits_1(self, tmp_path):
         path, _ = minimal_config(tmp_path,
                                  methods=({"name": "cluster_uni", "k": 100000},))
@@ -526,7 +629,7 @@ def oracle_run_mkl(train, validation, test, metrics, grids, seed):
                        max_kkt_violation=max(m.max_kkt_violation for m in models),
                        grid={"C": list(grids["C"]),
                              **{key: [t[key] for t in totals] for key in counts}})
-    return {"kind": "error", "value": test_err, "validation_error": val_errs[best],
+    return {"value": test_err, "validation_error": val_errs[best],
             "chosen": {"C": grids["C"][best], "kernels": len(banks)},
             "diagnostics": diagnostics}
 

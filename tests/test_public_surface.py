@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import glmetric
-from glmetric import classify, global_metric, kernel_mkl
+from glmetric import classify, cli, global_metric, kernel_mkl
 from glmetric.local_metric import MetricMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -76,3 +76,38 @@ def test_direct_call_signatures():
     assert str(inspect.signature(global_metric.density_weighted_combination)) == (
         "(train, validation, estimator_kind='kde', max_iter=20, lam_cov=0.001)")
     assert str(inspect.signature(MetricMatrix.identity)) == "(dim, degenerate=False)"
+
+
+def unused_imports(path, exempt):
+    """The names a module imports and never reads, apart from those in exempt."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # the names listed in __all__ count as read
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            read |= {elt.value for elt in node.value.elts}
+    imported = [alias.asname or alias.name.split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    return sorted(name for name in imported if name not in read | exempt)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    package, pairs = Path(glmetric.__file__).parent, reexports()
+    unused = {path.name: unused_imports(path, {name for module, name in pairs
+                                               if path.stem in ("__init__", module)})
+              for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}
+
+
+def test_readme_command_line_lists_every_method_and_config_key():
+    text = (ROOT / "README.md").read_text()
+    section = text[text.index("## Command line"):text.index("## Demos")]
+    rows = {line.split(" | ")[0].strip("|` "): line for line in section.splitlines()
+            if line.startswith("| `")}
+    assert set(cli.METHODS) <= set(rows)
+    for name, (kind, defaults) in cli.METHODS.items():
+        assert f" | `{kind}` | " in rows[name], name
+        for key, default in defaults.items():  # None: the default comes from the data
+            shown = "" if default is None else (
+                f"`{default}`" if isinstance(default, str) else str(default))
+            assert f"`{key}` = {shown}" in rows[name], (name, key)
