@@ -189,17 +189,22 @@ def _per_query_sq_dists(q, ms, x):
     return np.clip(d, 0.0, None)
 
 
+def _vote_errors(train, labels, k_grid, second_grid, dists):
+    """Error per (k, p), p-major, of the majority vote on the (nq, n)
+    distance matrix dists(p), voted once for all of k_grid."""
+    errors = {}
+    for p in second_grid:
+        preds = _vote_grid(dists(p), train.labels, train.class_count, k_grid)
+        for k, pred in zip(k_grid, preds):
+            errors[(k, p)] = float(np.mean(pred != labels))
+    return errors
+
+
 def _glm_int_errors(train, queries, labels, ms, k_grid, lam_grid):
     """Error per (k, lam) using a per-query interpolated local metric."""
     base, _ = local_metric_stack(queries.features, ms)
-    errors = {}
-    for lam in lam_grid:
-        metrics = interpolate_with_euclidean(base, lam)
-        d = _per_query_sq_dists(queries.features, metrics, train.features)
-        preds = _vote_grid(d, train.labels, train.class_count, k_grid)
-        for k, pred in zip(k_grid, preds):
-            errors[(k, lam)] = float(np.mean(pred != labels))
-    return errors
+    return _vote_errors(train, labels, k_grid, lam_grid, lambda lam: _per_query_sq_dists(
+        queries.features, interpolate_with_euclidean(base, lam), train.features))
 
 
 def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
@@ -211,7 +216,9 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
     Gaussians on train and uses a per-query interpolated local metric; tunes
     k and the interpolation weight), or "energy" (requires metric; tunes k
     and the margin scale beta). Ties prefer the smaller k, then the smaller
-    second parameter. Returns a TunedResult with the full grid table.
+    second parameter. The method's one scorer, errors(portion, k_grid,
+    second_grid) -> {(k, p): error}, scores the validation grid and then the
+    test portion at the winner. Returns a TunedResult with the full grid table.
     """
     k_grid = tuple(int(k) for k in k_grid)
     if any(k > train.n for k in k_grid):
@@ -219,65 +226,42 @@ def tune_and_test(method, train, validation, test, *, metric=None, lam_cov=1e-3,
     if not k_grid:
         raise ValueError("no feasible k in the grid")
     t0 = time.perf_counter()
-    grid = []
-
+    if method in ("knn", "energy") and metric is None:
+        raise ValueError(f"{method} tuning requires a metric")
     if method == "knn":
-        if metric is None:
-            raise ValueError("knn tuning requires a metric")
-        dval = pairwise_sq_dists(validation.features, train.features, metric.matrix)
-        preds = _vote_grid(dval, train.labels, train.class_count, k_grid)
-        cands = []
-        for k, pred in zip(k_grid, preds):
-            err = float(np.mean(pred != validation.labels))
-            grid.append({"k": k, "validation_error": err})
-            cands.append((err, k, 0.0))
-        err, k, _ = min(cands)
-        chosen = {"k": k}
-        t1 = time.perf_counter()
-        pred = knn_predict_batch(train, k, metric, test.features)
-        test_err = float(np.mean(pred != test.labels))
+        second, params = (0.0,), lambda _: {}
 
+        def errors(portion, ks, ps):
+            d = pairwise_sq_dists(portion.features, train.features, metric.matrix)
+            return _vote_errors(train, portion.labels, ks, ps, lambda _: d)
     elif method == "glm_int":
         ms = fit_gaussian_models(train, lam_cov)
-        errors = _glm_int_errors(train, validation, validation.labels, ms,
-                                 k_grid, lam_grid)
-        cands = []
-        for (k, lam), err in errors.items():
-            grid.append({"k": k, "lam_int": lam, "validation_error": err})
-            cands.append((err, k, lam))
-        err, k, lam = min(cands)
-        chosen = {"k": k, "lam_int": lam}
-        t1 = time.perf_counter()
-        test_errors = _glm_int_errors(train, test, test.labels, ms, (k,), (lam,))
-        test_err = test_errors[(k, lam)]
+        second, params = tuple(lam_grid), lambda lam: {"lam_int": lam}
 
+        def errors(portion, ks, ps):
+            return _glm_int_errors(train, portion, portion.labels, ms, ks, ps)
     elif method == "energy":
-        if metric is None:
-            raise ValueError("energy tuning requires a metric")
-        margins = margin_candidates(train, metric, beta_grid)
-        dval = pairwise_sq_dists(validation.features, train.features, metric.matrix)
+        margins = dict(zip(beta_grid, margin_candidates(train, metric, beta_grid)))
+        second, params = tuple(beta_grid), lambda beta: {"beta": beta, "margin": margins[beta]}
         max_k = int(np.bincount(train.labels, minlength=train.class_count).min())
-        ks = [k for k in k_grid if k <= max_k]
-        if not ks or not margins:
-            raise ValueError("no feasible (k, beta) candidate")
-        parts = _sorted_by_class(dval, train.labels, train.class_count, max(ks))
-        cands = []
-        for k in ks:
-            for beta, margin in zip(beta_grid, margins):
-                pred = _energy_labels(parts, k, margin)
-                err = float(np.mean(pred != validation.labels))
-                grid.append({"k": k, "beta": beta, "margin": margin,
-                             "validation_error": err})
-                cands.append((err, k, beta, margin))
-        err, k, beta, margin = min(cands)
-        chosen = {"k": k, "beta": beta, "margin": margin}
-        t1 = time.perf_counter()
-        pred = energy_predict_batch(train, k, margin, metric, test.features)
-        test_err = float(np.mean(pred != test.labels))
 
+        def errors(portion, ks, ps):
+            # k-major; each class is sorted once, at the largest feasible k
+            d = pairwise_sq_dists(portion.features, train.features, metric.matrix)
+            ks = [k for k in ks if k <= max_k]
+            if not ks or not ps:
+                raise ValueError("no feasible (k, beta) candidate")
+            parts = _sorted_by_class(d, train.labels, train.class_count, max(ks))
+            return {(k, b): float(np.mean(_energy_labels(parts, k, margins[b]) != portion.labels))
+                    for k in ks for b in ps}
     else:
         raise ValueError(f"unknown method {method!r}")
 
+    table = errors(validation, k_grid, second)
+    grid = [{"k": k, **params(p), "validation_error": err} for (k, p), err in table.items()]
+    err, k, p = min((err, k, p) for (k, p), err in table.items())
+    t1 = time.perf_counter()
+    test_err = errors(test, (k,), (p,))[(k, p)]
     t2 = time.perf_counter()
-    return TunedResult(method, chosen, err, test_err, grid,
+    return TunedResult(method, {"k": k, **params(p)}, err, test_err, grid,
                        {"tuning_s": t1 - t0, "testing_s": t2 - t1})

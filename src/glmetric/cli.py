@@ -111,7 +111,8 @@ def _parse_method(entry):
 
 def _parse_grids(raw):
     """DEFAULT_GRIDS with the config's grids in place: non-empty lists of finite
-    numbers, k positive integers, C positive, lam_int and cluster_lam_int in [0, 1]."""
+    numbers, k positive integers, C positive, lam_cov non-negative, lam_int and
+    cluster_lam_int in [0, 1]."""
     grids = dict(DEFAULT_GRIDS)
     for key, values in raw.get("grids", {}).items():
         if key not in DEFAULT_GRIDS:
@@ -124,6 +125,9 @@ def _parse_grids(raw):
         _check_count(value, "each k of grids.k")
     if min(grids["C"]) <= 0:
         raise ConfigError(f"each C of grids.C must be positive, got {grids['C']!r}")
+    if min(grids["lam_cov"]) < 0:
+        raise ConfigError(f"each lam_cov of grids.lam_cov must be non-negative, "
+                          f"got {grids['lam_cov']!r}")
     for key in ("lam_int", "cluster_lam_int"):
         if not all(0 <= value <= 1 for value in grids[key]):
             raise ConfigError(f"each value of grids.{key} must lie in [0, 1], "
@@ -173,6 +177,8 @@ def parse_experiment_config(raw):
     lam_cov = raw.get("lam_cov", 1e-3)
     if not _is_finite_number(lam_cov):
         raise ConfigError(f"lam_cov must be a finite number, got {lam_cov!r}")
+    if lam_cov < 0:
+        raise ConfigError(f"lam_cov must be non-negative, got {lam_cov!r}")
     return ExperimentConfig(raw, dataset, dict(preprocess), spec, n_repeats,
                             [_parse_method(entry) for entry in methods],
                             _parse_grids(raw), float(lam_cov),
@@ -521,6 +527,17 @@ def _positive_int(text):
     return int(text)
 
 
+def _non_negative_float(text):
+    """argparse type of --lam-cov: a finite number of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
+    return value
+
+
 def _load_cli_csv(path, args):
     label = args.label_column
     try:
@@ -544,9 +561,12 @@ def _cmd_fit_metric(args):
     if args.method == "m_uni":
         metric = _fit_uniform(full, args.lam_cov)
     else:
-        spec = SplitSpec((1.0 - args.val_ratio, args.val_ratio / 2, args.val_ratio / 2),
-                         args.seed, True)
-        train, validation, _ = ds_mod.split(full, spec)
+        try:
+            spec = SplitSpec((1.0 - args.val_ratio, args.val_ratio / 2, args.val_ratio / 2),
+                             args.seed, True)
+            train, validation, _ = ds_mod.split(full, spec)
+        except ValueError as exc:
+            raise ConfigError(f"--val-ratio {args.val_ratio}: {exc}") from exc
         metric = _fit_density(args.method, train, validation, args.lam_cov)
     _write_json(args.out or "metric.json",
                 {"metric": metric.to_dict(), "method": args.method,
@@ -634,6 +654,9 @@ def _cmd_cluster(args):
 
 def _cmd_embed(args):
     full = _load_cli_csv(args.data, args)
+    if args.neighbors >= full.n:
+        raise ConfigError(f"--neighbors {args.neighbors} needs more than the {full.n} rows "
+                          f"of {args.data}")
     full, _ = scale_features(full)
     if args.metric:
         metric, _ = _load_metric(args.metric, (args.data, full))
@@ -678,7 +701,7 @@ def build_parser():
     p.add_argument("--data", required=True)
     _add_csv_flags(p, None)
     p.add_argument("--method", choices=["m_uni", "m_kde", "m_gmm"], default="m_uni")
-    p.add_argument("--lam-cov", type=float, default=1e-3)
+    p.add_argument("--lam-cov", type=_non_negative_float, default=1e-3)
     p.add_argument("--scale", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--val-ratio", type=float, default=0.4)
 
@@ -706,7 +729,7 @@ def build_parser():
     _add_csv_flags(p, None)
     p.add_argument("--metric", default=None, help="serialized metric JSON")
     p.add_argument("--method", choices=["euclidean", "m_uni"], default="euclidean")
-    p.add_argument("--lam-cov", type=float, default=1e-3)
+    p.add_argument("--lam-cov", type=_non_negative_float, default=1e-3)
     p.add_argument("--neighbors", type=_positive_int, default=8)
     p.add_argument("--dim", type=_positive_int, default=2)
 

@@ -113,7 +113,17 @@ def _split_stack(b, eps_rel):
 
 def _solve_stack(b, eps_rel):
     """solve_local_metric over a symmetric (N, D, D) stack: the metrics and the
-    degenerate mask, whose rows are the identity."""
+    degenerate mask, whose rows are the identity.
+
+    A row whose largest magnitude is positive and below 2**-900 is first
+    scaled by the exact power of two that brings it into [0.5, 1): the
+    solution ignores a positive factor, and the eigensolver loses the
+    determinant of a row that far down (subnormal entries in particular)."""
+    amax = np.abs(b).max(axis=(1, 2), initial=0.0)
+    tiny = (amax > 0.0) & (amax < 2.0 ** -900)
+    if tiny.any():
+        b = b.copy()
+        b[tiny] = np.ldexp(b[tiny], -np.frexp(amax[tiny])[1][:, None, None])
     w, u, eps, d_plus, d_minus, degenerate = _split_stack(b, eps_rel)
     clamped = np.maximum(np.abs(w), eps)
     # zeros are merged into the negative block

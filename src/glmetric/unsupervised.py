@@ -99,13 +99,13 @@ def iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0.0,
     x = np.asarray(x, dtype=float)
     start = kmeans(x, k, MetricMatrix.identity(x.shape[1], degenerate=(k < 2)), seed,
                    restarts=restarts)
-    return _refine_metric(x, start, outer_iters, lam_cov, lam_int)
+    return _refine_metric(x, start, outer_iters, lam_cov, lam_int, _StackMemo())
 
 
-def _refine_metric(x, start, outer_iters, lam_cov, lam_int, memo=None):
+def _refine_metric(x, start, outer_iters, lam_cov, lam_int, memo):
     """The metric rounds of iterative_metric_kmeans from its Euclidean k-means
     start; a start with fewer than two clusters comes back with its metric.
-    A _StackMemo, when given, supplies each round's local-metric stack."""
+    The _StackMemo memo supplies each round's local-metric stack."""
     k = len(start.centers)
     result, metric = start, start.metric
     if k < 2:
@@ -119,10 +119,7 @@ def _refine_metric(x, start, outer_iters, lam_cov, lam_int, memo=None):
         skipped = k - len(keep)
         if skipped:
             logger.info("skipping %d collapsed cluster(s) this round", skipped)
-        if memo is None:
-            stack = _pseudo_label_stack(x, result.assignments, keep, lam_cov)
-        else:
-            stack = memo.stack(x, result.assignments, keep, lam_cov)
+        stack = memo.stack(x, result.assignments, keep, lam_cov)
         metric = uniform_combination(interpolate_with_euclidean(stack, lam_int))
         new_result = _warm_kmeans(x, k, metric, result.centers)
         stable = np.array_equal(new_result.assignments, result.assignments)
@@ -260,12 +257,15 @@ def isomap_embed(x, metric, n_neighbors, d):
 
     Edge lengths are square roots of the metric quadratic form so path
     lengths add correctly. If the graph is disconnected only the largest
-    component is embedded (reported via kept_indices). Raises when d exceeds
-    the number of positive eigenvalues of the centered geodesic Gram matrix.
+    component is embedded (reported via kept_indices). Raises when
+    n_neighbors is not below the number of points, or when d exceeds the
+    number of positive eigenvalues of the centered geodesic Gram matrix.
     """
     from scipy.sparse.csgraph import connected_components, shortest_path
 
     x = np.asarray(x, dtype=float)
+    if n_neighbors >= len(x):
+        raise ValueError(f"{n_neighbors} neighbors need more than the {len(x)} points")
     z = _transform(x, metric)
     graph = _neighbor_graph(z, n_neighbors)
     n_comp, comp = connected_components(graph, directed=False)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from glmetric import classify
-from glmetric.classify import (_energy_labels, _glm_int_errors, _per_query_sq_dists,
+from glmetric.classify import (DEFAULT_BETA_GRID, DEFAULT_K_GRID, DEFAULT_LAMBDA_GRID,
+                               _energy_labels, _glm_int_errors, _per_query_sq_dists,
                                _sorted_by_class, _vote_grid, energy_predict_batch,
                                knn_predict_batch, margin_candidates, tune_and_test)
 from glmetric._linalg import pairwise_sq_dists, sym_sqrt
@@ -380,15 +381,63 @@ def iris_split():
     return train, params.transform(validation), params.transform(test)
 
 
+def oracle_tuning(method, train, validation, metric, k_grid, lam_grid, beta_grid):
+    """The grid table and winner of the tuner, one classifier call per cell:
+    records in k order (knn), lam-major (glm_int) or k-major over the k every
+    class can supply (energy); the winner has the smallest error, then the
+    smallest k, then the smallest second parameter."""
+    labels, q = validation.labels, validation.features
+    if method == "knn":
+        grid = [{"k": k, "validation_error": float(np.mean(
+            knn_predict_batch(train, k, metric, q) != labels))} for k in k_grid]
+    elif method == "glm_int":
+        errors = oracle_glm_int_errors(train, validation, labels,
+                                       fit_gaussian_models(train, 1e-3), k_grid, lam_grid)
+        grid = [{"k": k, "lam_int": lam, "validation_error": err}
+                for (k, lam), err in errors.items()]
+    else:
+        smallest = np.bincount(train.labels).min()
+        grid = [{"k": k, "beta": beta, "margin": margin, "validation_error": float(np.mean(
+            energy_predict_batch(train, k, margin, metric, q) != labels))}
+                for k in k_grid if k <= smallest
+                for beta, margin in zip(beta_grid, margin_candidates(train, metric, beta_grid))]
+    best = min(grid, key=lambda g: (g["validation_error"], *g.values()))
+    return grid, {key: v for key, v in best.items() if key != "validation_error"}
+
+
 class TestTuning:
-    def test_single_point_grid_equals_direct_evaluation(self, iris_split):
-        train, validation, test = iris_split
+    @pytest.mark.parametrize("method", ["knn", "glm_int", "energy"])
+    @pytest.mark.parametrize("data", ["iris", "three_normal"])
+    def test_grid_and_test_error_equal_per_cell_evaluation(self, data, method, iris_split,
+                                                           three_normal_split):
+        train, validation, test = iris_split if data == "iris" else three_normal_split
         metric = MetricMatrix.identity(train.dim)
-        r = tune_and_test("knn", train, validation, test, metric=metric, k_grid=(3,))
-        pred = knn_predict_batch(train, 3, metric, test.features)
-        direct = sum(int(p != t) for p, t in zip(pred, test.labels)) / test.n
-        assert r.chosen == {"k": 3}
-        assert r.test_error == direct
+        single = {"k_grid": (3,), "lam_grid": (0.5,), "beta_grid": (1.0,)}
+        full = {"k_grid": DEFAULT_K_GRID, "lam_grid": DEFAULT_LAMBDA_GRID,
+                "beta_grid": DEFAULT_BETA_GRID}
+        # on three-normal, glm_int ties at (k, lam) = (1, 0.9) and (3, 0.0)
+        # here, so the smaller k must win over the smaller lam
+        tied = {"k_grid": (3, 1), "lam_grid": (0.9, 0.0), "beta_grid": (4.0, 0.25)}
+        for grids in (single, tied, full):
+            r = tune_and_test(method, train, validation, test, metric=metric, **grids)
+            grid, chosen = oracle_tuning(method, train, validation, metric, **grids)
+            assert r.grid == grid and r.chosen == chosen
+            assert r.validation_error == min(g["validation_error"] for g in grid)
+            k = chosen["k"]
+            if method == "knn":
+                direct = float(np.mean(knn_predict_batch(train, k, metric, test.features)
+                                       != test.labels))
+            elif method == "glm_int":
+                lam = chosen["lam_int"]
+                direct = _glm_int_errors(train, test, test.labels,
+                                         fit_gaussian_models(train, 1e-3), (k,), (lam,))[(k, lam)]
+            else:
+                pred = energy_predict_batch(train, k, chosen["margin"], metric, test.features)
+                direct = float(np.mean(pred != test.labels))
+            assert r.test_error == direct
+        # the full grid has tied validation errors, so its winner rests on the tie rule
+        errors = [g["validation_error"] for g in r.grid]
+        assert len(set(errors)) < len(errors)
 
     def test_dominating_config_selected(self):
         rng = np.random.default_rng(7)

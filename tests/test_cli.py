@@ -1,8 +1,11 @@
 import csv
 import json
+import shlex
+import shutil
 import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,24 @@ from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import uniform_combination
 from glmetric.local_metric import MetricMatrix, compute_all_local_metrics, regional_metrics
 from glmetric.unsupervised import assign_to_centers, cluster_transfer_tune, rand_score
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# README commands that the suite does not run, and why
+README_COMMANDS_NOT_RUN = {
+    "classify": "reads metric.json, train.csv and test.csv, which no shipped file provides",
+    "rank": "reads out/iris/report.json and out/wine/report.json, which no shipped file provides",
+    "mkl": "--n 600 --repeats 5 takes about 24 s, too long for the suite",
+}
+
+
+def readme_commands():
+    """argv of each command in the README's "Command line" block, continuation lines joined."""
+    text = (ROOT / "README.md").read_text()
+    block = text[text.index("## Command line"):].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line) for line in lines if line.strip()]
 
 
 def write_iris_subset(path, rows):
@@ -147,10 +168,14 @@ class TestConfig:
         ({"split": [0.6, 0.2, 0.2]}, "split must be a JSON object"),
         ({"dataset": "data/iris.csv"}, "dataset must be a JSON object"),
         ({"methods": "euclidean"}, "config needs a non-empty list of methods, got 'euclidean'"),
+        ({"lam_cov": -1e-3}, "lam_cov must be non-negative, got -0.001"),
+        ({"grids": {"lam_cov": [1e-3, -0.1]}},
+         "each lam_cov of grids.lam_cov must be non-negative, got [0.001, -0.1]"),
     ], ids=["C_number", "k_number", "grids_list", "lam_cov_string", "preprocess_number",
             "method_number", "lam_int_string", "C_empty", "beta_bool", "lam_cov_grid_inf",
             "lam_cov_nan", "lam_cov_bool", "C_zero", "lam_int_above_1",
-            "cluster_lam_int_negative", "split_list", "dataset_string", "methods_string"])
+            "cluster_lam_int_negative", "split_list", "dataset_string", "methods_string",
+            "lam_cov_negative", "lam_cov_grid_negative"])
     def test_malformed_config_exits_2_with_one_error_line(self, tmp_path, capsys, override,
                                                           message):
         path, raw = minimal_config(tmp_path)
@@ -225,6 +250,30 @@ class TestConfig:
         lines = capsys.readouterr().err.splitlines()
         assert lines == ["error: --k 1000 exceeds the 90 training points of data/iris.csv"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit-metric", "--lam-cov", "-1"],
+         "argument --lam-cov: must be a finite non-negative number, got '-1'"),
+        (["embed", "--method", "m_uni", "--lam-cov", "-1"],
+         "argument --lam-cov: must be a finite non-negative number, got '-1'"),
+        (["fit-metric", "--lam-cov", "nan"],
+         "argument --lam-cov: must be a finite non-negative number, got 'nan'"),
+        (["fit-metric", "--method", "m_kde", "--val-ratio", "1.5"],
+         "--val-ratio 1.5: each split fraction must lie in (0, 1)"),
+        (["fit-metric", "--method", "m_kde", "--val-ratio", "0"],
+         "--val-ratio 0.0: each split fraction must lie in (0, 1)"),
+        (["embed", "--neighbors", "500"],
+         "--neighbors 500 needs more than the 150 rows of data/iris.csv"),
+    ], ids=["fit_metric_lam_cov", "embed_lam_cov", "lam_cov_nan", "val_ratio_above_1",
+            "val_ratio_0", "neighbors_above_rows"])
+    def test_bad_flag_value_exits_2_with_one_error_line(self, tmp_path, capsys, argv,
+                                                        message):
+        out = tmp_path / "out"
+        assert main([*argv, "--data", "data/iris.csv", "--label-column", "label",
+                     "--has-header", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("payload, message", [
         ({"method": "m_uni"}, "no valid metric: KeyError: 'metric'"),
@@ -671,6 +720,21 @@ class TestMklCellOrder:
 
 
 class TestSubcommands:
+    def test_readme_commands_are_run_or_say_why_not(self):
+        commands = [argv[1] for argv in readme_commands()]
+        assert {argv[0] for argv in readme_commands()} == {"glmetric"}
+        assert len(commands) == 7
+        assert set(README_COMMANDS_NOT_RUN) < set(commands)
+
+    @pytest.mark.parametrize("argv", [argv for argv in readme_commands()
+                                      if argv[1] not in README_COMMANDS_NOT_RUN],
+                             ids=lambda argv: argv[1])
+    def test_readme_command_exits_0(self, tmp_path, argv):
+        for name in ("data", "configs"):
+            shutil.copytree(ROOT / name, tmp_path / name)
+        proc = subprocess.run([sys.executable, "-m", "glmetric.cli", *argv[1:]],
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
     def test_fit_metric_then_classify_round_trip(self, tmp_path):
         train_rows = [i for i in range(150) if i % 5 != 0]
         test_rows = [i for i in range(150) if i % 5 == 0]

@@ -10,8 +10,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from glmetric.local_metric import _solve_stack, local_metric_stack  # noqa: E402
-from test_generative import random_model_set  # noqa: E402
+from glmetric.local_metric import _check_stack, _solve_stack, local_metric_stack  # noqa: E402
+from test_generative import model_set, random_model_set  # noqa: E402
 
 EPS_REL = 1e-9
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None)
@@ -101,3 +101,23 @@ def test_local_metric_stack_rows_are_unit_determinant_metrics(dim, classes, seed
     w = np.linalg.eigvalsh(stack)
     assert (w > 0).all()
     np.testing.assert_allclose(np.log(w).sum(axis=1), 0.0, atol=1e-9)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(16, 64), st.floats(715.0, 740.0), st.integers(0, 2 ** 32 - 1))
+def test_far_apart_classes_give_unit_determinant_metrics(dim, gap, seed):
+    # Two unit-covariance classes 60 apart, queried where the log densities
+    # differ by gap: the scale-free bias matrices there have subnormal entries.
+    rng = np.random.default_rng(seed)
+    direction = rng.normal(size=dim)
+    direction /= np.linalg.norm(direction)
+    sep = 60.0
+    ms = model_set([np.zeros(dim), sep * direction], [np.eye(dim)] * 2)
+    # at x = t * sep * direction + (a component orthogonal to direction),
+    # log p0 - log p1 = (1 - 2t) * sep**2 / 2 = gap
+    t = 0.5 - gap / sep ** 2
+    x = rng.normal(size=(8, dim))
+    x += np.outer(t * sep - x @ direction, direction)
+    stack, degenerate = local_metric_stack(x, ms)
+    assert not degenerate.any()
+    _check_stack(stack, det_normalized=True)

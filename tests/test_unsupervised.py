@@ -473,3 +473,9 @@ class TestIsomap:
         x = np.array([[0.0], [1.0], [2.0]])
         with pytest.raises(ValueError, match="positive eigenvalues"):
             isomap_embed(x, MetricMatrix.identity(1), 2, 3)
+
+    @pytest.mark.parametrize("n_neighbors", [3, 8])
+    def test_neighbors_not_below_point_count(self, n_neighbors):
+        x = np.array([[0.0], [1.0], [2.0]])
+        with pytest.raises(ValueError, match=f"{n_neighbors} neighbors need more than the 3"):
+            isomap_embed(x, MetricMatrix.identity(1), n_neighbors, 1)
