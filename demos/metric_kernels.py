@@ -20,7 +20,7 @@ validation, test = params.transform(validation), params.transform(test)
 
 
 def run(metrics, label):
-    bank = build_kernel_bank(metrics, train.features, seed=0)
+    bank = build_kernel_bank(metrics, train.features)
     c_grid = (0.1, 1.0, 10.0, 100.0)
     # one Gram bank at a time: the train bank is dropped once the grid is fitted
     k_tr = [gram_matrix(bk, train.features) for bk in bank]

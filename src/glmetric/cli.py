@@ -149,6 +149,8 @@ def parse_experiment_config(raw):
         _check_keys(dataset, {"csv", "label_column", "has_header"}, "dataset")
         if "label_column" not in dataset:
             raise ConfigError("csv dataset needs a label_column")
+        if not isinstance(dataset["label_column"], str):  # a string is a column name
+            _check_count(dataset["label_column"], "dataset label_column", low=0)
     elif "synthetic" in dataset:
         _check_keys(dataset, {"synthetic", "n", "seed", "scale", "elongation", "dim"}, "dataset")
         if dataset["synthetic"] != "three_normal":
@@ -156,6 +158,12 @@ def parse_experiment_config(raw):
         _check_count(dataset.get("n", 1), "dataset n")
         _check_count(dataset.get("dim", 3), "dataset dim", low=3)  # a class mean per axis
         _check_count(dataset.get("seed", 0), "dataset seed", low=0)
+        if not _is_finite_number(dataset.get("scale", 3.0)):
+            raise ConfigError(f"dataset scale must be a finite number, got {dataset['scale']!r}")
+        elongation = dataset.get("elongation", 2.5)
+        if not (_is_finite_number(elongation) and elongation > 0):
+            raise ConfigError(f"dataset elongation must be a finite positive number, "
+                              f"got {elongation!r}")
     else:
         raise ConfigError("dataset must specify 'csv' or 'synthetic'")
     preprocess = raw.get("preprocess", {})
@@ -166,9 +174,14 @@ def parse_experiment_config(raw):
     _check_keys(split, {"ratios", "n_repeats", "base_seed", "stratified"}, "split")
     n_repeats = _check_count(split.get("n_repeats", 1), "split n_repeats")
     base_seed = _check_count(split.get("base_seed", 0), "split base_seed", low=0)
+    for what, value in (("dataset has_header", dataset.get("has_header", False)),
+                        ("preprocess scale", preprocess.get("scale", True)),
+                        ("split stratified", split.get("stratified", True))):
+        if not isinstance(value, bool):  # 0, 1, strings and null are not switches
+            raise ConfigError(f"{what} must be true or false, got {value!r}")
     try:
         spec = SplitSpec(tuple(split.get("ratios", (0.6, 0.2, 0.2))), base_seed,
-                         bool(split.get("stratified", True)))
+                         split.get("stratified", True))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"split ratios: {exc}") from exc
     methods = raw.get("methods")
@@ -208,8 +221,7 @@ class _phase:
         self.phases[self.name] = self.phases.get(self.name, 0.0) + (time.perf_counter() - self.t0)
 
 
-def _fit_uniform(train, lam_cov):
-    ms = fit_gaussian_models(train, lam_cov)
+def _fit_uniform(train, ms):
     return uniform_combination(compute_all_local_metrics(train, ms))
 
 
@@ -219,21 +231,23 @@ def _fit_density(method, train, validation, lam_cov):
     return density_weighted_combination(train, validation, kind, lam_cov=lam_cov)[0]
 
 
-def _run_mkl(train, validation, test, metrics, grids, seed):
+def _run_mkl(train, validation, test, metrics, grids):
     """One MKL cell. It holds one Gram bank at a time: the train bank while the
     C grid is fitted, then the validation bank to choose C, then the test bank.
-    A train bank over MKL_TRAIN_BANK_BYTES raises ValueError before any gram
-    is built."""
+    A train bank over MKL_TRAIN_BANK_BYTES raises ValueError before the bank's
+    bandwidths, which read all n x n training distances, or any gram is
+    built."""
     phases = {}
     with _phase(phases, "gram_bank_s"):
-        banks = build_kernel_bank(metrics, train.features, DEFAULT_TAU_GRID, seed=seed)
-        need = len(banks) * train.n ** 2 * 8
+        kernels = len(metrics) * len(DEFAULT_TAU_GRID)
+        need = kernels * train.n ** 2 * 8
         if need > MKL_TRAIN_BANK_BYTES:
-            fits = math.isqrt(MKL_TRAIN_BANK_BYTES // (8 * len(banks)))
+            fits = math.isqrt(MKL_TRAIN_BANK_BYTES // (8 * kernels))
             raise ValueError(
-                f"the train Gram bank of {len(banks)} kernels at {train.n} training points "
+                f"the train Gram bank of {kernels} kernels at {train.n} training points "
                 f"needs {need / 2 ** 20:.0f} MiB, over the {MKL_TRAIN_BANK_BYTES / 2 ** 20:.0f} "
                 f"MiB bound; set max_train to {fits} or less")
+        banks = build_kernel_bank(metrics, train.features)
         k_tr = [gram_matrix(bk, train.features) for bk in banks]
     with _phase(phases, "mkl_fit_s"):
         per_c = train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
@@ -299,12 +313,12 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
     if name in ("mkl_baseline", "mkl_metric"):
         tr = _maybe_subsample(train, opts["max_train"], seed)
         if name == "mkl_baseline":
-            return _run_mkl(tr, validation, test, [MetricMatrix.identity(tr.dim)], grids, seed)
+            return _run_mkl(tr, validation, test, [MetricMatrix.identity(tr.dim)], grids)
         with _phase(phases, "fit_metric_s"):
             metrics, _ = regional_metrics(
                 compute_all_local_metrics(tr, fit_gaussian_models(tr, cfg.lam_cov)),
                 tr.features, opts["partitions"], seed)
-        cell = _run_mkl(tr, validation, test, metrics, grids, seed)
+        cell = _run_mkl(tr, validation, test, metrics, grids)
         cell["chosen"]["partitions"] = opts["partitions"]
         cell["phases"].update(phases)
         return cell
@@ -335,17 +349,25 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
     return {"value": r.test_error, "chosen": r.chosen, "phases": {**phases, **r.timing}}
 
 
+def _prepare_split(full, spec, preprocess):
+    """The (train, validation, test) portions of spec, with the [-1, 1] scaling
+    and the PCA that preprocess asks for fitted on train alone."""
+    train, validation, test = ds_mod.split(full, spec)
+    if preprocess.get("scale", True):
+        train, params = scale_features(train)
+        validation = params.transform(validation)
+        test = params.transform(test)
+    if "pca_dim" in preprocess:
+        _, (train, validation, test) = pca_reduce(train, preprocess["pca_dim"],
+                                                  validation, test)
+    return train, validation, test
+
+
 def _run_repeat(cfg, full, repeat):
     seed = cfg.split.seed + repeat
     try:
-        train, validation, test = ds_mod.split(full, replace(cfg.split, seed=seed))
-        if cfg.preprocess.get("scale", True):
-            train, params = scale_features(train)
-            validation = params.transform(validation)
-            test = params.transform(test)
-        if "pca_dim" in cfg.preprocess:
-            _, (train, validation, test) = pca_reduce(train, cfg.preprocess["pca_dim"],
-                                                      validation, test)
+        train, validation, test = _prepare_split(full, replace(cfg.split, seed=seed),
+                                                 cfg.preprocess)
     except ValueError as exc:
         raise ConfigError(f"preparing split seed {seed}: {exc}") from exc
     fitted = []  # the uniform metric, kept once a method has fitted it
@@ -353,7 +375,7 @@ def _run_repeat(cfg, full, repeat):
     def uniform_metric(phases):
         if not fitted:
             with _phase(phases, "fit_metric_s"):
-                fitted.append(_fit_uniform(train, cfg.lam_cov))
+                fitted.append(_fit_uniform(train, fit_gaussian_models(train, cfg.lam_cov)))
         return fitted[0]
 
     out = {}
@@ -513,9 +535,15 @@ def _subcommand(sub, name, func, summary):
     return p
 
 
+def _label_column(text):
+    """argparse type of --label-column: digit text is a 0-based column index,
+    other text a column name."""
+    return int(text) if text.isdigit() else text
+
+
 def _add_csv_flags(parser, label_column):
     """--label-column with the given default (required when that is None) and --has-header."""
-    parser.add_argument("--label-column", required=label_column is None,
+    parser.add_argument("--label-column", type=_label_column, required=label_column is None,
                         default=label_column)
     parser.add_argument("--has-header", action="store_true")
 
@@ -539,11 +567,19 @@ def _non_negative_float(text):
 
 
 def _load_cli_csv(path, args):
-    label = args.label_column
     try:
-        return load_csv(path, int(label) if label.isdigit() else label, args.has_header)
+        return load_csv(path, args.label_column, args.has_header)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def _cli_gaussians(train, lam_cov):
+    """fit_gaussian_models at a command's --lam-cov; a class covariance that
+    stays singular at that value raises ConfigError naming the flag."""
+    try:
+        return fit_gaussian_models(train, lam_cov)
+    except ValueError as exc:
+        raise ConfigError(f"--lam-cov {lam_cov}: {exc}") from exc
 
 
 def _cmd_benchmark(args):
@@ -559,7 +595,7 @@ def _cmd_fit_metric(args):
     if args.scale:
         full, scale = scale_features(full)
     if args.method == "m_uni":
-        metric = _fit_uniform(full, args.lam_cov)
+        metric = _fit_uniform(full, _cli_gaussians(full, args.lam_cov))
     else:
         try:
             spec = SplitSpec((1.0 - args.val_ratio, args.val_ratio / 2, args.val_ratio / 2),
@@ -567,6 +603,7 @@ def _cmd_fit_metric(args):
             train, validation, _ = ds_mod.split(full, spec)
         except ValueError as exc:
             raise ConfigError(f"--val-ratio {args.val_ratio}: {exc}") from exc
+        _cli_gaussians(train, args.lam_cov)  # the models the density weighting fits
         metric = _fit_density(args.method, train, validation, args.lam_cov)
     _write_json(args.out or "metric.json",
                 {"metric": metric.to_dict(), "method": args.method,
@@ -606,6 +643,8 @@ def _load_metric(path, *data):
 
 def _cmd_classify(args):
     train = _load_cli_csv(args.train, args)
+    if args.k > train.n:
+        raise ConfigError(f"--k {args.k} exceeds the {train.n} training points of {args.train}")
     test = _load_cli_csv(args.test, args)
     metric, scale = _load_metric(args.metric, (args.train, train), (args.test, test))
     if scale is not None:
@@ -634,8 +673,7 @@ def _cmd_mkl(args):
 
 def _cmd_cluster(args):
     full = _load_cli_csv(args.data, args)
-    full, _ = scale_features(full)
-    train, validation, test = ds_mod.split(full, SplitSpec(seed=args.seed))
+    train, validation, test = _prepare_split(full, SplitSpec(seed=args.seed), {})
     k = full.class_count if args.k is None else args.k
     if k > train.n:
         raise ConfigError(f"--k {k} exceeds the {train.n} training points of {args.data}")
@@ -661,10 +699,13 @@ def _cmd_embed(args):
     if args.metric:
         metric, _ = _load_metric(args.metric, (args.data, full))
     elif args.method == "m_uni":
-        metric = _fit_uniform(full, args.lam_cov)
+        metric = _fit_uniform(full, _cli_gaussians(full, args.lam_cov))
     else:
         metric = MetricMatrix.identity(full.dim)
-    emb = isomap_embed(full.features, metric, args.neighbors, args.dim)
+    try:  # the dimensions the geodesic spectrum supports are known only here
+        emb = isomap_embed(full.features, metric, args.neighbors, args.dim)
+    except ValueError as exc:
+        raise ConfigError(f"--dim {args.dim}: {exc}") from exc
     _write_csv(args.out or "embedding.csv",
                ["id"] + [f"coord{j}" for j in range(args.dim)] + ["label"],
                ([int(i)] + [repr(float(v)) for v in emb.coordinates[row]]
@@ -674,7 +715,15 @@ def _cmd_embed(args):
 
 
 def _cmd_rank(args):
-    ranks = average_ranks([json.loads(Path(path).read_text()) for path in args.reports])
+    reports = [json.loads(Path(path).read_text()) for path in args.reports]
+    for path, report in zip(args.reports, reports):
+        methods = report.get("methods") if isinstance(report, dict) else None
+        if not (isinstance(methods, dict) and all(isinstance(m, dict) for m in methods.values())):
+            raise ConfigError(f'{path}: not a report: "methods" must map names to objects')
+    try:
+        ranks = average_ranks(reports)
+    except ValueError as exc:  # no error-kind method common to every report
+        raise ConfigError(str(exc)) from exc
     lines = [f"{'method':<24}{'avg rank':>10}"]
     for k in sorted(ranks, key=lambda k: ranks[k]):
         lines.append(f"{k:<24}{ranks[k]:>10.2f}")

@@ -49,10 +49,10 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 DEFAULT_TAU_GRID = tuple(2.0 ** k for k in range(-6, 9))
-_MEDIAN_PAIRS = 10 ** 6  # most pairs a bank's bandwidth normalization reads
 MKL_TOL = 1e-4  # mkl_train stops when a step moves the weights or lowers the objective less
 MKL_MAX_OUTER = 50  # most weight steps of one mkl_train fit
-SVM_TOL = 1e-4  # KKT tolerance of the SVM solves of mkl_train
+SVM_TOL = 1e-4  # KKT tolerance of every SVM solve
+SVM_MAX_ITER = 200000  # most coordinate steps of one SVM solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,8 +61,6 @@ class BaseKernel:
 
     metric: MetricMatrix
     sigma_sq: float
-    tau: float | None = None        # inverse-bandwidth grid point, if any
-    sigma0_sq: float | None = None  # per-metric normalization it was scaled from
 
     def __post_init__(self):
         if self.sigma_sq <= 0:
@@ -109,40 +107,23 @@ class MklModel:
             raise ValueError("kernel weights must lie on the simplex")
 
 
-def _median_sq_distance(x, metric, rng):
-    n = len(x)
-    if n * (n - 1) // 2 <= _MEDIAN_PAIRS:
-        d = pairwise_sq_dists(x, x, metric.matrix)
-        vals = d[np.triu_indices(n, 1)]
-    else:
-        i = rng.integers(0, n, size=_MEDIAN_PAIRS)
-        j = rng.integers(0, n - 1, size=_MEDIAN_PAIRS)
-        j = np.where(j >= i, j + 1, j)
-        diff = x[i] - x[j]
-        vals = np.einsum("nd,de,ne->n", diff, metric.matrix, diff)
-    med = float(np.median(vals))
-    if med <= 0:
-        raise ValueError("degenerate pairwise distances")
-    return med
-
-
-def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID, seed=0):
+def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID):
     """One kernel per (metric, tau): sigma^2 = sigma0^2(metric) / tau.
 
-    sigma0^2 is the median squared pairwise training distance under the
-    metric, subsampled to at most 10^6 pairs with the given seed. The baseline
-    family is the special case metrics = [identity].
+    sigma0^2 is the median squared distance under the metric over every pair
+    of training points. The baseline family is the special case
+    metrics = [identity].
     """
     if not metrics or not len(tau_grid):
         raise ValueError("need at least one metric and one tau value")
     x_train = np.asarray(x_train, dtype=float)
-    rng = np.random.default_rng(seed)
+    upper = np.triu_indices(len(x_train), 1)
     bank = []
     for metric in metrics:
-        sigma0_sq = _median_sq_distance(x_train, metric, rng)
-        for tau in tau_grid:
-            bank.append(BaseKernel(metric, sigma0_sq / tau, tau=float(tau),
-                                   sigma0_sq=sigma0_sq))
+        sigma0_sq = float(np.median(pairwise_sq_dists(x_train, x_train, metric.matrix)[upper]))
+        if sigma0_sq <= 0:
+            raise ValueError("degenerate pairwise distances")
+        bank += [BaseKernel(metric, sigma0_sq / tau) for tau in tau_grid]
     return bank
 
 
@@ -158,19 +139,20 @@ def gram_matrix(bk: BaseKernel, x, x2=None):
     return k
 
 
-def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
+def svm_solve(k, y, c):
     """Soft-margin SVM dual by most-violating-pair coordinate ascent.
 
     k is the (n, n) Gram matrix, PSD within tolerance, and y the n +-1
-    labels. Stops when the maximum KKT violation drops below tol; at the
-    iteration cap the best iterate is returned with converged=False and a
-    warning. The bias averages -y * gradient over unbounded support vectors.
+    labels. Stops when the maximum KKT violation drops below SVM_TOL; at the
+    cap of SVM_MAX_ITER steps the best iterate is returned with
+    converged=False and a warning. The bias averages -y * gradient over
+    unbounded support vectors.
 
     The solution records peak, the largest dual value on the whole path. C
     enters the path only once a dual reaches C - 1e-8 (the box step limits,
     the index sets at C - 1e-12, the bias set at C - 1e-8), so the solution
     is bit for bit the solve at any C' with peak < min(C, C') - 1e-8, for the
-    same k, y, tol and max_iter.
+    same k, y, SVM_TOL and SVM_MAX_ITER.
     """
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) - {-1.0, 1.0}:
@@ -183,6 +165,7 @@ def svm_solve(k, y, c, tol=1e-4, max_iter=200000):
         raise ValueError("Gram matrix has non-finite entries")
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
+    tol, max_iter = SVM_TOL, SVM_MAX_ITER
     # Only the two chosen duals change per step, so only their entries of the
     # index sets and of beta are updated. The signed gradient yg = -y * grad
     # moves by step * (K[:, j] - K[:, i]), which equals the product form bit
@@ -322,7 +305,7 @@ def mkl_train(grams, y, c, memo=None):
         entry = next((e for e in known if e[0] == c or e[1].peak < min(e[0], c) - 1e-8),
                      None)
         if entry is None:
-            s = svm_solve(_combine(a, grams, combined, scratch), y, c, tol=SVM_TOL)
+            s = svm_solve(_combine(a, grams, combined, scratch), y, c)
             entry = [c, s, None]
             known.append(entry)
             stats["svm_solves"] += 1

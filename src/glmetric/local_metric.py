@@ -217,7 +217,8 @@ def regional_metrics(local_metrics, x, p, seed):
 
     Returns (list of p regional MetricMatrix, assignment vector). Regional
     averages are plain arithmetic means and are not re-normalized to unit
-    determinant. p = 1 reproduces the uniform combination.
+    determinant. p = 1 reproduces the uniform combination: one-cluster
+    k-means assigns every point to cell 0.
     """
     x = np.asarray(x, dtype=float)
     n = len(x)
@@ -226,11 +227,7 @@ def regional_metrics(local_metrics, x, p, seed):
     stack = _as_stack(local_metrics)
     if len(stack) != n:
         raise ValueError("one local metric per row of x is required")
-    if p == 1:
-        assign = np.zeros(n, dtype=int)
-    else:
-        rng = np.random.default_rng(seed)
-        assign, _, _, _ = lloyd_best_of(x, p, rng)
+    assign, _, _, _ = lloyd_best_of(x, p, np.random.default_rng(seed))
     # lloyd leaves no cell empty: it raises when there are fewer distinct points than p
     means = member_means(stack, assign, p)
     return [MetricMatrix(m, f"regional:{j}") for j, m in enumerate(means)], assign

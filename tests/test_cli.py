@@ -41,6 +41,10 @@ def readme_commands():
     return [shlex.split(line) for line in lines if line.strip()]
 
 
+IRIS = ["--data", "data/iris.csv", "--label-column", "label", "--has-header"]
+DIGITS = ["--data", "data/digits359.csv", "--label-column", "label", "--has-header"]
+
+
 def write_iris_subset(path, rows):
     full = list(csv.reader(open("data/iris.csv")))
     with open(path, "w", newline="") as f:
@@ -171,11 +175,29 @@ class TestConfig:
         ({"lam_cov": -1e-3}, "lam_cov must be non-negative, got -0.001"),
         ({"grids": {"lam_cov": [1e-3, -0.1]}},
          "each lam_cov of grids.lam_cov must be non-negative, got [0.001, -0.1]"),
+        ({"dataset": {"csv": "data/iris.csv", "label_column": 4.7, "has_header": True}},
+         "dataset label_column must be a non-negative integer, got 4.7"),
+        ({"dataset": {"csv": "data/iris.csv", "label_column": -1, "has_header": True}},
+         "dataset label_column must be a non-negative integer, got -1"),
+        ({"dataset": {"csv": "data/iris.csv", "label_column": "label", "has_header": "no"}},
+         "dataset has_header must be true or false, got 'no'"),
+        ({"split": {"n_repeats": 1, "base_seed": 1000, "stratified": "no"}},
+         "split stratified must be true or false, got 'no'"),
+        ({"preprocess": {"scale": 0}}, "preprocess scale must be true or false, got 0"),
+        ({"dataset": {"synthetic": "three_normal", "n": 60, "elongation": -1}},
+         "dataset elongation must be a finite positive number, got -1"),
+        ({"dataset": {"synthetic": "three_normal", "n": 60, "elongation": "2.5"}},
+         "dataset elongation must be a finite positive number, got '2.5'"),
+        ({"dataset": {"synthetic": "three_normal", "n": 60, "scale": "3"}},
+         "dataset scale must be a finite number, got '3'"),
     ], ids=["C_number", "k_number", "grids_list", "lam_cov_string", "preprocess_number",
             "method_number", "lam_int_string", "C_empty", "beta_bool", "lam_cov_grid_inf",
             "lam_cov_nan", "lam_cov_bool", "C_zero", "lam_int_above_1",
             "cluster_lam_int_negative", "split_list", "dataset_string", "methods_string",
-            "lam_cov_negative", "lam_cov_grid_negative"])
+            "lam_cov_negative", "lam_cov_grid_negative", "label_column_float",
+            "label_column_negative", "has_header_string", "stratified_string",
+            "scale_number", "elongation_negative", "elongation_string",
+            "synthetic_scale_string"])
     def test_malformed_config_exits_2_with_one_error_line(self, tmp_path, capsys, override,
                                                           message):
         path, raw = minimal_config(tmp_path)
@@ -252,28 +274,71 @@ class TestConfig:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["fit-metric", "--lam-cov", "-1"],
+        (["fit-metric", "--lam-cov", "-1", *IRIS],
          "argument --lam-cov: must be a finite non-negative number, got '-1'"),
-        (["embed", "--method", "m_uni", "--lam-cov", "-1"],
+        (["embed", "--method", "m_uni", "--lam-cov", "-1", *IRIS],
          "argument --lam-cov: must be a finite non-negative number, got '-1'"),
-        (["fit-metric", "--lam-cov", "nan"],
+        (["fit-metric", "--lam-cov", "nan", *IRIS],
          "argument --lam-cov: must be a finite non-negative number, got 'nan'"),
-        (["fit-metric", "--method", "m_kde", "--val-ratio", "1.5"],
+        (["fit-metric", "--method", "m_kde", "--val-ratio", "1.5", *IRIS],
          "--val-ratio 1.5: each split fraction must lie in (0, 1)"),
-        (["fit-metric", "--method", "m_kde", "--val-ratio", "0"],
+        (["fit-metric", "--method", "m_kde", "--val-ratio", "0", *IRIS],
          "--val-ratio 0.0: each split fraction must lie in (0, 1)"),
-        (["embed", "--neighbors", "500"],
+        (["embed", "--neighbors", "500", *IRIS],
          "--neighbors 500 needs more than the 150 rows of data/iris.csv"),
+        (["embed", "--dim", "500", *IRIS],
+         "--dim 500: requested 500 dimensions but only 51 positive eigenvalues"),
+        (["fit-metric", "--lam-cov", "0", *DIGITS],
+         "--lam-cov 0.0: covariance must be positive definite after regularization"),
+        (["fit-metric", "--method", "m_kde", "--lam-cov", "0", *DIGITS],
+         "--lam-cov 0.0: covariance must be positive definite after regularization"),
+        (["embed", "--method", "m_uni", "--lam-cov", "0", *DIGITS],
+         "--lam-cov 0.0: covariance must be positive definite after regularization"),
+        (["classify", "--metric", "{tmp}/identity.json", "--train", "data/iris.csv",
+          "--test", "data/iris.csv", "--label-column", "label", "--has-header", "--k", "500"],
+         "--k 500 exceeds the 150 training points of data/iris.csv"),
+        (["rank", "{tmp}/list.json"],
+         '{tmp}/list.json: not a report: "methods" must map names to objects'),
+        (["rank", "{tmp}/methods_5.json"],
+         '{tmp}/methods_5.json: not a report: "methods" must map names to objects'),
+        (["rank", "{tmp}/rand_only.json"], "no common error-kind methods across reports"),
     ], ids=["fit_metric_lam_cov", "embed_lam_cov", "lam_cov_nan", "val_ratio_above_1",
-            "val_ratio_0", "neighbors_above_rows"])
+            "val_ratio_0", "neighbors_above_rows", "dim_above_spectrum",
+            "fit_metric_lam_cov_0", "fit_metric_kde_lam_cov_0", "embed_lam_cov_0",
+            "classify_k_above_rows", "rank_list", "rank_methods_number",
+            "rank_no_error_methods"])
     def test_bad_flag_value_exits_2_with_one_error_line(self, tmp_path, capsys, argv,
                                                         message):
+        for name, payload in {"identity.json": {"metric": MetricMatrix.identity(4).to_dict()},
+                              "list.json": [1, 2], "methods_5.json": {"methods": 5},
+                              "rand_only.json": {"methods": {"cluster_uni": {
+                                  "kind": "rand", "mean": 0.9}}}}.items():
+            (tmp_path / name).write_text(json.dumps(payload))
         out = tmp_path / "out"
-        assert main([*argv, "--data", "data/iris.csv", "--label-column", "label",
-                     "--has-header", "--out", str(out)]) == 2
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.splitlines() == [f"error: {message}"]
+        assert captured.err.splitlines() == [f"error: {message.format(tmp=tmp_path)}"]
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fit-metric", "--data", "data/iris.csv"],
+        ["classify", "--metric", "m.json", "--train", "data/iris.csv", "--test", "data/iris.csv"],
+        ["mkl", "--data", "data/iris.csv"],
+        ["cluster", "--data", "data/iris.csv"],
+        ["embed", "--data", "data/iris.csv"],
+    ], ids=lambda argv: argv[0])
+    def test_label_column_digits_are_a_column_index(self, tmp_path, monkeypatch, argv):
+        seen = []
+
+        def recording(path, label_column, has_header=False):
+            seen.append(label_column)
+            raise ValueError("label column recorded")  # stop before anything runs
+
+        monkeypatch.setattr(cli_mod, "load_csv", recording)
+        assert main([*argv, "--label-column", "4", "--has-header",
+                     "--out", str(tmp_path / "out")]) == 2
+        assert seen == [4]
 
     @pytest.mark.parametrize("payload, message", [
         ({"method": "m_uni"}, "no valid metric: KeyError: 'metric'"),
@@ -618,14 +683,18 @@ class TestRunExperiment:
         assert code == 0 and not report["methods"]["mkl_baseline"]["failures"]
 
     def test_mkl_train_bank_bound_names_largest_fitting_max_train(self, monkeypatch):
-        # M = 75 kernels (5 partitions x 15 bandwidths) under the shipped 1 GiB
+        # M = 75 kernels (5 partitions x 15 bandwidths) under the shipped 1 GiB,
+        # checked before the bandwidths read the n x n training distances
         assert cli_mod.MKL_TRAIN_BANK_BYTES == 2 ** 30
-        monkeypatch.setattr(cli_mod, "build_kernel_bank",
-                            lambda metrics, *args, **kwargs: [None] * 75)
+
+        def unreachable(*args):
+            raise AssertionError("the bank was built")
+
+        monkeypatch.setattr(cli_mod, "build_kernel_bank", unreachable)
         full = load_csv("data/iris.csv", "label", has_header=True)
         big = full.subset(np.arange(150).repeat(9)[:1338])
         with pytest.raises(ValueError, match="set max_train to 1337 or less"):
-            cli_mod._run_mkl(big, full, full, [None], cli_mod.DEFAULT_GRIDS, 0)
+            cli_mod._run_mkl(big, full, full, [None] * 5, cli_mod.DEFAULT_GRIDS)
 
     def test_synthetic_dataset_config(self, tmp_path):
         cfg = parse_experiment_config({
@@ -657,10 +726,9 @@ def oracle_write_report(report, out_dir):
         f.write(format_table(methods) + "\n")
 
 
-def oracle_run_mkl(train, validation, test, metrics, grids, seed):
+def oracle_run_mkl(train, validation, test, metrics, grids):
     """_run_mkl with all three Gram banks built before the fit."""
-    banks = kernel_mkl.build_kernel_bank(metrics, train.features,
-                                         kernel_mkl.DEFAULT_TAU_GRID, seed=seed)
+    banks = kernel_mkl.build_kernel_bank(metrics, train.features, kernel_mkl.DEFAULT_TAU_GRID)
     k_tr = [kernel_mkl.gram_matrix(bk, train.features) for bk in banks]
     k_va = [kernel_mkl.gram_matrix(bk, validation.features, train.features) for bk in banks]
     k_te = [kernel_mkl.gram_matrix(bk, test.features, train.features) for bk in banks]
@@ -711,10 +779,10 @@ class TestMklCellOrder:
             return k
 
         monkeypatch.setattr(cli_mod, "gram_matrix", recording)
-        cell = cli_mod._run_mkl(train, validation, test, metrics, cli_mod.DEFAULT_GRIDS, 3)
+        cell = cli_mod._run_mkl(train, validation, test, metrics, cli_mod.DEFAULT_GRIDS)
         assert len(train_refs) == cell["chosen"]["kernels"] == 15 * len(metrics)
         assert alive_at_eval == [0]
-        expected = oracle_run_mkl(train, validation, test, metrics, cli_mod.DEFAULT_GRIDS, 3)
+        expected = oracle_run_mkl(train, validation, test, metrics, cli_mod.DEFAULT_GRIDS)
         assert {key: cell[key] for key in expected} == expected
         assert set(cell["phases"]) == {"gram_bank_s", "mkl_fit_s", "predict_s"}
 
@@ -805,22 +873,34 @@ class TestSubcommands:
         assert "fast" in out.read_text()
 
     def test_cluster_subcommand_matches_direct_pipeline(self, tmp_path):
-        out = tmp_path / "cluster"
-        assert main(["cluster", "--data", "data/iris.csv", "--label-column", "label",
-                     "--has-header", "--seed", "3", "--out", str(out)]) == 0
-        full, _ = scale_features(load_csv("data/iris.csv", "label", has_header=True))
-        train, validation, test = split(full, SplitSpec(seed=3))
-        tuned = cluster_transfer_tune(train, validation, 3, (1e-3, 1e-2, 1e-1),
-                                      (0.0, 0.25, 0.5, 0.75), seed=3)
-        assigned = assign_to_centers(test.features, tuned["clustering"].centers,
-                                     tuned["metric"])
-        saved = json.loads((out / "metric.json").read_text())
-        assert saved["test_rand"] == rand_score(assigned, test.labels)
-        assert (saved["lam_cov"], saved["lam_int"]) == (tuned["lam_cov"], tuned["lam_int"])
-        assert saved["metric"]["matrix"] == tuned["metric"].matrix.tolist()
-        rows = list(csv.reader(open(out / "assignments.csv")))[1:]
-        assert [int(r[1]) for r in rows] == assigned.tolist()
-        assert [int(r[2]) for r in rows] == test.labels.tolist()
+        # the scaling is fitted on the training portion alone, as the runner
+        # fits it; at seed 1002 the whole-file scaling gave another Rand score
+        for seed in (3, 1002):
+            out = tmp_path / f"cluster{seed}"
+            assert main(["cluster", *IRIS, "--seed", str(seed), "--out", str(out)]) == 0
+            train, validation, test = split(load_csv("data/iris.csv", "label", has_header=True),
+                                            SplitSpec(seed=seed))
+            train, params = scale_features(train)
+            validation, test = params.transform(validation), params.transform(test)
+            tuned = cluster_transfer_tune(train, validation, 3, (1e-3, 1e-2, 1e-1),
+                                          (0.0, 0.25, 0.5, 0.75), seed=seed)
+            assigned = assign_to_centers(test.features, tuned["clustering"].centers,
+                                         tuned["metric"])
+            saved = json.loads((out / "metric.json").read_text())
+            assert saved["test_rand"] == rand_score(assigned, test.labels)
+            assert (saved["lam_cov"], saved["lam_int"]) == (tuned["lam_cov"], tuned["lam_int"])
+            assert saved["metric"]["matrix"] == tuned["metric"].matrix.tolist()
+            rows = list(csv.reader(open(out / "assignments.csv")))[1:]
+            assert [int(r[1]) for r in rows] == assigned.tolist()
+            assert [int(r[2]) for r in rows] == test.labels.tolist()
+            path, _ = minimal_config(tmp_path, methods=["cluster_uni"],
+                                     split={"n_repeats": 1, "base_seed": seed})
+            report, _ = run_experiment(parse_experiment_config(json.loads(path.read_text())),
+                                       tmp_path / f"benchmark{seed}")
+            cell = report["methods"]["cluster_uni"]
+            assert cell["per_split"] == [saved["test_rand"]]
+            assert cell["chosen"] == [{"lam_cov": saved["lam_cov"],
+                                       "lam_int": saved["lam_int"], "k": 3}]
 
     def test_invalid_config_exits_2(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -834,10 +914,9 @@ class TestSubcommands:
     @pytest.mark.parametrize("level, shown", [("WARNING", True), ("error", False)])
     def test_log_level_filters_the_svm_cap_warning(self, tmp_path, level, shown):
         path, _ = minimal_config(tmp_path, methods=["mkl_baseline"], grids={"C": [1.0]})
-        capped = ("import functools, sys\n"
+        capped = ("import sys\n"
                   "from glmetric import cli, kernel_mkl\n"
-                  "kernel_mkl.svm_solve = functools.partial(kernel_mkl.svm_solve,"
-                  " max_iter=5)\n"
+                  "kernel_mkl.SVM_MAX_ITER = 5\n"
                   "sys.exit(cli.main(sys.argv[1:]))\n")
         proc = subprocess.run([sys.executable, "-c", capped, "--log-level", level,
                                "benchmark", "--config", str(path),

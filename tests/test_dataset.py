@@ -14,10 +14,17 @@ def write(tmp_path, text, name="data.csv"):
 
 class TestLoadCsv:
     def test_label_reencoding_by_sorted_value(self, tmp_path):
-        path = write(tmp_path, "1.0,2.0,7\n1.5,2.5,7\n0.0,1.0,9\n0.5,1.5,9\n")
-        ds = load_csv(path, 2)
-        assert list(ds.labels) == [0, 0, 1, 1]
-        assert ds.class_count == 2
+        for text, labels, values in [
+            ("1.0,2.0,7\n1.5,2.5,7\n0.0,1.0,9\n0.5,1.5,9\n", [0, 0, 1, 1], ["7.0", "9.0"]),
+            # a label that is not a number sorts every label as text, so
+            # "10" < "9"; empty and blank lines are skipped
+            ("1.0,2.0,b\n\n1.5,2.5,9\n \n0.0,1.0,10\n0.5,1.5,b\n", [2, 1, 0, 2],
+             ["10", "9", "b"]),
+        ]:
+            ds = load_csv(write(tmp_path, text), 2)
+            assert list(ds.labels) == labels
+            assert ds.class_count == len(values) and ds.n == 4
+            assert ds.meta["label_values"] == values
 
     def test_nan_cell_rejected_with_coordinates(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,0\n1.5,nan,1\n")

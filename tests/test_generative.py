@@ -42,6 +42,13 @@ class TestFit:
                                    np.diag([1.0005, 0.0005]), atol=1e-12)
         assert np.linalg.eigvalsh(ms.models[0].covariance).min() > 0
 
+    def test_class_without_spread_falls_back_to_lam_cov_identity(self):
+        ds = LabeledDataset(np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [6.0, 7.0]]),
+                            [0, 0, 1, 1], 2)
+        ms = fit_gaussian_models(ds, 1e-2)
+        np.testing.assert_array_equal(ms.models[0].mean, [1.0, 2.0])
+        np.testing.assert_array_equal(ms.models[0].covariance, 1e-2 * np.eye(2))
+
     def test_identical_classes_give_identical_models(self):
         x = np.random.default_rng(0).normal(size=(20, 3))
         ds = LabeledDataset(np.vstack([x, x]), [0] * 20 + [1] * 20, 2)

@@ -3,7 +3,8 @@ import logging
 import numpy as np
 import pytest
 
-from glmetric._linalg import sym_sqrt
+from glmetric import kernel_mkl
+from glmetric._linalg import pairwise_sq_dists, sym_sqrt
 from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution, _combine,
                                  _decision_values, build_kernel_bank,
                                  gram_matrix, mkl_train,
@@ -171,7 +172,9 @@ class TestKernelBank:
         x = rng.normal(size=(30, 4))
         bank = build_kernel_bank([MetricMatrix.identity(4)], x)
         assert len(bank) == 15
-        assert [bk.tau for bk in bank] == [2.0 ** k for k in range(-6, 9)]
+        # sigma^2 = sigma0^2 / tau, and dividing by a power of two is exact
+        taus = [2.0 ** k for k in range(-6, 9)]
+        assert [bank[0].sigma_sq / bk.sigma_sq * taus[0] for bk in bank] == taus
 
     def test_cartesian_count(self):
         rng = np.random.default_rng(2)
@@ -185,7 +188,18 @@ class TestKernelBank:
         x = rng.normal(size=(40, 2))
         small = MetricMatrix(0.01 * np.eye(2), "euclidean")
         bank = build_kernel_bank([MetricMatrix.identity(2), small], x)
-        assert bank[15].sigma0_sq == pytest.approx(0.01 * bank[0].sigma0_sq, rel=1e-9)
+        assert bank[15].sigma_sq == pytest.approx(0.01 * bank[0].sigma_sq, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [40, 1500])
+    def test_bandwidth_is_the_exact_median_over_every_pair(self, n):
+        # 1,500 points have 1,124,250 pairs, more than the 10^6 a sample once read
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(n, 3))
+        metric = solve_local_metric(random_symmetric_indefinite(rng, 3))
+        d = pairwise_sq_dists(x, x, metric.matrix)
+        median = float(np.median(d[np.triu_indices(n, 1)]))
+        bank = build_kernel_bank([metric], x, tau_grid=(1.0, 4.0))
+        assert [bk.sigma_sq for bk in bank] == [median, median / 4.0]
 
     def test_duplicated_points_rejected(self):
         x = np.zeros((10, 2))
@@ -285,16 +299,18 @@ class TestSvm:
         x = rng.normal(size=(50, 2))
         y = np.where(x[:, 0] + 0.3 * rng.normal(size=50) > 0, 1.0, -1.0)
         k = gram_matrix(BaseKernel(MetricMatrix.identity(2), 2.0), x)
-        sol = svm_solve(k, y, 10.0, tol=1e-4)
+        assert kernel_mkl.SVM_TOL == 1e-4
+        sol = svm_solve(k, y, 10.0)
         assert sol.converged
         assert sol.kkt_violation < 1e-4
 
-    def test_unbounded_support_vector_reproduces_label(self):
+    def test_unbounded_support_vector_reproduces_label(self, monkeypatch):
+        monkeypatch.setattr(kernel_mkl, "SVM_TOL", 1e-6)
         rng = np.random.default_rng(9)
         x = np.vstack([rng.normal(size=(15, 2)), rng.normal(size=(15, 2)) + 4.0])
         y = np.array([-1.0] * 15 + [1.0] * 15)
         k = gram_matrix(BaseKernel(MetricMatrix.identity(2), 8.0), x)
-        sol = svm_solve(k, y, 10.0, tol=1e-6)
+        sol = svm_solve(k, y, 10.0)
         unbounded = (sol.beta > 1e-6) & (sol.beta < 10.0 - 1e-6)
         assert unbounded.any()
         decision = k @ (sol.beta * y) + sol.bias
@@ -353,10 +369,11 @@ class TestSvmMatchesOracle:
         assert not np.array_equal(k, k.T)
         assert_same_solution(svm_solve(k, y, 10.0), oracle_svm_solve(k, y, 10.0))
 
-    def test_iteration_cap(self, caplog):
+    def test_iteration_cap(self, caplog, monkeypatch):
         k, y = random_svm_problem(22, 40)
+        monkeypatch.setattr(kernel_mkl, "SVM_MAX_ITER", 5)
         with caplog.at_level(logging.WARNING, logger="glmetric.kernel_mkl"):
-            sol = svm_solve(k, y, 10.0, max_iter=5)
+            sol = svm_solve(k, y, 10.0)
         assert not sol.converged and sol.iterations == 5
         assert [r.name for r in caplog.records] == ["glmetric.kernel_mkl"]
         assert "iteration cap" in caplog.records[0].getMessage()
@@ -403,15 +420,17 @@ class TestSvmStepEdgeCases:
         assert_same_solution(sol, oracle_svm_solve(k, y, 1.0))
         np.testing.assert_array_equal(sol.beta, [1.0, 1.0])
 
-    def test_quad_floor_inside_a_larger_problem(self, caplog):
+    def test_quad_floor_inside_a_larger_problem(self, caplog, monkeypatch):
         # point 0 again at index 1 with label -1: the first step pairs the two
         # copies, so its quad is exactly 0 and the box clips the floored step
         k0, y0 = random_svm_problem(26, 24)
         idx = np.r_[0, np.arange(24)]
         k, y = k0[np.ix_(idx, idx)], np.r_[1.0, -1.0, y0[1:]]
         for c in (0.5, 10.0):
-            with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
-                first = svm_solve(k, y, c, max_iter=1)
+            with (caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"),
+                  monkeypatch.context() as capped):
+                capped.setattr(kernel_mkl, "SVM_MAX_ITER", 1)
+                first = svm_solve(k, y, c)
             np.testing.assert_array_equal(first.beta, np.r_[c, c, np.zeros(23)])
             assert_same_solution(svm_solve(k, y, c), oracle_svm_solve(k, y, c))
 
@@ -434,12 +453,14 @@ class TestSolveReuse:
         y = np.array([-1.0] * 30 + [1.0] * 30)
         return gram_matrix(BaseKernel(MetricMatrix.identity(2), 4.0), x), y
 
-    def test_peak_is_the_largest_dual_on_the_path(self, caplog):
+    def test_peak_is_the_largest_dual_on_the_path(self, caplog, monkeypatch):
         k, y = self.separable_problem()
         sol = svm_solve(k, y, 10.0)
+        prefixes = []
         with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
-            prefixes = [svm_solve(k, y, 10.0, max_iter=t).beta.max()
-                        for t in range(1, sol.iterations + 1)]
+            for t in range(1, sol.iterations + 1):
+                monkeypatch.setattr(kernel_mkl, "SVM_MAX_ITER", t)
+                prefixes.append(svm_solve(k, y, 10.0).beta.max())
         assert sol.peak == max(prefixes) > sol.beta.max()
 
     def test_solution_below_the_box_is_the_solve_at_other_c(self):
@@ -472,8 +493,8 @@ class TestGridReuse:
         grams, labels = overlapping_three_class_problem()
         runs = []  # (kernel bytes, C, solution) of every solve actually run
 
-        def recording_solve(k, y, c, **kwargs):
-            sol = svm_solve(k, y, c, **kwargs)
+        def recording_solve(k, y, c):
+            sol = svm_solve(k, y, c)
             runs.append((k.tobytes() + y.tobytes(), c, sol))
             return sol
 
@@ -692,8 +713,8 @@ class TestMkl:
                  for s in (0.5, 2.0, 8.0, 32.0)]
         seen = []
 
-        def recording_solve(*args, **kwargs):
-            seen.append(svm_solve(*args, **kwargs))
+        def recording_solve(k, y, c):
+            seen.append(svm_solve(k, y, c))
             return seen[-1]
 
         monkeypatch.setattr("glmetric.kernel_mkl.svm_solve", recording_solve)

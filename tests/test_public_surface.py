@@ -1,5 +1,6 @@
 """The names the package exports, and the names the README lists as removed."""
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -73,6 +74,12 @@ def test_direct_call_signatures():
         "train", "k", "margin", "metric", "queries"]
     assert str(inspect.signature(kernel_mkl.mkl_train)) == "(grams, y, c, memo=None)"
     assert (kernel_mkl.MKL_TOL, kernel_mkl.MKL_MAX_OUTER, kernel_mkl.SVM_TOL) == (1e-4, 50, 1e-4)
+    assert kernel_mkl.SVM_MAX_ITER == 200000
+    assert str(inspect.signature(kernel_mkl.svm_solve)) == "(k, y, c)"
+    bank_params = inspect.signature(kernel_mkl.build_kernel_bank).parameters
+    assert list(bank_params) == ["metrics", "x_train", "tau_grid"]
+    assert bank_params["tau_grid"].default is kernel_mkl.DEFAULT_TAU_GRID
+    assert [f.name for f in dataclasses.fields(kernel_mkl.BaseKernel)] == ["metric", "sigma_sq"]
     assert str(inspect.signature(global_metric.density_weighted_combination)) == (
         "(train, validation, estimator_kind='kde', max_iter=20, lam_cov=0.001)")
     assert str(inspect.signature(MetricMatrix.identity)) == "(dim, degenerate=False)"

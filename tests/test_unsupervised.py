@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ class TestKmeans:
         _, _, _, history = lloyd(x, 4, np.random.default_rng(0))
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
+    def test_identical_points_seed_every_center_on_them(self):
+        x = np.tile([[1.5, -2.0]], (6, 1))
+        np.testing.assert_array_equal(_seed_centers(x, 3, np.random.default_rng(0)), x[:3])
+        with pytest.raises(ValueError, match="fewer distinct points than clusters"):
+            lloyd(x, 3, np.random.default_rng(0))
+
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             kmeans(np.zeros((3, 1)), 4, MetricMatrix.identity(1), seed=0)
@@ -232,6 +239,25 @@ class TestIterativeMetricKmeans:
         assert res.inertia == o_res.inertia
         np.testing.assert_array_equal(metric.matrix, o_metric.matrix)
         assert metric.provenance == o_metric.provenance == "global:UNI"
+
+    @pytest.mark.parametrize("blobs, k, message, provenance", [
+        (2, 3, "skipping 1 collapsed cluster(s) this round", "global:UNI"),
+        (1, 2, "fewer than two usable clusters; stopping metric updates", "euclidean"),
+    ], ids=["skip", "stop"])
+    def test_one_point_clusters_are_left_out_of_the_metric(self, caplog, blobs, k, message,
+                                                           provenance):
+        # a far outlier is a cluster of its own, too small for a class Gaussian
+        rng = np.random.default_rng(7)
+        x = np.vstack([rng.normal(size=(20, 2)) + 10.0 * b for b in range(blobs)]
+                      + [[1e3, 1e3]])
+        with caplog.at_level(logging.INFO, logger="glmetric.unsupervised"):
+            res, metric = iterative_metric_kmeans(x, k, seed=0)
+        assert message in caplog.messages
+        o_res, o_metric = oracle_iterative_metric_kmeans(x, k, seed=0)
+        np.testing.assert_array_equal(res.assignments, o_res.assignments)
+        np.testing.assert_array_equal(metric.matrix, o_metric.matrix)
+        assert metric.provenance == provenance
+        assert np.bincount(res.assignments).min() == 1
 
     def test_deterministic_given_seed(self):
         ds = three_noisy_gaussians(120, seed=1)
