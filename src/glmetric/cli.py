@@ -19,7 +19,7 @@ from .dataset import (ScaleParams, SplitSpec, load_csv, make_synthetic_mixture,
                       pca_reduce, scale_features, three_normal_preset)
 from .generative import fit_gaussian_models
 from .global_metric import density_weighted_combination, uniform_combination
-from .kernel_mkl import (DEFAULT_TAU_GRID, build_kernel_bank, gram_matrix,
+from .kernel_mkl import (DEFAULT_TAU_GRID, build_kernel_bank, gram_bank,
                          predict_one_vs_all, train_one_vs_all)
 from .local_metric import MetricMatrix, compute_all_local_metrics, regional_metrics
 from .unsupervised import (assign_to_centers, cluster_transfer_tune,
@@ -248,14 +248,14 @@ def _run_mkl(train, validation, test, metrics, grids):
                 f"needs {need / 2 ** 20:.0f} MiB, over the {MKL_TRAIN_BANK_BYTES / 2 ** 20:.0f} "
                 f"MiB bound; set max_train to {fits} or less")
         banks = build_kernel_bank(metrics, train.features)
-        k_tr = [gram_matrix(bk, train.features) for bk in banks]
+        k_tr = gram_bank(banks, train.features)
     with _phase(phases, "mkl_fit_s"):
         per_c = train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
         del k_tr  # prediction needs no train gram
 
     def errors(portion, per_model):  # one bank of grams against train, freed on return
         with _phase(phases, "gram_bank_s"):
-            grams = [gram_matrix(bk, portion.features, train.features) for bk in banks]
+            grams = gram_bank(banks, portion.features, train.features)
         with _phase(phases, "predict_s"):
             return [float(np.mean(predict_one_vs_all(models, grams) != portion.labels))
                     for models in per_model]
@@ -673,7 +673,10 @@ def _cmd_mkl(args):
 
 def _cmd_cluster(args):
     full = _load_cli_csv(args.data, args)
-    train, validation, test = _prepare_split(full, SplitSpec(seed=args.seed), {})
+    try:
+        train, validation, test = _prepare_split(full, SplitSpec(seed=args.seed), {})
+    except ValueError as exc:
+        raise ConfigError(f"{args.data}: {exc}") from exc
     k = full.class_count if args.k is None else args.k
     if k > train.n:
         raise ConfigError(f"--k {k} exceeds the {train.n} training points of {args.data}")
@@ -720,6 +723,11 @@ def _cmd_rank(args):
         methods = report.get("methods") if isinstance(report, dict) else None
         if not (isinstance(methods, dict) and all(isinstance(m, dict) for m in methods.values())):
             raise ConfigError(f'{path}: not a report: "methods" must map names to objects')
+        for name, method in methods.items():
+            mean = method.get("mean", 0.0)  # a method that failed every repeat has none
+            if type(mean) not in (int, float) or not math.isfinite(mean):  # bool is no number
+                raise ConfigError(f"{path}: not a report: the mean of {name!r} is {mean!r}, "
+                                  "not a finite number")
     try:
         ranks = average_ranks(reports)
     except ValueError as exc:  # no error-kind method common to every report

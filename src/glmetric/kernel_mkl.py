@@ -1,16 +1,21 @@
 """Metric RBF kernel banks, a soft-margin SVM dual solver, and simplex-weight
 multiple kernel learning.
 
+A bank's Gram matrices are built with one distance matrix per metric, shared
+by the kernels of its bandwidth grid; gram_matrix is the one-kernel view.
+
 The SVM solver is pairwise coordinate ascent on the standard dual
 (max sum(beta) - 0.5 beta^T (y K y) beta, 0 <= beta <= C, sum(beta y) = 0)
 with most-violating-pair working-set selection (first index on ties). Each
 step reads two kernel columns as contiguous rows of one k.T copy, updates the
-signed gradient -y * grad in place, and touches only the two changed duals
-and their index-set flags. Kernel weights are learned by projected gradient
-on the simplex with backtracking on the optimal dual value, which shares its
-fixed points with reduced-gradient descent on the same objective. Weighted
-kernel sums skip zero weights, which would add only +0.0, and reuse one
-buffer per fit.
+signed gradient -y * grad in place as two masked copies, one per index set,
+so the working pair is read off them directly, and touches only the two
+changed duals and their index-set flags. Kernel weights are learned by
+projected gradient on the simplex with backtracking on the optimal dual
+value, which shares its fixed points with reduced-gradient descent on the
+same objective. Weighted kernel sums skip zero weights, which would add only
++0.0, and reuse one buffer per fit; the uniform-weight sum that every fit
+starts from is summed once per train_one_vs_all call.
 
 Each solution records peak, the largest dual value on the solver's path. C
 steers the path only through duals that reach C - 1e-8, so a solution found
@@ -38,6 +43,7 @@ __all__ = [
     "MklModel",
     "DEFAULT_TAU_GRID",
     "build_kernel_bank",
+    "gram_bank",
     "gram_matrix",
     "svm_solve",
     "project_simplex",
@@ -127,16 +133,33 @@ def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID):
     return bank
 
 
-def gram_matrix(bk: BaseKernel, x, x2=None):
-    """Kernel matrix between rows of x and rows of x2 (or x with itself)."""
+def gram_bank(bank, x, x2=None):
+    """The Gram matrix of every kernel of bank between rows of x and rows of
+    x2 (or x with itself), in bank order.
+
+    Consecutive kernels with the same metric object, as build_kernel_bank
+    makes them, share one distance matrix: exp(-d / sigma^2) on the same d is
+    the same value.
+    """
     x = np.asarray(x, dtype=float)
     other = x if x2 is None else np.asarray(x2, dtype=float)
+    grams, metric = [], None
     with np.errstate(under="ignore"):
-        k = np.exp(-pairwise_sq_dists(x, other, bk.metric.matrix) / bk.sigma_sq)
-    if x2 is None:
-        np.fill_diagonal(k, 1.0)
-        k = 0.5 * (k + k.T)
-    return k
+        for bk in bank:
+            if bk.metric is not metric:
+                metric = bk.metric
+                neg_d = -pairwise_sq_dists(x, other, metric.matrix)
+            k = np.exp(neg_d / bk.sigma_sq)
+            if x2 is None:
+                np.fill_diagonal(k, 1.0)
+                k = 0.5 * (k + k.T)
+            grams.append(k)
+    return grams
+
+
+def gram_matrix(bk: BaseKernel, x, x2=None):
+    """Kernel matrix between rows of x and rows of x2 (or x with itself)."""
+    return gram_bank([bk], x, x2)[0]
 
 
 def svm_solve(k, y, c):
@@ -169,9 +192,15 @@ def svm_solve(k, y, c):
     # Only the two chosen duals change per step, so only their entries of the
     # index sets and of beta are updated. The signed gradient yg = -y * grad
     # moves by step * (K[:, j] - K[:, i]), which equals the product form bit
-    # for bit since y is +-1; the columns of k are read as rows of k.T.
-    # Every scalar is a Python float read with .item, and each builtin min or
-    # max is spelled as the comparisons it makes, so ties keep the same value.
+    # for bit since y is +-1; the columns of k are read as rows of k.T. yg is
+    # kept only as two masked copies: g_up holds it on the up set and -inf
+    # elsewhere, g_low on the low set and +inf elsewhere. Both take the same
+    # delta each step (an infinity stays put), and a point that joins a set
+    # takes its value from the copy of the set it was in. A point can leave
+    # both sets only when C <= 2e-12; it then never moves again and is not in
+    # the bias set, so its lost value is never read. Every scalar is a
+    # Python float read with .item, and each builtin min or max is spelled as
+    # the comparisons it makes, so ties keep the same value.
     kt = np.ascontiguousarray(k.T)
     rows, kt_item = list(kt), kt.item
     kdiag = np.diag(k).tolist()
@@ -180,14 +209,13 @@ def svm_solve(k, y, c):
     up = [yr > 0 and c_hi > 0 for yr in ys]  # beta_r may move along +y_r
     low = [yr < 0 and c_hi > 0 for yr in ys]  # beta_r may move along -y_r
     n_up, n_low = sum(up), sum(low)
-    up_pen = np.where(up, 0.0, -np.inf)  # added to yg to mask out ~up
-    low_pen = np.where(low, 0.0, np.inf)
+    g_up = np.where(up, y, -np.inf)
+    g_low = np.where(low, y, np.inf)
     beta = [0.0] * n
-    yg = y.copy()
-    masked = np.empty(n)
     delta = np.empty(n)
-    add, subtract, yg_item = np.add, np.subtract, yg.item
-    argmax, argmin = masked.argmax, masked.argmin
+    scale = np.empty(())  # the step as an array: a float operand costs a conversion
+    add, subtract, multiply = np.add, np.subtract, np.multiply
+    argmax, argmin, up_item, low_item = g_up.argmax, g_low.argmin, g_up.item, g_low.item
     it = 0
     violation = np.inf
     peak = 0.0
@@ -195,11 +223,9 @@ def svm_solve(k, y, c):
         if not n_up or not n_low:
             violation = 0.0
             break
-        add(yg, up_pen, masked)
         i = int(argmax())
-        add(yg, low_pen, masked)
         j = int(argmin())
-        violation = yg_item(i) - yg_item(j)
+        violation = up_item(i) - low_item(j)
         if violation < tol:
             break
         yi, yj = ys[i], ys[j]
@@ -222,23 +248,25 @@ def svm_solve(k, y, c):
         if bj > peak:
             peak = bj
         subtract(rows[j], rows[i], delta)
-        delta *= step
-        yg += delta
+        scale[()] = step
+        multiply(delta, scale, delta)
+        add(g_up, delta, g_up)
+        add(g_low, delta, g_low)
         for r, b, pos in ((i, bi, yi > 0), (j, bj, yj > 0)):
             u = b < c_hi if pos else b > 1e-12
             l = b > 1e-12 if pos else b < c_hi
-            if u != up[r]:
-                up[r] = u
-                up_pen[r] = 0.0 if u else -np.inf
-                n_up += 1 if u else -1
-            if l != low[r]:
-                low[r] = l
-                low_pen[r] = 0.0 if l else np.inf
-                n_low += 1 if l else -1
+            if u != up[r] or l != low[r]:
+                v = up_item(r) if up[r] else low_item(r)
+                g_up[r] = v if u else -np.inf
+                g_low[r] = v if l else np.inf
+                n_up += u - up[r]
+                n_low += l - low[r]
+                up[r], low[r] = u, l
     converged = violation < tol
     if not converged:
         logger.warning("SVM solver hit the iteration cap (violation %.3g)", violation)
     beta = np.array(beta)
+    yg = np.where(up, g_up, g_low)  # -y * grad wherever a set holds it
     unbounded = (beta > 1e-8) & (beta < c - 1e-8)
     if unbounded.any():
         bias = float(yg[unbounded].mean())
@@ -284,28 +312,24 @@ def mkl_train(grams, y, c, memo=None):
     memo computes. The weight gradient depends only on the grams, y and the
     solution, so it is computed once per entry, the first time a fit steps from
     that solution, and every later fit that steps from the entry reuses it.
+    The memos of train_one_vs_all also carry the uniform-weight sum of the
+    grams, which the first solve of a fit then takes instead of summing it.
     """
     y = np.asarray(y, dtype=float)
-    m = len(grams)
-    if m == 0:
-        raise ValueError("need at least one kernel")
-    grams = [np.asarray(kk, dtype=float) for kk in grams]
-    shapes = {kk.shape for kk in grams}
-    if len(shapes) > 1:
-        raise ValueError(f"Gram matrices differ in shape: {sorted(shapes)}")
-    weights = np.full(m, 1.0 / m)
+    grams = _as_bank(grams)
+    weights = np.full(len(grams), 1.0 / len(grams))
     combined, scratch = np.empty_like(grams[0]), np.empty_like(grams[0])
     memo = {} if memo is None else memo
     stats = {"svm_solves": 0, "smo_iterations": 0, "reused_solves": 0,
              "gradients": 0, "reused_gradients": 0,
              "unconverged_solves": 0, "max_kkt_violation": 0.0}
 
-    def solve(a):
+    def solve(a, k=None):  # k: the combined kernel of a, when already summed
         known = memo.setdefault(a.tobytes(), [])
         entry = next((e for e in known if e[0] == c or e[1].peak < min(e[0], c) - 1e-8),
                      None)
         if entry is None:
-            s = svm_solve(_combine(a, grams, combined, scratch), y, c)
+            s = svm_solve(_combine(a, grams, combined, scratch) if k is None else k, y, c)
             entry = [c, s, None]
             known.append(entry)
             stats["svm_solves"] += 1
@@ -317,7 +341,7 @@ def mkl_train(grams, y, c, memo=None):
         stats["max_kkt_violation"] = max(stats["max_kkt_violation"], s.kkt_violation)
         return entry
 
-    entry = solve(weights)
+    entry = solve(weights, getattr(memo, "uniform", None))
     sol = entry[1]
     curve = [sol.objective]
     step = 1.0
@@ -356,6 +380,27 @@ def mkl_train(grams, y, c, memo=None):
                     objective_curve=curve, converged=converged, **stats)
 
 
+def _as_bank(grams):
+    """grams as a list of float arrays; raises ValueError when it is empty or
+    its shapes differ."""
+    if len(grams) == 0:
+        raise ValueError("need at least one kernel")
+    grams = [np.asarray(kk, dtype=float) for kk in grams]
+    shapes = {kk.shape for kk in grams}
+    if len(shapes) > 1:
+        raise ValueError(f"Gram matrices differ in shape: {sorted(shapes)}")
+    return grams
+
+
+class _BankMemo(dict):
+    """A solve memo (see mkl_train) that also carries the uniform-weight sum
+    of its grams, which every fit solves first."""
+
+    def __init__(self, uniform):
+        super().__init__()
+        self.uniform = uniform
+
+
 def _combine(weights, grams, out=None, scratch=None):
     """sum_k a_k K_k into out, adding only the non-zero weights in index order.
 
@@ -378,10 +423,13 @@ def train_one_vs_all(grams, labels, class_count, c_grid):
 
     Returns one model list per C, in grid order. Each class keeps one solve
     memo across the grid, so a solve that never reached its box is reused at
-    every C where it is provably the same (see mkl_train).
+    every C where it is provably the same (see mkl_train). The uniform-weight
+    sum that every fit starts from is summed once for the whole grid.
     """
+    grams = _as_bank(grams)
+    uniform = _combine(np.full(len(grams), 1.0 / len(grams)), grams)
     targets = [np.where(labels == cls, 1.0, -1.0) for cls in range(class_count)]
-    memos = [{} for _ in targets]
+    memos = [_BankMemo(uniform) for _ in targets]
     return [[mkl_train(grams, y, c, memo=memo) for y, memo in zip(targets, memos)]
             for c in c_grid]
 

@@ -302,18 +302,28 @@ class TestConfig:
         (["rank", "{tmp}/methods_5.json"],
          '{tmp}/methods_5.json: not a report: "methods" must map names to objects'),
         (["rank", "{tmp}/rand_only.json"], "no common error-kind methods across reports"),
+        (["rank", "{tmp}/mean_string.json"],
+         "{tmp}/mean_string.json: not a report: the mean of 'a' is 'x', not a finite number"),
+        (["cluster", "--data", "{tmp}/two_setosa.csv", "--label-column", "label",
+          "--has-header"],
+         "{tmp}/two_setosa.csv: stratified split needs >= 3 members per class; class 0 has 2"),
     ], ids=["fit_metric_lam_cov", "embed_lam_cov", "lam_cov_nan", "val_ratio_above_1",
             "val_ratio_0", "neighbors_above_rows", "dim_above_spectrum",
             "fit_metric_lam_cov_0", "fit_metric_kde_lam_cov_0", "embed_lam_cov_0",
             "classify_k_above_rows", "rank_list", "rank_methods_number",
-            "rank_no_error_methods"])
+            "rank_no_error_methods", "rank_mean_string", "cluster_class_below_3"])
     def test_bad_flag_value_exits_2_with_one_error_line(self, tmp_path, capsys, argv,
                                                         message):
         for name, payload in {"identity.json": {"metric": MetricMatrix.identity(4).to_dict()},
                               "list.json": [1, 2], "methods_5.json": {"methods": 5},
                               "rand_only.json": {"methods": {"cluster_uni": {
-                                  "kind": "rand", "mean": 0.9}}}}.items():
+                                  "kind": "rand", "mean": 0.9}}},
+                              "mean_string.json": {"methods": {
+                                  "a": {"kind": "error", "mean": "x"},
+                                  "b": {"kind": "error", "mean": 0.1}}}}.items():
             (tmp_path / name).write_text(json.dumps(payload))
+        # 2 setosa, 20 versicolor and 20 virginica rows
+        write_iris_subset(tmp_path / "two_setosa.csv", [0, 1, *range(50, 70), *range(100, 120)])
         out = tmp_path / "out"
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         assert main([*argv, "--out", str(out)]) == 2
@@ -662,10 +672,11 @@ class TestRunExperiment:
         built = []
 
         def counted(*args, **kwargs):
-            built.append(1)
-            return kernel_mkl.gram_matrix(*args, **kwargs)
+            grams = kernel_mkl.gram_bank(*args, **kwargs)
+            built.extend(grams)
+            return grams
 
-        monkeypatch.setattr(cli_mod, "gram_matrix", counted)
+        monkeypatch.setattr(cli_mod, "gram_bank", counted)
         path, _ = minimal_config(tmp_path, methods=["euclidean", "mkl_baseline"])
         cfg = parse_experiment_config(json.loads(path.read_text()))
         report, code = run_experiment(cfg, tmp_path / "out")
@@ -770,15 +781,15 @@ class TestMklCellOrder:
             metrics, _ = regional_metrics(locals_, train.features, partitions, seed=3)
         train_refs, alive_at_eval = [], []
 
-        def recording(bk, x, x2=None):
-            k = kernel_mkl.gram_matrix(bk, x, x2)
-            if x2 is None:
-                train_refs.append(weakref.ref(k))
-            elif not alive_at_eval:
+        def recording(bank, x, x2=None):
+            if x2 is not None and not alive_at_eval:
                 alive_at_eval.append(sum(r() is not None for r in train_refs))
-            return k
+            grams = kernel_mkl.gram_bank(bank, x, x2)
+            if x2 is None:
+                train_refs.extend(weakref.ref(k) for k in grams)
+            return grams
 
-        monkeypatch.setattr(cli_mod, "gram_matrix", recording)
+        monkeypatch.setattr(cli_mod, "gram_bank", recording)
         cell = cli_mod._run_mkl(train, validation, test, metrics, cli_mod.DEFAULT_GRIDS)
         assert len(train_refs) == cell["chosen"]["kernels"] == 15 * len(metrics)
         assert alive_at_eval == [0]
@@ -871,6 +882,23 @@ class TestSubcommands:
         assert main(["rank", str(tmp_path / "r1.json"), str(tmp_path / "r2.json"),
                      "--out", str(out)]) == 0
         assert "fast" in out.read_text()
+
+    @pytest.mark.parametrize("mean", ["0.1", None, True, [0.1], float("nan"), float("inf")],
+                             ids=["string", "null", "bool", "list", "nan", "inf"])
+    def test_rank_rejects_a_mean_that_is_not_a_finite_number(self, tmp_path, capsys, mean):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"methods": {"a": {"kind": "error", "mean": 0},
+                                                "b": {"kind": "error", "mean": 0.5}}}))
+        # a rand-kind mean is checked too, though only error-kind means are ranked
+        bad.write_text(json.dumps({"methods": {"a": {"kind": "error", "mean": 0.1},
+                                               "b": {"kind": "error", "mean": 0.2},
+                                               "c": {"kind": "rand", "mean": mean}}}))
+        assert main(["rank", str(good), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {bad}: not a report: the mean of 'c' is {mean!r}, not a finite number"]
+        assert captured.out == ""
+        assert main(["rank", str(good), str(good)]) == 0  # an integer mean is a number
 
     def test_cluster_subcommand_matches_direct_pipeline(self, tmp_path):
         # the scaling is fitted on the training portion alone, as the runner

@@ -3,10 +3,11 @@ import logging
 import numpy as np
 import pytest
 
-from glmetric import kernel_mkl
+from glmetric import kernel_mkl, make_synthetic_mixture, three_normal_preset
 from glmetric._linalg import pairwise_sq_dists, sym_sqrt
+from glmetric.dataset import SplitSpec, scale_features, split
 from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution, _combine,
-                                 _decision_values, build_kernel_bank,
+                                 _decision_values, build_kernel_bank, gram_bank,
                                  gram_matrix, mkl_train,
                                  predict_one_vs_all, project_simplex,
                                  svm_solve, train_one_vs_all, DEFAULT_TAU_GRID)
@@ -16,9 +17,10 @@ from test_local_metric import random_symmetric_indefinite
 logger = logging.getLogger(__name__)
 
 
-# Oracles: the column-read SMO loop and the sum-every-kernel combination that
-# the row-read, signed-gradient loop and the zero-weight-skipping combination
-# replaced. The fast paths must reproduce them bit for bit.
+# Oracles: the column-read SMO loop, the sum-every-kernel combination and the
+# one-distance-matrix-per-kernel Gram that the row-read, masked-gradient loop,
+# the zero-weight-skipping combination and the one-distance-matrix-per-metric
+# bank replaced. The fast paths must reproduce them bit for bit.
 
 def oracle_svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     """Soft-margin SVM dual by most-violating-pair coordinate ascent.
@@ -135,6 +137,18 @@ def oracle_mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
                     objective_curve=curve, converged=converged)
 
 
+def oracle_gram_matrix(bk: BaseKernel, x, x2=None):
+    """Kernel matrix between rows of x and rows of x2 (or x with itself)."""
+    x = np.asarray(x, dtype=float)
+    other = x if x2 is None else np.asarray(x2, dtype=float)
+    with np.errstate(under="ignore"):
+        k = np.exp(-pairwise_sq_dists(x, other, bk.metric.matrix) / bk.sigma_sq)
+    if x2 is None:
+        np.fill_diagonal(k, 1.0)
+        k = 0.5 * (k + k.T)
+    return k
+
+
 def oracle_decision_values(model: MklModel, test_grams):
     combined = None
     for a, kk in zip(model.weights, test_grams):
@@ -234,6 +248,38 @@ class TestGram:
         bk = BaseKernel(MetricMatrix.identity(2), 1.0)
         k = gram_matrix(bk, np.zeros((3, 2)), np.ones((5, 2)))
         assert k.shape == (3, 5)
+
+
+class TestGramBankMatchesOracle:
+    @pytest.mark.parametrize("cross", [False, True], ids=["train", "cross"])
+    def test_one_distance_matrix_per_metric(self, monkeypatch, cross):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(40, 3))
+        x2 = rng.normal(size=(25, 3)) if cross else None
+        metrics = [MetricMatrix.identity(3)] + [
+            solve_local_metric(random_symmetric_indefinite(rng, 3)) for _ in range(2)]
+        bank = build_kernel_bank(metrics, x)
+        assert len(bank) == 3 * len(DEFAULT_TAU_GRID)
+        # a metric that comes back after another needs its distances again
+        mixed = [bank[0], bank[20], bank[1], bank[2]]
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2])
+            return pairwise_sq_dists(*args)
+
+        monkeypatch.setattr(kernel_mkl, "pairwise_sq_dists", counted)
+        for kernels, metric_runs in ((bank, metrics), (mixed, metrics[:2] + metrics[:1])):
+            calls.clear()
+            grams = gram_bank(kernels, x, x2)
+            assert len(calls) == len(metric_runs)
+            assert all(m is run.matrix for m, run in zip(calls, metric_runs))
+            assert len(grams) == len(kernels)
+            for bk, k in zip(kernels, grams):
+                want = oracle_gram_matrix(bk, x, x2)
+                np.testing.assert_array_equal(k, want)
+                np.testing.assert_array_equal(gram_matrix(bk, x, x2), want)
+        assert len({k.tobytes() for k in grams}) == len(grams)
 
 
 def project_box_hyperplane(v, y, c):
@@ -380,6 +426,40 @@ class TestSvmMatchesOracle:
         assert_same_solution(sol, oracle_svm_solve(k, y, 10.0, max_iter=5))
 
 
+def three_normal_problem():
+    """The 360-point train Gram of the three-normal preset (tau = 1) with the
+    class-0-against-the-rest labels."""
+    data = make_synthetic_mixture(three_normal_preset(), 600, seed=7)
+    train, _, _ = split(data, SplitSpec(seed=1000))
+    train, _ = scale_features(train)
+    bank = build_kernel_bank([MetricMatrix.identity(train.dim)], train.features, (1.0,))
+    return gram_matrix(bank[0], train.features), np.where(train.labels == 0, 1.0, -1.0)
+
+
+class TestSvmMasksMatchOracle:
+    """The masked gradient copies give up and take back a point's value each
+    time its dual leaves or joins a set; the solution must not show it."""
+
+    @pytest.mark.parametrize("c", [0.1, 10.0])
+    def test_three_normal_gram(self, caplog, monkeypatch, c):
+        k, y = three_normal_problem()
+        assert k.shape == (360, 360)
+        sol = svm_solve(k, y, c)
+        assert_same_solution(sol, oracle_svm_solve(k, y, c))
+        # count the set changes between solves capped every 25 steps: duals
+        # cross between the up and low sets many times on the way
+        changes, before = 0, None
+        with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
+            for cap in range(25, sol.iterations + 25, 25):
+                monkeypatch.setattr(kernel_mkl, "SVM_MAX_ITER", cap)
+                b = svm_solve(k, y, c).beta
+                sets = np.stack([np.where(y > 0, b < c - 1e-12, b > 1e-12),
+                                 np.where(y > 0, b > 1e-12, b < c - 1e-12)])
+                changes += 0 if before is None else int((sets != before).sum())
+                before = sets
+        assert changes >= 100
+
+
 class TestSvmStepEdgeCases:
     """Ties in the working-set choice and in the step limits, the quad floor
     and tiny C, where the scalar comparisons of the step must act as the
@@ -433,6 +513,18 @@ class TestSvmStepEdgeCases:
                 first = svm_solve(k, y, c)
             np.testing.assert_array_equal(first.beta, np.r_[c, c, np.zeros(23)])
             assert_same_solution(svm_solve(k, y, c), oracle_svm_solve(k, y, c))
+
+    def test_duals_in_neither_index_set(self, monkeypatch):
+        # at C <= 2e-12 a dual can end in [C - 1e-12, 1e-12] and leave both
+        # sets; a tolerance far below SVM_TOL lets steps stop short of the box
+        monkeypatch.setattr(kernel_mkl, "SVM_TOL", 1e-30)
+        k, y = random_svm_problem(22, 12)
+        sol = svm_solve(k, y, 1.2e-12)
+        assert_same_solution(sol, oracle_svm_solve(k, y, 1.2e-12, tol=1e-30))
+        b, c_hi = sol.beta, 1.2e-12 - 1e-12
+        up = np.where(y > 0, b < c_hi, b > 1e-12)
+        low = np.where(y > 0, b > 1e-12, b < c_hi)
+        assert (~up & ~low).sum() == 6
 
     def test_c_between_the_index_and_bias_margins(self):
         # 1e-12 < C < 1e-8: duals move, but none counts as unbounded for the bias
@@ -559,6 +651,31 @@ class TestGridReuse:
                 np.testing.assert_array_equal(
                     grad, [-0.5 * yb @ kk @ yb for kk in grams])
         assert sum(m.reused_gradients for ms in per_c[1:] for m in ms) > 0
+
+    def test_one_uniform_sum_per_grid(self, monkeypatch):
+        grams, labels = overlapping_three_class_problem()
+        c_grid = (0.1, 1.0, 10.0, 100.0)
+        sums = []  # the weights of every kernel sum
+
+        def counted(weights, *args):
+            sums.append(np.array(weights))
+            return _combine(weights, *args)
+
+        monkeypatch.setattr(kernel_mkl, "_combine", counted)
+        per_c = train_one_vs_all(grams, labels, 3, c_grid)
+        uniform = np.full(len(grams), 1.0 / len(grams))
+        assert sum(np.array_equal(a, uniform) for a in sums) == 1
+        sums.clear()
+        for c, models in zip(c_grid, per_c):
+            for cls, model in enumerate(models):
+                fresh = mkl_train(grams, np.where(labels == cls, 1.0, -1.0), c)
+                np.testing.assert_array_equal(model.weights, fresh.weights)
+                np.testing.assert_array_equal(model.beta, fresh.beta)
+                assert model.bias == fresh.bias
+                assert model.objective_curve == fresh.objective_curve
+                assert model.converged == fresh.converged
+        # a fit alone sums the uniform weights itself
+        assert sum(np.array_equal(a, uniform) for a in sums) == 3 * len(c_grid)
 
     def test_memo_is_filled_by_weight_bytes(self):
         grams, labels = overlapping_three_class_problem()
