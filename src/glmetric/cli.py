@@ -7,6 +7,7 @@ import math
 import sys
 import time
 import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,6 +48,17 @@ DEFAULT_GRIDS = {
     "cluster_lam_int": [0.0, 0.25, 0.5, 0.75],
 }
 
+# The default of each absent config key, by dataset kind, section or top-level
+# key; the grids default to DEFAULT_GRIDS and method keys to their METHODS entry.
+CONFIG_DEFAULTS = {
+    "csv": {"has_header": False},
+    "synthetic": {"n": 1200, "dim": 10, "seed": 7, "scale": 3.0, "elongation": 2.5},
+    "preprocess": {"scale": True},
+    "split": {"ratios": [0.6, 0.2, 0.2], "n_repeats": 1, "base_seed": 0, "stratified": True},
+    "lam_cov": 1e-3,
+    "output_dir": "glmetric_out",
+}
+
 # bound on the bytes of an MKL cell's train Gram bank, M float64 (n, n) grams: M * n**2 * 8
 MKL_TRAIN_BANK_BYTES = 2 ** 30
 
@@ -65,7 +77,16 @@ class ExperimentConfig:
     methods: list
     grids: dict
     lam_cov: float
-    output_dir: str | None
+    output_dir: str
+
+
+@contextmanager
+def _input_error(what):
+    """Re-raise a ValueError of the block as ConfigError "what: message" (exit code 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _check_keys(d, allowed, where):
@@ -82,6 +103,11 @@ def _check_count(value, what, low=1):
             low, f"an integer of at least {low}")
         raise ConfigError(f"{what} must be {kind}, got {value!r}")
     return value
+
+
+def _check_switch(value, what):
+    if not isinstance(value, bool):  # 0, 1, strings and null are not switches
+        raise ConfigError(f"{what} must be true or false, got {value!r}")
 
 
 def _is_finite_number(value):
@@ -136,7 +162,9 @@ def _parse_grids(raw):
 
 
 def parse_experiment_config(raw):
-    """Validate the versioned JSON config; unknown keys are rejected."""
+    """Validate the versioned JSON config. Unknown keys are rejected, and each
+    absent key takes its CONFIG_DEFAULTS value before any value is checked,
+    so cfg.dataset and cfg.preprocess hold every key of their kind."""
     if not isinstance(raw, dict) or raw.get("version") != 1:
         raise ConfigError("config must be a JSON object with version 1")
     _check_keys(raw, {"version", "dataset", "preprocess", "split", "methods",
@@ -146,66 +174,72 @@ def parse_experiment_config(raw):
             raise ConfigError(f"{section} must be a JSON object, got {raw[section]!r}")
     dataset = raw.get("dataset", {})
     if "csv" in dataset:
-        _check_keys(dataset, {"csv", "label_column", "has_header"}, "dataset")
+        _check_keys(dataset, {"csv", "label_column", *CONFIG_DEFAULTS["csv"]}, "dataset")
+        dataset = {**CONFIG_DEFAULTS["csv"], **dataset}
+        if not isinstance(dataset["csv"], str):  # open() takes an integer as a file descriptor
+            raise ConfigError(f"dataset csv must be a path string, got {dataset['csv']!r}")
         if "label_column" not in dataset:
             raise ConfigError("csv dataset needs a label_column")
         if not isinstance(dataset["label_column"], str):  # a string is a column name
             _check_count(dataset["label_column"], "dataset label_column", low=0)
+        _check_switch(dataset["has_header"], "dataset has_header")
     elif "synthetic" in dataset:
-        _check_keys(dataset, {"synthetic", "n", "seed", "scale", "elongation", "dim"}, "dataset")
+        _check_keys(dataset, {"synthetic", *CONFIG_DEFAULTS["synthetic"]}, "dataset")
+        dataset = {**CONFIG_DEFAULTS["synthetic"], **dataset}
         if dataset["synthetic"] != "three_normal":
             raise ConfigError(f"unknown synthetic preset {dataset['synthetic']!r}")
-        _check_count(dataset.get("n", 1), "dataset n")
-        _check_count(dataset.get("dim", 3), "dataset dim", low=3)  # a class mean per axis
-        _check_count(dataset.get("seed", 0), "dataset seed", low=0)
-        if not _is_finite_number(dataset.get("scale", 3.0)):
+        _check_count(dataset["n"], "dataset n")
+        _check_count(dataset["dim"], "dataset dim", low=3)  # a class mean per axis
+        _check_count(dataset["seed"], "dataset seed", low=0)
+        if not _is_finite_number(dataset["scale"]):
             raise ConfigError(f"dataset scale must be a finite number, got {dataset['scale']!r}")
-        elongation = dataset.get("elongation", 2.5)
+        elongation = dataset["elongation"]
         if not (_is_finite_number(elongation) and elongation > 0):
             raise ConfigError(f"dataset elongation must be a finite positive number, "
                               f"got {elongation!r}")
     else:
         raise ConfigError("dataset must specify 'csv' or 'synthetic'")
-    preprocess = raw.get("preprocess", {})
-    _check_keys(preprocess, {"scale", "pca_dim"}, "preprocess")
+    preprocess = {**CONFIG_DEFAULTS["preprocess"], **raw.get("preprocess", {})}
+    _check_keys(preprocess, {"pca_dim", *CONFIG_DEFAULTS["preprocess"]}, "preprocess")
     if "pca_dim" in preprocess:
         _check_count(preprocess["pca_dim"], "preprocess pca_dim")
-    split = raw.get("split", {})
-    _check_keys(split, {"ratios", "n_repeats", "base_seed", "stratified"}, "split")
-    n_repeats = _check_count(split.get("n_repeats", 1), "split n_repeats")
-    base_seed = _check_count(split.get("base_seed", 0), "split base_seed", low=0)
-    for what, value in (("dataset has_header", dataset.get("has_header", False)),
-                        ("preprocess scale", preprocess.get("scale", True)),
-                        ("split stratified", split.get("stratified", True))):
-        if not isinstance(value, bool):  # 0, 1, strings and null are not switches
-            raise ConfigError(f"{what} must be true or false, got {value!r}")
-    try:
-        spec = SplitSpec(tuple(split.get("ratios", (0.6, 0.2, 0.2))), base_seed,
-                         split.get("stratified", True))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"split ratios: {exc}") from exc
+    split = {**CONFIG_DEFAULTS["split"], **raw.get("split", {})}
+    _check_keys(split, CONFIG_DEFAULTS["split"], "split")
+    n_repeats = _check_count(split["n_repeats"], "split n_repeats")
+    base_seed = _check_count(split["base_seed"], "split base_seed", low=0)
+    _check_switch(preprocess["scale"], "preprocess scale")
+    _check_switch(split["stratified"], "split stratified")
+    ratios = split["ratios"]
+    if not (isinstance(ratios, list) and all(map(_is_finite_number, ratios))):
+        raise ConfigError(f"split ratios must be a list of finite numbers, got {ratios!r}")
+    with _input_error("split ratios"):
+        spec = SplitSpec(tuple(ratios), base_seed, split["stratified"])
     methods = raw.get("methods")
     if not isinstance(methods, list) or not methods:
         raise ConfigError(f"config needs a non-empty list of methods, got {methods!r}")
-    lam_cov = raw.get("lam_cov", 1e-3)
+    lam_cov = raw.get("lam_cov", CONFIG_DEFAULTS["lam_cov"])
     if not _is_finite_number(lam_cov):
         raise ConfigError(f"lam_cov must be a finite number, got {lam_cov!r}")
     if lam_cov < 0:
         raise ConfigError(f"lam_cov must be non-negative, got {lam_cov!r}")
-    return ExperimentConfig(raw, dataset, dict(preprocess), spec, n_repeats,
-                            [_parse_method(entry) for entry in methods],
-                            _parse_grids(raw), float(lam_cov),
-                            raw.get("output_dir"))
+    output_dir = raw.get("output_dir", CONFIG_DEFAULTS["output_dir"])
+    if not (isinstance(output_dir, str) and output_dir):
+        raise ConfigError(f"output_dir must be a non-empty path string, got {output_dir!r}")
+    methods = [_parse_method(entry) for entry in methods]
+    keys = [_method_key(entry) for entry in methods]
+    for key in keys:  # report.json keeps one entry per key
+        if keys.count(key) > 1:
+            raise ConfigError(f"two method entries report under {key!r}")
+    return ExperimentConfig(raw, dataset, preprocess, spec, n_repeats, methods,
+                            _parse_grids(raw), float(lam_cov), output_dir)
 
 
 def _load_config_dataset(cfg: ExperimentConfig):
     d = cfg.dataset
     if "csv" in d:
-        return load_csv(d["csv"], d["label_column"], d.get("has_header", False))
-    preset = three_normal_preset(scale=d.get("scale", 3.0),
-                                 elongation=d.get("elongation", 2.5),
-                                 dim=d.get("dim", 10))
-    return make_synthetic_mixture(preset, d.get("n", 1200), d.get("seed", 7))
+        return load_csv(d["csv"], d["label_column"], d["has_header"])
+    preset = three_normal_preset(scale=d["scale"], elongation=d["elongation"], dim=d["dim"])
+    return make_synthetic_mixture(preset, d["n"], d["seed"])
 
 
 class _phase:
@@ -353,7 +387,7 @@ def _prepare_split(full, spec, preprocess):
     """The (train, validation, test) portions of spec, with the [-1, 1] scaling
     and the PCA that preprocess asks for fitted on train alone."""
     train, validation, test = ds_mod.split(full, spec)
-    if preprocess.get("scale", True):
+    if preprocess["scale"]:
         train, params = scale_features(train)
         validation = params.transform(validation)
         test = params.transform(test)
@@ -365,11 +399,9 @@ def _prepare_split(full, spec, preprocess):
 
 def _run_repeat(cfg, full, repeat):
     seed = cfg.split.seed + repeat
-    try:
+    with _input_error(f"preparing split seed {seed}"):
         train, validation, test = _prepare_split(full, replace(cfg.split, seed=seed),
                                                  cfg.preprocess)
-    except ValueError as exc:
-        raise ConfigError(f"preparing split seed {seed}: {exc}") from exc
     fitted = []  # the uniform metric, kept once a method has fitted it
 
     def uniform_metric(phases):
@@ -378,7 +410,7 @@ def _run_repeat(cfg, full, repeat):
                 fitted.append(_fit_uniform(train, fit_gaussian_models(train, cfg.lam_cov)))
         return fitted[0]
 
-    out = {}
+    cells = []  # one per cfg.methods entry
     for entry in cfg.methods:
         t0 = time.perf_counter()
         try:
@@ -386,8 +418,8 @@ def _run_repeat(cfg, full, repeat):
         except Exception as exc:  # recorded per method, run continues
             cell = {"error": f"{type(exc).__name__}: {exc}", "traceback": traceback.format_exc()}
         cell["timing"] = {"wall_s": time.perf_counter() - t0}
-        out[_method_key(entry)] = cell
-    return out
+        cells.append(cell)
+    return cells
 
 
 def _method_key(entry):
@@ -407,21 +439,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads!r}: repeats run serially")
     t_start = time.perf_counter()
-    try:
+    with _input_error("dataset"):
         full = _load_config_dataset(cfg)
-    except ValueError as exc:
-        raise ConfigError(f"dataset: {exc}") from exc
     results = [_run_repeat(cfg, full, r) for r in range(cfg.n_repeats)]
 
     methods = {}
-    for key, name in {_method_key(e): e["name"] for e in cfg.methods}.items():
-        cells = [result[key] for result in results]
+    for method, cells in zip(cfg.methods, zip(*results)):
         ok = [cell for cell in cells if "error" not in cell]
         timing = {"wall_s": sum(cell["timing"]["wall_s"] for cell in cells)}
         for cell in ok:
             for phase, secs in cell["phases"].items():
                 timing[phase] = timing.get(phase, 0.0) + secs
-        entry = {"kind": METHODS[name][0], "per_split": [cell["value"] for cell in ok],
+        entry = {"kind": METHODS[method["name"]][0], "per_split": [cell["value"] for cell in ok],
                  "chosen": [cell["chosen"] for cell in ok],
                  "diagnostics": [cell.get("diagnostics", {}) for cell in ok],
                  "failures": [{"repeat": r, "error": cell["error"],
@@ -432,7 +461,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, threads=1):
             arr = np.asarray(entry["per_split"], dtype=float)
             entry["mean"] = float(arr.mean())
             entry["stderr"] = float(arr.std(ddof=1) / np.sqrt(len(arr))) if len(arr) > 1 else 0.0
-        methods[key] = entry
+        methods[_method_key(method)] = entry
 
     report = {
         "config": {k: v for k, v in cfg.raw.items() if k != "output_dir"},
@@ -527,9 +556,8 @@ def average_ranks(reports):
 
 
 def _subcommand(sub, name, func, summary):
-    """The subparser of name, which runs func and takes --seed and --out."""
+    """The subparser of name, which runs func and takes --out."""
     p = sub.add_parser(name, help=summary, exit_on_error=False)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=func)
     return p
@@ -567,25 +595,20 @@ def _non_negative_float(text):
 
 
 def _load_cli_csv(path, args):
-    try:
+    with _input_error(path):
         return load_csv(path, args.label_column, args.has_header)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _cli_gaussians(train, lam_cov):
     """fit_gaussian_models at a command's --lam-cov; a class covariance that
     stays singular at that value raises ConfigError naming the flag."""
-    try:
+    with _input_error(f"--lam-cov {lam_cov}"):
         return fit_gaussian_models(train, lam_cov)
-    except ValueError as exc:
-        raise ConfigError(f"--lam-cov {lam_cov}: {exc}") from exc
 
 
 def _cmd_benchmark(args):
     cfg = parse_experiment_config(json.loads(Path(args.config).read_text()))
-    out_dir = args.out or cfg.output_dir or "glmetric_out"
-    _, code = run_experiment(cfg, out_dir)
+    _, code = run_experiment(cfg, args.out or cfg.output_dir)
     return code
 
 
@@ -597,12 +620,10 @@ def _cmd_fit_metric(args):
     if args.method == "m_uni":
         metric = _fit_uniform(full, _cli_gaussians(full, args.lam_cov))
     else:
-        try:
+        with _input_error(f"--val-ratio {args.val_ratio}"):
             spec = SplitSpec((1.0 - args.val_ratio, args.val_ratio / 2, args.val_ratio / 2),
                              args.seed, True)
             train, validation, _ = ds_mod.split(full, spec)
-        except ValueError as exc:
-            raise ConfigError(f"--val-ratio {args.val_ratio}: {exc}") from exc
         _cli_gaussians(train, args.lam_cov)  # the models the density weighting fits
         metric = _fit_density(args.method, train, validation, args.lam_cov)
     _write_json(args.out or "metric.json",
@@ -673,10 +694,9 @@ def _cmd_mkl(args):
 
 def _cmd_cluster(args):
     full = _load_cli_csv(args.data, args)
-    try:
-        train, validation, test = _prepare_split(full, SplitSpec(seed=args.seed), {})
-    except ValueError as exc:
-        raise ConfigError(f"{args.data}: {exc}") from exc
+    with _input_error(args.data):
+        train, validation, test = _prepare_split(full, SplitSpec(seed=args.seed),
+                                                 CONFIG_DEFAULTS["preprocess"])
     k = full.class_count if args.k is None else args.k
     if k > train.n:
         raise ConfigError(f"--k {k} exceeds the {train.n} training points of {args.data}")
@@ -705,10 +725,9 @@ def _cmd_embed(args):
         metric = _fit_uniform(full, _cli_gaussians(full, args.lam_cov))
     else:
         metric = MetricMatrix.identity(full.dim)
-    try:  # the dimensions the geodesic spectrum supports are known only here
+    # the dimensions the geodesic spectrum supports are known only here
+    with _input_error(f"--dim {args.dim}"):
         emb = isomap_embed(full.features, metric, args.neighbors, args.dim)
-    except ValueError as exc:
-        raise ConfigError(f"--dim {args.dim}: {exc}") from exc
     _write_csv(args.out or "embedding.csv",
                ["id"] + [f"coord{j}" for j in range(args.dim)] + ["label"],
                ([int(i)] + [repr(float(v)) for v in emb.coordinates[row]]
@@ -725,7 +744,7 @@ def _cmd_rank(args):
             raise ConfigError(f'{path}: not a report: "methods" must map names to objects')
         for name, method in methods.items():
             mean = method.get("mean", 0.0)  # a method that failed every repeat has none
-            if type(mean) not in (int, float) or not math.isfinite(mean):  # bool is no number
+            if not _is_finite_number(mean):
                 raise ConfigError(f"{path}: not a report: the mean of {name!r} is {mean!r}, "
                                   "not a finite number")
     try:
@@ -757,6 +776,7 @@ def build_parser():
     p = _subcommand(sub, "fit-metric", _cmd_fit_metric, "fit a global metric and serialize it")
     p.add_argument("--data", required=True)
     _add_csv_flags(p, None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--method", choices=["m_uni", "m_kde", "m_gmm"], default="m_uni")
     p.add_argument("--lam-cov", type=_non_negative_float, default=1e-3)
     p.add_argument("--scale", action=argparse.BooleanOptionalAction, default=True)
@@ -772,6 +792,7 @@ def build_parser():
     p = _subcommand(sub, "mkl", _cmd_mkl, "baseline vs metric kernel experiment")
     p.add_argument("--data", default=None)
     _add_csv_flags(p, "label")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n", type=_positive_int, default=600)
     p.add_argument("--partitions", type=_positive_int, default=5)
     p.add_argument("--repeats", type=_positive_int, default=5)
@@ -779,6 +800,7 @@ def build_parser():
     p = _subcommand(sub, "cluster", _cmd_cluster, "transfer-tuned metric clustering")
     p.add_argument("--data", required=True)
     _add_csv_flags(p, None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--k", type=_positive_int, default=None)
 
     p = _subcommand(sub, "embed", _cmd_embed, "geodesic embedding coordinates as CSV")

@@ -117,7 +117,6 @@ class ProjectionParams:
 
     mean: np.ndarray
     components: np.ndarray  # (D, d), orthonormal columns
-    explained_variance: np.ndarray  # fraction of total variance per kept component
 
     def transform(self, ds: LabeledDataset) -> LabeledDataset:
         return ds.with_features(self.transform_features(ds.features), None)
@@ -270,17 +269,13 @@ def pca_reduce(train: LabeledDataset, d, *others):
     centered = train.features - mean
     cov = (centered.T @ centered) / train.n
     w, u = np.linalg.eigh(cov)
-    order = np.argsort(w)[::-1]
-    w = np.clip(w[order], 0.0, None)
-    u = u[:, order[:d]].copy()
+    u = u[:, np.argsort(w)[::-1][:d]].copy()
     # deterministic sign: largest-magnitude entry of each component positive
     for j in range(u.shape[1]):
         i = np.argmax(np.abs(u[:, j]))
         if u[i, j] < 0:
             u[:, j] = -u[:, j]
-    total = w.sum()
-    explained = w[:d] / total if total > 0 else np.zeros(d)
-    params = ProjectionParams(mean, u, explained)
+    params = ProjectionParams(mean, u)
     reduced = tuple(params.transform(x) for x in (train, *others))
     return params, reduced
 

@@ -64,7 +64,6 @@ class GenerativeModelSet:
     """One Gaussian per class, priors summing to one."""
 
     models: tuple
-    regularizer: float
 
     def __post_init__(self):
         if abs(sum(m.prior for m in self.models) - 1.0) > 1e-12:
@@ -82,24 +81,6 @@ class GenerativeModelSet:
     def equal_priors(self):
         p = [m.prior for m in self.models]
         return max(p) - min(p) <= 1e-12
-
-    def to_dict(self):
-        return {
-            "regularizer": self.regularizer,
-            "models": [
-                {"mean": m.mean.tolist(), "covariance": m.covariance.tolist(),
-                 "prior": m.prior}
-                for m in self.models
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        models = []
-        for md in d["models"]:
-            cov = np.asarray(md["covariance"], dtype=float)
-            models.append(_build_model(np.asarray(md["mean"], dtype=float), cov, md["prior"]))
-        return cls(tuple(models), d["regularizer"])
 
 
 def _build_model(mean, cov, prior):
@@ -134,7 +115,7 @@ def fit_gaussian_models(train, lam_cov=1e-3):
         else:
             cov = lam_cov * np.eye(d)
         models.append(_build_model(mean, symmetrize(cov), len(xc) / n))
-    return GenerativeModelSet(tuple(models), float(lam_cov))
+    return GenerativeModelSet(tuple(models))
 
 
 def log_density(model: GaussianModel, x):

@@ -16,7 +16,8 @@ from glmetric import kernel_mkl, unsupervised
 from glmetric.cli import (ConfigError, average_ranks, format_table, main,
                           parse_experiment_config, run_experiment, write_report)
 from glmetric.classify import knn_predict_batch
-from glmetric.dataset import SplitSpec, load_csv, scale_features, split
+from glmetric.dataset import (SplitSpec, load_csv, scale_features, split,
+                              three_normal_preset)
 from glmetric.generative import fit_gaussian_models
 from glmetric.global_metric import uniform_combination
 from glmetric.local_metric import MetricMatrix, compute_all_local_metrics, regional_metrics
@@ -114,14 +115,38 @@ class TestConfig:
                                      "methods": [entry]})
 
     def test_valid_method_values_accepted(self):
-        methods = [{"name": "isomap", "metric": "euclidean", "n_neighbors": 1, "dim": 1},
-                   {"name": "isomap", "metric": "m_uni"},
-                   {"name": "mkl_metric", "partitions": 1, "max_train": 10 ** 9},
-                   {"name": "cluster_uni", "k": 100000, "outer_iters": 1}]
-        cfg = parse_experiment_config({"version": 1,
-                                       "dataset": {"csv": "x", "label_column": 0},
-                                       "methods": methods})
-        assert cfg.methods == methods
+        # two isomap entries would report under one key, so each has its own config
+        for methods in ([{"name": "isomap", "metric": "euclidean", "n_neighbors": 1, "dim": 1},
+                         {"name": "mkl_metric", "partitions": 1, "max_train": 10 ** 9},
+                         {"name": "cluster_uni", "k": 100000, "outer_iters": 1}],
+                        [{"name": "isomap", "metric": "m_uni"}]):
+            cfg = parse_experiment_config({"version": 1,
+                                           "dataset": {"csv": "x", "label_column": 0},
+                                           "methods": methods})
+            assert cfg.methods == methods
+
+    def test_absent_keys_take_the_one_default(self, monkeypatch):
+        defaults = cli_mod.CONFIG_DEFAULTS
+        csv_cfg = parse_experiment_config({"version": 1, "methods": ["euclidean"],
+                                           "dataset": {"csv": "x", "label_column": 0}})
+        assert csv_cfg.dataset == {"csv": "x", "label_column": 0, "has_header": False}
+        cfg = parse_experiment_config({"version": 1, "dataset": {"synthetic": "three_normal"},
+                                       "methods": ["euclidean"]})
+        assert cfg.dataset == {"synthetic": "three_normal", **defaults["synthetic"]}
+        assert cfg.preprocess == defaults["preprocess"] == {"scale": True}
+        assert (cfg.split, cfg.n_repeats) == (SplitSpec((0.6, 0.2, 0.2), 0, True), 1)
+        assert (cfg.lam_cov, cfg.output_dir) == (1e-3, "glmetric_out")
+        # the loader runs the synthetic values that the parser checked
+        built = []
+        monkeypatch.setattr(cli_mod, "make_synthetic_mixture",
+                            lambda preset, n, seed: built.append((preset, n, seed)))
+        cli_mod._load_config_dataset(cfg)
+        ((preset, n, seed),) = built
+        expected = three_normal_preset(scale=3.0, elongation=2.5, dim=10)
+        assert (n, seed) == (1200, 7) and len(preset) == len(expected)
+        for got, want in zip(preset, expected):  # (weight, mean, covariance, label)
+            assert got[0] == want[0] and got[3] == want[3]
+            assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
 
     @pytest.mark.parametrize("section,values,message", [
         ("split", {"n_repeats": 2.5}, "split n_repeats"),
@@ -190,6 +215,20 @@ class TestConfig:
          "dataset elongation must be a finite positive number, got '2.5'"),
         ({"dataset": {"synthetic": "three_normal", "n": 60, "scale": "3"}},
          "dataset scale must be a finite number, got '3'"),
+        ({"methods": [{"name": "isomap", "metric": "euclidean"},
+                      {"name": "isomap", "metric": "m_uni"}]},
+         "two method entries report under 'isomap'"),
+        ({"methods": ["mkl_metric", {"name": "mkl_metric", "partitions": 5}]},
+         "two method entries report under 'mkl_metric(P=5)'"),
+        ({"dataset": {"csv": 5, "label_column": "label"}},
+         "dataset csv must be a path string, got 5"),
+        ({"dataset": {"csv": 0, "label_column": "label"}},
+         "dataset csv must be a path string, got 0"),
+        ({"output_dir": 5}, "output_dir must be a non-empty path string, got 5"),
+        ({"output_dir": ["a"]}, "output_dir must be a non-empty path string, got ['a']"),
+        ({"split": {"ratios": ["0.6", "0.2", "0.2"]}},
+         "split ratios must be a list of finite numbers, got ['0.6', '0.2', '0.2']"),
+        ({"split": {"ratios": 0.6}}, "split ratios must be a list of finite numbers, got 0.6"),
     ], ids=["C_number", "k_number", "grids_list", "lam_cov_string", "preprocess_number",
             "method_number", "lam_int_string", "C_empty", "beta_bool", "lam_cov_grid_inf",
             "lam_cov_nan", "lam_cov_bool", "C_zero", "lam_int_above_1",
@@ -197,7 +236,9 @@ class TestConfig:
             "lam_cov_negative", "lam_cov_grid_negative", "label_column_float",
             "label_column_negative", "has_header_string", "stratified_string",
             "scale_number", "elongation_negative", "elongation_string",
-            "synthetic_scale_string"])
+            "synthetic_scale_string", "isomap_twice", "mkl_metric_twice", "csv_number",
+            "csv_0", "output_dir_number", "output_dir_list", "ratios_strings",
+            "ratios_number"])
     def test_malformed_config_exits_2_with_one_error_line(self, tmp_path, capsys, override,
                                                           message):
         path, raw = minimal_config(tmp_path)
@@ -246,6 +287,28 @@ class TestConfig:
         lines = capsys.readouterr().err.splitlines()
         assert lines == [f"error: argument {flag}: must be a positive integer, got {value!r}"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--config", "{config}"],
+        ["classify", "--metric", "m.json", "--train", "data/iris.csv", "--test",
+         "data/iris.csv", "--label-column", "label"],
+        ["embed", *IRIS],
+        ["rank", "r.json"],
+    ], ids=lambda argv: argv[0])
+    def test_seed_is_an_unknown_flag_where_nothing_reads_it(self, tmp_path, capsys, argv):
+        path, _ = minimal_config(tmp_path)
+        out = tmp_path / "out"
+        argv = [arg.format(config=path) for arg in argv]
+        with pytest.raises(SystemExit) as exit_:  # argparse's own exit for an unknown flag
+            main([*argv, "--seed", "99", "--out", str(out)])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 99" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["fit-metric", *IRIS], ["mkl"], ["cluster", *IRIS]],
+                             ids=lambda argv: argv[0])
+    def test_seed_is_taken_where_it_is_read(self, argv):
+        assert cli_mod.build_parser().parse_args([*argv, "--seed", "99"]).seed == 99
 
     def test_cluster_k_zero_is_not_the_class_count(self, tmp_path, monkeypatch):
         args = cli_mod.build_parser().parse_args(
@@ -883,8 +946,9 @@ class TestSubcommands:
                      "--out", str(out)]) == 0
         assert "fast" in out.read_text()
 
-    @pytest.mark.parametrize("mean", ["0.1", None, True, [0.1], float("nan"), float("inf")],
-                             ids=["string", "null", "bool", "list", "nan", "inf"])
+    @pytest.mark.parametrize("mean", ["0.1", None, True, [0.1], float("nan"), float("inf"),
+                                      10 ** 400],
+                             ids=["string", "null", "bool", "list", "nan", "inf", "huge_int"])
     def test_rank_rejects_a_mean_that_is_not_a_finite_number(self, tmp_path, capsys, mean):
         good, bad = tmp_path / "good.json", tmp_path / "bad.json"
         good.write_text(json.dumps({"methods": {"a": {"kind": "error", "mean": 0},

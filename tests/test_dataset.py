@@ -170,9 +170,10 @@ class TestPca:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(100, 10)) @ np.diag(np.linspace(0.2, 3.0, 10))
         ds = LabeledDataset(x, rng.integers(0, 2, 100), 2)
-        params, _ = pca_reduce(ds, 5)
+        _, (red,) = pca_reduce(ds, 5)
         w = np.linalg.eigvalsh(np.cov(x.T, bias=True))[::-1]
-        np.testing.assert_allclose(params.explained_variance, w[:5] / w.sum(), rtol=1e-10)
+        # each kept component carries the variance of its eigenvalue
+        np.testing.assert_allclose(red.features.var(axis=0), w[:5], rtol=1e-10)
 
     def test_orthonormal_components(self):
         rng = np.random.default_rng(6)

@@ -3,6 +3,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import json
 import re
 from pathlib import Path
 
@@ -118,3 +119,7 @@ def test_readme_command_line_lists_every_method_and_config_key():
             shown = "" if default is None else (
                 f"`{default}`" if isinstance(default, str) else str(default))
             assert f"`{key}` = {shown}" in rows[name], (name, key)
+    for group, defaults in cli.CONFIG_DEFAULTS.items():  # each config key's default
+        pairs = defaults.items() if isinstance(defaults, dict) else [(group, defaults)]
+        for key, default in pairs:
+            assert f"`{key}` = `{json.dumps(default)}`" in section, (group, key)
