@@ -26,45 +26,128 @@ from .local_metric import MetricMatrix, compute_all_local_metrics, regional_metr
 from .unsupervised import (assign_to_centers, cluster_transfer_tune,
                            isomap_embed, rand_score)
 
-# Each benchmark method: the kind of value it reports, and its config keys
-# with their defaults. None is a default the data supplies: cluster_uni's k
-# is the class count, and max_train keeps every training point. isomap's
-# metric is "euclidean" or "m_uni"; every other key is a positive integer.
-METHODS = {
-    **{name: ("error", {}) for name in
-       ("euclidean", "glm_int", "m_uni", "m_uni_energy", "m_gmm", "m_kde")},
-    "mkl_baseline": ("error", {"max_train": None}),
-    "mkl_metric": ("error", {"partitions": 5, "max_train": None}),
-    "cluster_uni": ("rand", {"k": None, "outer_iters": 10}),
-    "isomap": ("residual_variance", {"n_neighbors": 8, "dim": 2, "metric": "m_uni"}),
-}
-
-DEFAULT_GRIDS = {
-    "k": list(DEFAULT_K_GRID),
-    "lam_int": list(DEFAULT_LAMBDA_GRID),
-    "beta": list(DEFAULT_BETA_GRID),
-    "C": [0.1, 1.0, 10.0, 100.0],
-    "lam_cov": [1e-3, 1e-2, 1e-1],
-    "cluster_lam_int": [0.0, 0.25, 0.5, 0.75],
-}
-
-# The default of each absent config key, by dataset kind, section or top-level
-# key; the grids default to DEFAULT_GRIDS and method keys to their METHODS entry.
-CONFIG_DEFAULTS = {
-    "csv": {"has_header": False},
-    "synthetic": {"n": 1200, "dim": 10, "seed": 7, "scale": 3.0, "elongation": 2.5},
-    "preprocess": {"scale": True},
-    "split": {"ratios": [0.6, 0.2, 0.2], "n_repeats": 1, "base_seed": 0, "stratified": True},
-    "lam_cov": 1e-3,
-    "output_dir": "glmetric_out",
-}
-
-# bound on the bytes of an MKL cell's train Gram bank, M float64 (n, n) grams: M * n**2 * 8
-MKL_TRAIN_BANK_BYTES = 2 ** 30
-
 
 class ConfigError(ValueError):
     pass
+
+
+def _is_finite_number(value):
+    """An int or float within the finite float range; bools are not numbers here."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def _int_at_least(low):
+    """The test of an integer of at least low; bools, floats such as 2.5, null
+    and strings fail it."""
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+# A rule is what a value must be, then its checks in order: each the text of
+# the error it raises, {} standing for the key's name, and its test. The
+# first test that fails stops the parse with "<text>, got <value>".
+def _rule(summary, test):
+    """The rule of one check, "{} must be <summary>"."""
+    return (summary, ("{} must be " + summary, test))
+
+
+def _grid(summary, *checks):
+    """The rule of a grid: a non-empty list of finite numbers, then checks."""
+    return (summary, ("{} must be a non-empty list of finite numbers",
+                      lambda v: isinstance(v, list) and v and all(map(_is_finite_number, v))),
+            *checks)
+
+
+COUNT = _rule("a positive integer", _int_at_least(1))
+SEED = _rule("a non-negative integer", _int_at_least(0))
+SWITCH = _rule("true or false", lambda v: isinstance(v, bool))  # not 0, 1, strings or null
+OBJECT = _rule("a JSON object", lambda v: isinstance(v, dict))
+UNIT_GRID = _grid("a non-empty list of numbers in [0, 1]",
+                  ("each value of {} must lie in [0, 1]", lambda v: all(0 <= x <= 1 for x in v)))
+
+# A key's default is what an absent key takes. REQUIRED keys have none: an
+# absent one is checked as null, which no rule passes. An absent key of
+# default None stays absent; the data or the run supplies its value.
+REQUIRED = object()
+
+# Each benchmark method: the kind of value it reports, and its config keys as
+# (default, rule). cluster_uni's k defaults to the class count, and max_train
+# to every training point.
+METHODS = {
+    **{name: ("error", {}) for name in
+       ("euclidean", "glm_int", "m_uni", "m_uni_energy", "m_gmm", "m_kde")},
+    "mkl_baseline": ("error", {"max_train": (None, COUNT)}),
+    "mkl_metric": ("error", {"partitions": (5, COUNT), "max_train": (None, COUNT)}),
+    "cluster_uni": ("rand", {"k": (None, COUNT), "outer_iters": (10, COUNT)}),
+    "isomap": ("residual_variance", {
+        "n_neighbors": (8, COUNT), "dim": (2, COUNT),
+        "metric": ("m_uni", _rule("'euclidean' or 'm_uni'",
+                                  lambda v: v in ("euclidean", "m_uni")))}),
+}
+
+# The other config keys as (default, rule), by section: the top level
+# ("config"), the dataset keys of each kind, preprocess, split and grids.
+CONFIG_KEYS = {
+    "config": {
+        "version": (REQUIRED, _rule("1", lambda v: v == 1)),
+        "dataset": (REQUIRED, OBJECT),
+        "preprocess": ({}, OBJECT),
+        "split": ({}, OBJECT),
+        "methods": (REQUIRED, ("a non-empty list of method names or objects",
+                               ("config needs a non-empty list of methods",
+                                lambda v: isinstance(v, list) and v))),
+        "grids": ({}, OBJECT),
+        "lam_cov": (1e-3, ("a finite non-negative number",
+                           ("{} must be a finite number", _is_finite_number),
+                           ("{} must be non-negative", lambda v: v >= 0))),
+        "output_dir": ("glmetric_out", _rule("a non-empty path string",
+                                             lambda v: isinstance(v, str) and v != "")),
+    },
+    "csv": {
+        # open() takes an integer as a file descriptor
+        "csv": (REQUIRED, _rule("a path string", lambda v: isinstance(v, str))),
+        "label_column": (REQUIRED, ("a non-negative integer or a column name",
+                                    ("{} must be a non-negative integer",
+                                     lambda v: isinstance(v, str) or _int_at_least(0)(v)))),
+        "has_header": (False, SWITCH),
+    },
+    "synthetic": {
+        "synthetic": (REQUIRED, _rule("'three_normal'", lambda v: v == "three_normal")),
+        "n": (1200, COUNT),
+        "dim": (10, _rule("an integer of at least 3", _int_at_least(3))),  # a class mean per axis
+        "seed": (7, SEED),
+        "scale": (3.0, _rule("a finite number", _is_finite_number)),
+        "elongation": (2.5, _rule("a finite positive number",
+                                  lambda v: _is_finite_number(v) and v > 0)),
+    },
+    "preprocess": {"scale": (True, SWITCH), "pca_dim": (None, COUNT)},
+    "split": {"ratios": ([0.6, 0.2, 0.2], _rule("a list of finite numbers",
+                                                lambda v: isinstance(v, list)
+                                                and all(map(_is_finite_number, v)))),
+              "n_repeats": (1, COUNT), "base_seed": (0, SEED), "stratified": (True, SWITCH)},
+    "grids": {
+        "k": (list(DEFAULT_K_GRID), _grid("a non-empty list of positive integers", (
+            "each k of {} must be a positive integer", lambda v: all(map(_int_at_least(1), v))))),
+        "lam_int": (list(DEFAULT_LAMBDA_GRID), UNIT_GRID),
+        "beta": (list(DEFAULT_BETA_GRID), _grid("a non-empty list of finite numbers")),
+        "C": ([0.1, 1.0, 10.0, 100.0], _grid("a non-empty list of positive numbers", (
+            "each C of {} must be positive", lambda v: min(v) > 0))),
+        "lam_cov": ([1e-3, 1e-2, 1e-1], _grid("a non-empty list of non-negative numbers", (
+            "each lam_cov of {} must be non-negative", lambda v: min(v) >= 0))),
+        "cluster_lam_int": ([0.0, 0.25, 0.5, 0.75], UNIT_GRID),
+    },
+}
+
+
+def _defaults(keys):
+    """{key: default} of a table of (default, rule) keys."""
+    return {key: default for key, (default, _) in keys.items()}
+
+
+DEFAULT_GRIDS = _defaults(CONFIG_KEYS["grids"])
+
+# bound on the bytes of an MKL cell's train Gram bank, M float64 (n, n) grams: M * n**2 * 8
+MKL_TRAIN_BANK_BYTES = 2 ** 30
 
 
 @dataclass
@@ -89,31 +172,26 @@ def _input_error(what):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _check_keys(d, allowed, where):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _check_count(value, what, low=1):
-    """value when it is an integer of at least low; bools, floats such as 2.5,
-    null and strings are rejected."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(
-            low, f"an integer of at least {low}")
-        raise ConfigError(f"{what} must be {kind}, got {value!r}")
+def _check(value, rule, name):
+    """value, once it passes every check of rule."""
+    for text, test in rule[1:]:
+        if not test(value):
+            raise ConfigError(f"{text.format(name)}, got {value!r}")
     return value
 
 
-def _check_switch(value, what):
-    if not isinstance(value, bool):  # 0, 1, strings and null are not switches
-        raise ConfigError(f"{what} must be true or false, got {value!r}")
-
-
-def _is_finite_number(value):
-    """An int or float within the finite float range; bools are not numbers here."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
+def _checked(given, keys, where, name):
+    """given with its absent keys at their defaults, once no key is unknown
+    and each value passes its rule; name formats a key as errors name it."""
+    unknown = set(given) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    out = {}
+    for key, (default, rule) in keys.items():
+        if key in given or default is not None:
+            value = given.get(key, None if default is REQUIRED else default)
+            out[key] = _check(value, rule, name.format(key))
+    return out
 
 
 def _parse_method(entry):
@@ -125,113 +203,37 @@ def _parse_method(entry):
     name = entry.get("name")
     if not isinstance(name, str) or name not in METHODS:
         raise ConfigError(f"unknown method {name!r}")
-    _check_keys(entry, {"name", *METHODS[name][1]}, f"method {name}")
-    for key, value in entry.items():
-        if key == "metric" and value not in ("euclidean", "m_uni"):
-            raise ConfigError(f"metric of method {name} must be 'euclidean' or 'm_uni', "
-                              f"got {value!r}")
-        if key not in ("name", "metric"):
-            _check_count(value, f"{key} of method {name}")
+    _checked({key: value for key, value in entry.items() if key != "name"}, METHODS[name][1],
+             f"method {name}", f"{{}} of method {name}")
     return entry
 
 
-def _parse_grids(raw):
-    """DEFAULT_GRIDS with the config's grids in place: non-empty lists of finite
-    numbers, k positive integers, C positive, lam_cov non-negative, lam_int and
-    cluster_lam_int in [0, 1]."""
-    grids = dict(DEFAULT_GRIDS)
-    for key, values in raw.get("grids", {}).items():
-        if key not in DEFAULT_GRIDS:
-            raise ConfigError(f"unknown grid {key!r}")
-        if not (isinstance(values, list) and values and all(map(_is_finite_number, values))):
-            raise ConfigError(f"grids.{key} must be a non-empty list of finite numbers, "
-                              f"got {values!r}")
-        grids[key] = list(values)
-    for value in grids["k"]:
-        _check_count(value, "each k of grids.k")
-    if min(grids["C"]) <= 0:
-        raise ConfigError(f"each C of grids.C must be positive, got {grids['C']!r}")
-    if min(grids["lam_cov"]) < 0:
-        raise ConfigError(f"each lam_cov of grids.lam_cov must be non-negative, "
-                          f"got {grids['lam_cov']!r}")
-    for key in ("lam_int", "cluster_lam_int"):
-        if not all(0 <= value <= 1 for value in grids[key]):
-            raise ConfigError(f"each value of grids.{key} must lie in [0, 1], "
-                              f"got {grids[key]!r}")
-    return grids
-
-
 def parse_experiment_config(raw):
-    """Validate the versioned JSON config. Unknown keys are rejected, and each
-    absent key takes its CONFIG_DEFAULTS value before any value is checked,
-    so cfg.dataset and cfg.preprocess hold every key of their kind."""
-    if not isinstance(raw, dict) or raw.get("version") != 1:
+    """Validate the versioned JSON config against CONFIG_KEYS and METHODS.
+    Unknown keys are rejected, and each absent key takes its default before
+    any value is checked, so cfg.dataset and cfg.preprocess hold every key of
+    their kind that has a default."""
+    if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object with version 1")
-    _check_keys(raw, {"version", "dataset", "preprocess", "split", "methods",
-                      "grids", "lam_cov", "output_dir"}, "config")
-    for section in ("dataset", "preprocess", "split", "grids"):
-        if not isinstance(raw.get(section, {}), dict):
-            raise ConfigError(f"{section} must be a JSON object, got {raw[section]!r}")
-    dataset = raw.get("dataset", {})
-    if "csv" in dataset:
-        _check_keys(dataset, {"csv", "label_column", *CONFIG_DEFAULTS["csv"]}, "dataset")
-        dataset = {**CONFIG_DEFAULTS["csv"], **dataset}
-        if not isinstance(dataset["csv"], str):  # open() takes an integer as a file descriptor
-            raise ConfigError(f"dataset csv must be a path string, got {dataset['csv']!r}")
-        if "label_column" not in dataset:
-            raise ConfigError("csv dataset needs a label_column")
-        if not isinstance(dataset["label_column"], str):  # a string is a column name
-            _check_count(dataset["label_column"], "dataset label_column", low=0)
-        _check_switch(dataset["has_header"], "dataset has_header")
-    elif "synthetic" in dataset:
-        _check_keys(dataset, {"synthetic", *CONFIG_DEFAULTS["synthetic"]}, "dataset")
-        dataset = {**CONFIG_DEFAULTS["synthetic"], **dataset}
-        if dataset["synthetic"] != "three_normal":
-            raise ConfigError(f"unknown synthetic preset {dataset['synthetic']!r}")
-        _check_count(dataset["n"], "dataset n")
-        _check_count(dataset["dim"], "dataset dim", low=3)  # a class mean per axis
-        _check_count(dataset["seed"], "dataset seed", low=0)
-        if not _is_finite_number(dataset["scale"]):
-            raise ConfigError(f"dataset scale must be a finite number, got {dataset['scale']!r}")
-        elongation = dataset["elongation"]
-        if not (_is_finite_number(elongation) and elongation > 0):
-            raise ConfigError(f"dataset elongation must be a finite positive number, "
-                              f"got {elongation!r}")
-    else:
+    top = _checked(raw, CONFIG_KEYS["config"], "config", "{}")
+    dataset = top["dataset"]
+    kind = next((kind for kind in ("csv", "synthetic") if kind in dataset), None)
+    if kind is None:
         raise ConfigError("dataset must specify 'csv' or 'synthetic'")
-    preprocess = {**CONFIG_DEFAULTS["preprocess"], **raw.get("preprocess", {})}
-    _check_keys(preprocess, {"pca_dim", *CONFIG_DEFAULTS["preprocess"]}, "preprocess")
-    if "pca_dim" in preprocess:
-        _check_count(preprocess["pca_dim"], "preprocess pca_dim")
-    split = {**CONFIG_DEFAULTS["split"], **raw.get("split", {})}
-    _check_keys(split, CONFIG_DEFAULTS["split"], "split")
-    n_repeats = _check_count(split["n_repeats"], "split n_repeats")
-    base_seed = _check_count(split["base_seed"], "split base_seed", low=0)
-    _check_switch(preprocess["scale"], "preprocess scale")
-    _check_switch(split["stratified"], "split stratified")
-    ratios = split["ratios"]
-    if not (isinstance(ratios, list) and all(map(_is_finite_number, ratios))):
-        raise ConfigError(f"split ratios must be a list of finite numbers, got {ratios!r}")
+    dataset = _checked(dataset, CONFIG_KEYS[kind], "dataset", "dataset {}")
+    preprocess = _checked(top["preprocess"], CONFIG_KEYS["preprocess"], "preprocess",
+                          "preprocess {}")
+    split = _checked(top["split"], CONFIG_KEYS["split"], "split", "split {}")
+    grids = _checked(top["grids"], CONFIG_KEYS["grids"], "grids", "grids.{}")
     with _input_error("split ratios"):
-        spec = SplitSpec(tuple(ratios), base_seed, split["stratified"])
-    methods = raw.get("methods")
-    if not isinstance(methods, list) or not methods:
-        raise ConfigError(f"config needs a non-empty list of methods, got {methods!r}")
-    lam_cov = raw.get("lam_cov", CONFIG_DEFAULTS["lam_cov"])
-    if not _is_finite_number(lam_cov):
-        raise ConfigError(f"lam_cov must be a finite number, got {lam_cov!r}")
-    if lam_cov < 0:
-        raise ConfigError(f"lam_cov must be non-negative, got {lam_cov!r}")
-    output_dir = raw.get("output_dir", CONFIG_DEFAULTS["output_dir"])
-    if not (isinstance(output_dir, str) and output_dir):
-        raise ConfigError(f"output_dir must be a non-empty path string, got {output_dir!r}")
-    methods = [_parse_method(entry) for entry in methods]
+        spec = SplitSpec(tuple(split["ratios"]), split["base_seed"], split["stratified"])
+    methods = [_parse_method(entry) for entry in top["methods"]]
     keys = [_method_key(entry) for entry in methods]
     for key in keys:  # report.json keeps one entry per key
         if keys.count(key) > 1:
             raise ConfigError(f"two method entries report under {key!r}")
-    return ExperimentConfig(raw, dataset, preprocess, spec, n_repeats, methods,
-                            _parse_grids(raw), float(lam_cov), output_dir)
+    return ExperimentConfig(raw, dataset, preprocess, spec, split["n_repeats"], methods,
+                            grids, float(top["lam_cov"]), top["output_dir"])
 
 
 def _load_config_dataset(cfg: ExperimentConfig):
@@ -314,7 +316,7 @@ def _run_mkl(train, validation, test, metrics, grids):
 
 
 def _cluster_cell(train, validation, test, k, grids, seed,
-                  outer_iters=METHODS["cluster_uni"][1]["outer_iters"]):
+                  outer_iters=METHODS["cluster_uni"][1]["outer_iters"][0]):
     """Transfer-tuned metric clustering scored on test: (the tuning result,
     the test points' nearest-center ids, their Rand score, the phases)."""
     phases = {}
@@ -342,7 +344,7 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
     phases. uniform_metric(phases) returns the split's uniform metric and
     adds fit_metric_s to phases when this call is the one that fits it."""
     name, grids = entry["name"], cfg.grids
-    opts = {**METHODS[name][1], **entry}  # the defaults of absent keys
+    opts = {**_defaults(METHODS[name][1]), **entry}
     phases = {}
     if name in ("mkl_baseline", "mkl_metric"):
         tr = _maybe_subsample(train, opts["max_train"], seed)
@@ -391,7 +393,7 @@ def _prepare_split(full, spec, preprocess):
         train, params = scale_features(train)
         validation = params.transform(validation)
         test = params.transform(test)
-    if "pca_dim" in preprocess:
+    if preprocess.get("pca_dim") is not None:
         _, (train, validation, test) = pca_reduce(train, preprocess["pca_dim"],
                                                   validation, test)
     return train, validation, test
@@ -424,7 +426,8 @@ def _run_repeat(cfg, full, repeat):
 
 def _method_key(entry):
     if entry["name"] == "mkl_metric":
-        return f"mkl_metric(P={entry.get('partitions', METHODS['mkl_metric'][1]['partitions'])})"
+        default = METHODS["mkl_metric"][1]["partitions"][0]
+        return f"mkl_metric(P={entry.get('partitions', default)})"
     return entry["name"]
 
 
@@ -576,22 +579,18 @@ def _add_csv_flags(parser, label_column):
     parser.add_argument("--has-header", action="store_true")
 
 
-def _positive_int(text):
-    """argparse type of the count flags: an integer of at least 1."""
-    if not text.isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return int(text)
+def _add_rule_flag(parser, flag, convert, key):
+    """A flag of a config key's (default, rule): convert reads its text, and the
+    value must pass the rule."""
+    default, rule = key
 
+    def parse(text):
+        try:
+            return _check(convert(text), rule, flag)
+        except ValueError:  # a ConfigError too
+            raise argparse.ArgumentTypeError(f"must be {rule[0]}, got {text!r}") from None
 
-def _non_negative_float(text):
-    """argparse type of --lam-cov: a finite number of at least 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = float("nan")
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text!r}")
-    return value
+    parser.add_argument(flag, type=parse, default=default)
 
 
 def _load_cli_csv(path, args):
@@ -626,10 +625,10 @@ def _cmd_fit_metric(args):
             train, validation, _ = ds_mod.split(full, spec)
         _cli_gaussians(train, args.lam_cov)  # the models the density weighting fits
         metric = _fit_density(args.method, train, validation, args.lam_cov)
+    seed = {} if args.method == "m_uni" else {"seed": args.seed}  # m_uni splits nothing
     _write_json(args.out or "metric.json",
-                {"metric": metric.to_dict(), "method": args.method,
-                 "lam_cov": args.lam_cov, "seed": args.seed,
-                 "scale": scale.to_dict() if scale else None})
+                {"metric": metric.to_dict(), "method": args.method, "lam_cov": args.lam_cov,
+                 "scale": scale.to_dict() if scale else None, **seed})
     return 0
 
 
@@ -696,7 +695,7 @@ def _cmd_cluster(args):
     full = _load_cli_csv(args.data, args)
     with _input_error(args.data):
         train, validation, test = _prepare_split(full, SplitSpec(seed=args.seed),
-                                                 CONFIG_DEFAULTS["preprocess"])
+                                                 _defaults(CONFIG_KEYS["preprocess"]))
     k = full.class_count if args.k is None else args.k
     if k > train.n:
         raise ConfigError(f"--k {k} exceeds the {train.n} training points of {args.data}")
@@ -776,9 +775,9 @@ def build_parser():
     p = _subcommand(sub, "fit-metric", _cmd_fit_metric, "fit a global metric and serialize it")
     p.add_argument("--data", required=True)
     _add_csv_flags(p, None)
-    p.add_argument("--seed", type=int, default=0)
+    _add_rule_flag(p, "--seed", int, CONFIG_KEYS["split"]["base_seed"])
     p.add_argument("--method", choices=["m_uni", "m_kde", "m_gmm"], default="m_uni")
-    p.add_argument("--lam-cov", type=_non_negative_float, default=1e-3)
+    _add_rule_flag(p, "--lam-cov", float, CONFIG_KEYS["config"]["lam_cov"])
     p.add_argument("--scale", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--val-ratio", type=float, default=0.4)
 
@@ -787,30 +786,30 @@ def build_parser():
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
     _add_csv_flags(p, None)
-    p.add_argument("--k", type=_positive_int, default=3)
+    _add_rule_flag(p, "--k", int, (3, COUNT))
 
     p = _subcommand(sub, "mkl", _cmd_mkl, "baseline vs metric kernel experiment")
     p.add_argument("--data", default=None)
     _add_csv_flags(p, "label")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=_positive_int, default=600)
-    p.add_argument("--partitions", type=_positive_int, default=5)
-    p.add_argument("--repeats", type=_positive_int, default=5)
+    _add_rule_flag(p, "--seed", int, CONFIG_KEYS["split"]["base_seed"])
+    _add_rule_flag(p, "--n", int, (600, COUNT))
+    _add_rule_flag(p, "--partitions", int, METHODS["mkl_metric"][1]["partitions"])
+    _add_rule_flag(p, "--repeats", int, (5, COUNT))
 
     p = _subcommand(sub, "cluster", _cmd_cluster, "transfer-tuned metric clustering")
     p.add_argument("--data", required=True)
     _add_csv_flags(p, None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=_positive_int, default=None)
+    _add_rule_flag(p, "--seed", int, CONFIG_KEYS["split"]["base_seed"])
+    _add_rule_flag(p, "--k", int, (None, COUNT))
 
     p = _subcommand(sub, "embed", _cmd_embed, "geodesic embedding coordinates as CSV")
     p.add_argument("--data", required=True)
     _add_csv_flags(p, None)
     p.add_argument("--metric", default=None, help="serialized metric JSON")
     p.add_argument("--method", choices=["euclidean", "m_uni"], default="euclidean")
-    p.add_argument("--lam-cov", type=_non_negative_float, default=1e-3)
-    p.add_argument("--neighbors", type=_positive_int, default=8)
-    p.add_argument("--dim", type=_positive_int, default=2)
+    _add_rule_flag(p, "--lam-cov", float, CONFIG_KEYS["config"]["lam_cov"])
+    _add_rule_flag(p, "--neighbors", int, METHODS["isomap"][1]["n_neighbors"])
+    _add_rule_flag(p, "--dim", int, METHODS["isomap"][1]["dim"])
 
     p = _subcommand(sub, "rank", _cmd_rank, "average-rank table across report files")
     p.add_argument("reports", nargs="+")
@@ -823,7 +822,7 @@ def main(argv=None):
         args = parser.parse_args(argv)
         logging.basicConfig(level=args.log_level)
         return args.func(args)
-    except (argparse.ArgumentError, ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (argparse.ArgumentError, ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

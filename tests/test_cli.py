@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import shlex
 import shutil
 import subprocess
@@ -126,14 +127,15 @@ class TestConfig:
             assert cfg.methods == methods
 
     def test_absent_keys_take_the_one_default(self, monkeypatch):
-        defaults = cli_mod.CONFIG_DEFAULTS
+        keys = cli_mod.CONFIG_KEYS
         csv_cfg = parse_experiment_config({"version": 1, "methods": ["euclidean"],
                                            "dataset": {"csv": "x", "label_column": 0}})
         assert csv_cfg.dataset == {"csv": "x", "label_column": 0, "has_header": False}
         cfg = parse_experiment_config({"version": 1, "dataset": {"synthetic": "three_normal"},
                                        "methods": ["euclidean"]})
-        assert cfg.dataset == {"synthetic": "three_normal", **defaults["synthetic"]}
-        assert cfg.preprocess == defaults["preprocess"] == {"scale": True}
+        synthetic = {key: default for key, (default, _) in keys["synthetic"].items()}
+        assert cfg.dataset == {**synthetic, "synthetic": "three_normal"}
+        assert cfg.preprocess == {"scale": keys["preprocess"]["scale"][0]} == {"scale": True}
         assert (cfg.split, cfg.n_repeats) == (SplitSpec((0.6, 0.2, 0.2), 0, True), 1)
         assert (cfg.lam_cov, cfg.output_dir) == (1e-3, "glmetric_out")
         # the loader runs the synthetic values that the parser checked
@@ -370,11 +372,17 @@ class TestConfig:
         (["cluster", "--data", "{tmp}/two_setosa.csv", "--label-column", "label",
           "--has-header"],
          "{tmp}/two_setosa.csv: stratified split needs >= 3 members per class; class 0 has 2"),
+        (["fit-metric", "--method", "m_kde", "--seed", "-1", *IRIS],
+         "argument --seed: must be a non-negative integer, got '-1'"),
+        (["mkl", "--seed", "-1"], "argument --seed: must be a non-negative integer, got '-1'"),
+        (["cluster", "--seed", "-1", *IRIS],
+         "argument --seed: must be a non-negative integer, got '-1'"),
     ], ids=["fit_metric_lam_cov", "embed_lam_cov", "lam_cov_nan", "val_ratio_above_1",
             "val_ratio_0", "neighbors_above_rows", "dim_above_spectrum",
             "fit_metric_lam_cov_0", "fit_metric_kde_lam_cov_0", "embed_lam_cov_0",
             "classify_k_above_rows", "rank_list", "rank_methods_number",
-            "rank_no_error_methods", "rank_mean_string", "cluster_class_below_3"])
+            "rank_no_error_methods", "rank_mean_string", "cluster_class_below_3",
+            "fit_metric_seed_negative", "mkl_seed_negative", "cluster_seed_negative"])
     def test_bad_flag_value_exits_2_with_one_error_line(self, tmp_path, capsys, argv,
                                                         message):
         for name, payload in {"identity.json": {"metric": MetricMatrix.identity(4).to_dict()},
@@ -445,6 +453,34 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.err.splitlines() == [f"error: {metric_json}: {message}"]
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["benchmark", "--config", "{tmp}"],
+        ["fit-metric", "--data", "{tmp}", "--label-column", "label", "--has-header"],
+        ["benchmark", "--config", "{tmp}/config.json"],
+    ], ids=["config_dir", "fit_metric_data_dir", "dataset_csv_dir"])
+    def test_path_that_names_a_directory_exits_2_with_one_error_line(self, tmp_path, capsys,
+                                                                     argv):
+        minimal_config(tmp_path, dataset={"csv": str(tmp_path), "label_column": "label",
+                                          "has_header": True})
+        out = tmp_path / "out"
+        assert main([*(arg.format(tmp=tmp_path) for arg in argv), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and "Is a directory" in line
+        assert line.endswith(f"{str(tmp_path)!r}")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.skipif(getattr(os, "geteuid", lambda: -1)() == 0,
+                        reason="root reads a file of mode 000")
+    def test_unreadable_config_exits_2_with_one_error_line(self, tmp_path, capsys):
+        path, _ = minimal_config(tmp_path)
+        path.chmod(0)
+        out = tmp_path / "out"
+        assert main(["benchmark", "--config", str(path), "--out", str(out)]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and "Permission denied" in line
+        assert line.endswith(f"{str(path)!r}") and not out.exists()
 
     def test_missing_label_column_exits_2_with_one_error_line(self, tmp_path, capsys):
         out = tmp_path / "metric.json"
@@ -905,6 +941,16 @@ class TestSubcommands:
         rows = list(csv.DictReader(open(preds_csv)))
         got = [int(r["predicted"]) for r in rows]
         assert got == expect.tolist()
+
+    def test_fit_metric_records_the_seed_only_where_it_splits(self, tmp_path):
+        paths = {}
+        for method, seed in (("m_uni", 0), ("m_uni", 5), ("m_kde", 5)):
+            paths[method, seed] = tmp_path / f"{method}_{seed}.json"
+            assert main(["fit-metric", *IRIS, "--method", method, "--seed", str(seed),
+                         "--out", str(paths[method, seed])]) == 0
+        assert paths["m_uni", 0].read_bytes() == paths["m_uni", 5].read_bytes()
+        assert "seed" not in json.loads(paths["m_uni", 0].read_text())
+        assert json.loads(paths["m_kde", 5].read_text())["seed"] == 5
 
     def test_embed_line_fixture(self, tmp_path):
         line_csv = tmp_path / "line.csv"

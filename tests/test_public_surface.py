@@ -107,19 +107,29 @@ def test_no_module_imports_a_name_it_never_uses():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def shown_default(default):
+    """A key's default as the README shows it; "" where the README says in words
+    what the data or the run supplies."""
+    if default is cli.REQUIRED:
+        return "required"
+    return "" if default is None else f"`{json.dumps(default)}`"
+
+
 def test_readme_command_line_lists_every_method_and_config_key():
     text = (ROOT / "README.md").read_text()
     section = text[text.index("## Command line"):text.index("## Demos")]
     rows = {line.split(" | ")[0].strip("|` "): line for line in section.splitlines()
             if line.startswith("| `")}
     assert set(cli.METHODS) <= set(rows)
-    for name, (kind, defaults) in cli.METHODS.items():
+    for name, (kind, keys) in cli.METHODS.items():
         assert f" | `{kind}` | " in rows[name], name
-        for key, default in defaults.items():  # None: the default comes from the data
-            shown = "" if default is None else (
-                f"`{default}`" if isinstance(default, str) else str(default))
-            assert f"`{key}` = {shown}" in rows[name], (name, key)
-    for group, defaults in cli.CONFIG_DEFAULTS.items():  # each config key's default
-        pairs = defaults.items() if isinstance(defaults, dict) else [(group, defaults)]
-        for key, default in pairs:
-            assert f"`{key}` = `{json.dumps(default)}`" in section, (group, key)
+        for key, (default, rule) in keys.items():
+            assert f"`{key}`: {rule[0]}, default {shown_default(default)}" in rows[name], (
+                name, key)
+    assert set(cli.CONFIG_KEYS) == {"config", "csv", "synthetic", "preprocess", "split", "grids"}
+    for section_name, keys in cli.CONFIG_KEYS.items():  # each key's rule and default
+        prefix = {"config": "", "csv": "dataset.", "synthetic": "dataset."}.get(
+            section_name, f"{section_name}.")
+        for key, (default, rule) in keys.items():
+            assert f" | {rule[0]} | {shown_default(default)}" in rows[f"{prefix}{key}"], (
+                section_name, key)
