@@ -43,27 +43,19 @@ def _int_at_least(low):
     return lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= low
 
 
-# A rule is what a value must be, then its checks in order: each the text of
-# the error it raises, {} standing for the key's name, and its test. The
-# first test that fails stops the parse with "<text>, got <value>".
-def _rule(summary, test):
-    """The rule of one check, "{} must be <summary>"."""
-    return (summary, ("{} must be " + summary, test))
+# A rule is (summary, test): what a value must be, and the test of it. A value
+# that fails the test stops the parse with "<name> must be <summary>, got <value>".
+def _grid(summary, each=_is_finite_number):
+    """The rule of a grid: a non-empty list of finite numbers that also pass each."""
+    return (summary, lambda v: isinstance(v, list) and v
+            and all(_is_finite_number(x) and each(x) for x in v))
 
 
-def _grid(summary, *checks):
-    """The rule of a grid: a non-empty list of finite numbers, then checks."""
-    return (summary, ("{} must be a non-empty list of finite numbers",
-                      lambda v: isinstance(v, list) and v and all(map(_is_finite_number, v))),
-            *checks)
-
-
-COUNT = _rule("a positive integer", _int_at_least(1))
-SEED = _rule("a non-negative integer", _int_at_least(0))
-SWITCH = _rule("true or false", lambda v: isinstance(v, bool))  # not 0, 1, strings or null
-OBJECT = _rule("a JSON object", lambda v: isinstance(v, dict))
-UNIT_GRID = _grid("a non-empty list of numbers in [0, 1]",
-                  ("each value of {} must lie in [0, 1]", lambda v: all(0 <= x <= 1 for x in v)))
+COUNT = ("a positive integer", _int_at_least(1))
+SEED = ("a non-negative integer", _int_at_least(0))
+SWITCH = ("true or false", lambda v: isinstance(v, bool))  # not 0, 1, strings or null
+OBJECT = ("a JSON object", lambda v: isinstance(v, dict))
+UNIT_GRID = _grid("a non-empty list of numbers in [0, 1]", lambda x: 0 <= x <= 1)
 
 # A key's default is what an absent key takes. REQUIRED keys have none: an
 # absent one is checked as null, which no rule passes. An absent key of
@@ -81,59 +73,55 @@ METHODS = {
     "cluster_uni": ("rand", {"k": (None, COUNT), "outer_iters": (10, COUNT)}),
     "isomap": ("residual_variance", {
         "n_neighbors": (8, COUNT), "dim": (2, COUNT),
-        "metric": ("m_uni", _rule("'euclidean' or 'm_uni'",
-                                  lambda v: v in ("euclidean", "m_uni")))}),
+        "metric": ("m_uni", ("'euclidean' or 'm_uni'", lambda v: v in ("euclidean", "m_uni")))}),
 }
 
 # The other config keys as (default, rule), by section: the top level
 # ("config"), the dataset keys of each kind, preprocess, split and grids.
 CONFIG_KEYS = {
     "config": {
-        "version": (REQUIRED, _rule("1", lambda v: v == 1)),
+        "version": (REQUIRED, ("1", lambda v: v == 1)),
         "dataset": (REQUIRED, OBJECT),
         "preprocess": ({}, OBJECT),
         "split": ({}, OBJECT),
         "methods": (REQUIRED, ("a non-empty list of method names or objects",
-                               ("config needs a non-empty list of methods",
-                                lambda v: isinstance(v, list) and v))),
+                               lambda v: isinstance(v, list) and v)),
         "grids": ({}, OBJECT),
         "lam_cov": (1e-3, ("a finite non-negative number",
-                           ("{} must be a finite number", _is_finite_number),
-                           ("{} must be non-negative", lambda v: v >= 0))),
-        "output_dir": ("glmetric_out", _rule("a non-empty path string",
-                                             lambda v: isinstance(v, str) and v != "")),
+                           lambda v: _is_finite_number(v) and v >= 0)),
+        "output_dir": ("glmetric_out", ("a non-empty path string",
+                                        lambda v: isinstance(v, str) and v != "")),
     },
     "csv": {
         # open() takes an integer as a file descriptor
-        "csv": (REQUIRED, _rule("a path string", lambda v: isinstance(v, str))),
+        "csv": (REQUIRED, ("a path string", lambda v: isinstance(v, str))),
         "label_column": (REQUIRED, ("a non-negative integer or a column name",
-                                    ("{} must be a non-negative integer",
-                                     lambda v: isinstance(v, str) or _int_at_least(0)(v)))),
+                                    lambda v: isinstance(v, str) or _int_at_least(0)(v))),
         "has_header": (False, SWITCH),
     },
     "synthetic": {
-        "synthetic": (REQUIRED, _rule("'three_normal'", lambda v: v == "three_normal")),
+        "synthetic": (REQUIRED, ("'three_normal'", lambda v: v == "three_normal")),
         "n": (1200, COUNT),
-        "dim": (10, _rule("an integer of at least 3", _int_at_least(3))),  # a class mean per axis
+        "dim": (10, ("an integer of at least 3", _int_at_least(3))),  # a class mean per axis
         "seed": (7, SEED),
-        "scale": (3.0, _rule("a finite number", _is_finite_number)),
-        "elongation": (2.5, _rule("a finite positive number",
-                                  lambda v: _is_finite_number(v) and v > 0)),
+        "scale": (3.0, ("a finite number", _is_finite_number)),
+        "elongation": (2.5, ("a finite positive number",
+                             lambda v: _is_finite_number(v) and v > 0)),
     },
     "preprocess": {"scale": (True, SWITCH), "pca_dim": (None, COUNT)},
-    "split": {"ratios": ([0.6, 0.2, 0.2], _rule("a list of finite numbers",
-                                                lambda v: isinstance(v, list)
-                                                and all(map(_is_finite_number, v)))),
+    "split": {"ratios": ([0.6, 0.2, 0.2], ("a list of finite numbers",
+                                           lambda v: isinstance(v, list)
+                                           and all(map(_is_finite_number, v)))),
               "n_repeats": (1, COUNT), "base_seed": (0, SEED), "stratified": (True, SWITCH)},
     "grids": {
-        "k": (list(DEFAULT_K_GRID), _grid("a non-empty list of positive integers", (
-            "each k of {} must be a positive integer", lambda v: all(map(_int_at_least(1), v))))),
+        "k": (list(DEFAULT_K_GRID), _grid("a non-empty list of positive integers",
+                                          _int_at_least(1))),
         "lam_int": (list(DEFAULT_LAMBDA_GRID), UNIT_GRID),
         "beta": (list(DEFAULT_BETA_GRID), _grid("a non-empty list of finite numbers")),
-        "C": ([0.1, 1.0, 10.0, 100.0], _grid("a non-empty list of positive numbers", (
-            "each C of {} must be positive", lambda v: min(v) > 0))),
-        "lam_cov": ([1e-3, 1e-2, 1e-1], _grid("a non-empty list of non-negative numbers", (
-            "each lam_cov of {} must be non-negative", lambda v: min(v) >= 0))),
+        "C": ([0.1, 1.0, 10.0, 100.0], _grid("a non-empty list of positive numbers",
+                                             lambda x: x > 0)),
+        "lam_cov": ([1e-3, 1e-2, 1e-1], _grid("a non-empty list of non-negative numbers",
+                                              lambda x: x >= 0)),
         "cluster_lam_int": ([0.0, 0.25, 0.5, 0.75], UNIT_GRID),
     },
 }
@@ -173,10 +161,10 @@ def _input_error(what):
 
 
 def _check(value, rule, name):
-    """value, once it passes every check of rule."""
-    for text, test in rule[1:]:
-        if not test(value):
-            raise ConfigError(f"{text.format(name)}, got {value!r}")
+    """value, once it passes rule's test."""
+    summary, test = rule
+    if not test(value):
+        raise ConfigError(f"{name} must be {summary}, got {value!r}")
     return value
 
 
@@ -387,8 +375,10 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
 
 def _prepare_split(full, spec, preprocess):
     """The (train, validation, test) portions of spec, with the [-1, 1] scaling
-    and the PCA that preprocess asks for fitted on train alone."""
+    and the PCA that preprocess asks for fitted on train alone, then the
+    ScaleParams of that scaling (None without it)."""
     train, validation, test = ds_mod.split(full, spec)
+    params = None
     if preprocess["scale"]:
         train, params = scale_features(train)
         validation = params.transform(validation)
@@ -396,14 +386,14 @@ def _prepare_split(full, spec, preprocess):
     if preprocess.get("pca_dim") is not None:
         _, (train, validation, test) = pca_reduce(train, preprocess["pca_dim"],
                                                   validation, test)
-    return train, validation, test
+    return train, validation, test, params
 
 
 def _run_repeat(cfg, full, repeat):
     seed = cfg.split.seed + repeat
     with _input_error(f"preparing split seed {seed}"):
-        train, validation, test = _prepare_split(full, replace(cfg.split, seed=seed),
-                                                 cfg.preprocess)
+        train, validation, test, _ = _prepare_split(full, replace(cfg.split, seed=seed),
+                                                    cfg.preprocess)
     fitted = []  # the uniform metric, kept once a method has fitted it
 
     def uniform_metric(phases):
@@ -626,18 +616,26 @@ def _cmd_fit_metric(args):
         _cli_gaussians(train, args.lam_cov)  # the models the density weighting fits
         metric = _fit_density(args.method, train, validation, args.lam_cov)
     seed = {} if args.method == "m_uni" else {"seed": args.seed}  # m_uni splits nothing
-    _write_json(args.out or "metric.json",
-                {"metric": metric.to_dict(), "method": args.method, "lam_cov": args.lam_cov,
-                 "scale": scale.to_dict() if scale else None, **seed})
+    _save_metric(args.out or "metric.json", metric, scale, method=args.method,
+                 lam_cov=args.lam_cov, **seed)
     return 0
 
 
+def _save_metric(path, metric, scale, **facts):
+    """Write a metric file: the metric, the ScaleParams of the [-1, 1] scaling
+    whose coordinates it was fitted in (null when it was fitted on raw
+    features), and facts of the fit."""
+    _write_json(path, {"metric": metric.to_dict(),
+                       "scale": scale.to_dict() if scale else None, **facts})
+
+
 def _load_metric(path, *data):
-    """The MetricMatrix of a metric JSON file and its ScaleParams (None when
-    the payload has no scale). A payload without a valid metric, a scale
-    without finite low and high lists of the metric's dimension, or a metric
-    whose dimension differs from the feature count of a (CSV path, dataset)
-    pair in data raises ConfigError naming the file."""
+    """The MetricMatrix of a metric file, then the dataset of each (CSV path,
+    dataset) pair in data mapped through the file's scale, so the metric
+    applies in the coordinates it was fitted in. A payload without a valid
+    metric, a scale without finite low and high lists of the metric's
+    dimension, or a metric whose dimension differs from the feature count of
+    a dataset in data raises ConfigError naming the file."""
     payload = json.loads(Path(path).read_text())
     try:
         metric = MetricMatrix.from_dict(payload["metric"])
@@ -658,7 +656,8 @@ def _load_metric(path, *data):
         if dataset.dim != metric.dim:
             raise ConfigError(f"{path}: a {metric.dim}-dimensional metric for the "
                               f"{dataset.dim} features of {csv_path}")
-    return metric, scale
+    return (metric, *(dataset if scale is None else scale.transform(dataset)
+                      for _, dataset in data))
 
 
 def _cmd_classify(args):
@@ -666,10 +665,7 @@ def _cmd_classify(args):
     if args.k > train.n:
         raise ConfigError(f"--k {args.k} exceeds the {train.n} training points of {args.train}")
     test = _load_cli_csv(args.test, args)
-    metric, scale = _load_metric(args.metric, (args.train, train), (args.test, test))
-    if scale is not None:
-        train = scale.transform(train)
-        test = scale.transform(test)
+    metric, train, test = _load_metric(args.metric, (args.train, train), (args.test, test))
     pred = knn_predict_batch(train, args.k, metric, test.features)
     _write_csv(args.out or "predictions.csv", ["id", "predicted", "label"],
                ([i, int(p), int(t)] for i, (p, t) in enumerate(zip(pred, test.labels))))
@@ -681,7 +677,7 @@ def _cmd_mkl(args):
     raw = {
         "version": 1,
         "dataset": ({"csv": args.data, "label_column": args.label_column,
-                     "has_header": args.has_header} if args.data
+                     "has_header": args.has_header} if args.data is not None
                     else {"synthetic": "three_normal", "n": args.n, "seed": args.seed}),
         "split": {"n_repeats": args.repeats, "base_seed": args.seed},
         "methods": ["mkl_baseline", {"name": "mkl_metric", "partitions": args.partitions}],
@@ -694,8 +690,8 @@ def _cmd_mkl(args):
 def _cmd_cluster(args):
     full = _load_cli_csv(args.data, args)
     with _input_error(args.data):
-        train, validation, test = _prepare_split(full, SplitSpec(seed=args.seed),
-                                                 _defaults(CONFIG_KEYS["preprocess"]))
+        train, validation, test, scale = _prepare_split(
+            full, SplitSpec(seed=args.seed), _defaults(CONFIG_KEYS["preprocess"]))
     k = full.class_count if args.k is None else args.k
     if k > train.n:
         raise ConfigError(f"--k {k} exceeds the {train.n} training points of {args.data}")
@@ -705,9 +701,8 @@ def _cmd_cluster(args):
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "assignments.csv", ["id", "cluster", "label"],
                ([i, int(a), int(t)] for i, (a, t) in enumerate(zip(assigned, test.labels))))
-    _write_json(out / "metric.json", {"metric": tuned["metric"].to_dict(),
-                                      "lam_cov": tuned["lam_cov"],
-                                      "lam_int": tuned["lam_int"], "test_rand": score})
+    _save_metric(out / "metric.json", tuned["metric"], scale, lam_cov=tuned["lam_cov"],
+                 lam_int=tuned["lam_int"], test_rand=score)
     print(f"test rand score: {score:.4f}")
     return 0
 
@@ -717,13 +712,12 @@ def _cmd_embed(args):
     if args.neighbors >= full.n:
         raise ConfigError(f"--neighbors {args.neighbors} needs more than the {full.n} rows "
                           f"of {args.data}")
-    full, _ = scale_features(full)
     if args.metric:
-        metric, _ = _load_metric(args.metric, (args.data, full))
-    elif args.method == "m_uni":
-        metric = _fit_uniform(full, _cli_gaussians(full, args.lam_cov))
-    else:
-        metric = MetricMatrix.identity(full.dim)
+        metric, full = _load_metric(args.metric, (args.data, full))
+    else:  # the metric is fitted here, in the CSV's own [-1, 1] scaling
+        full, _ = scale_features(full)
+        metric = (_fit_uniform(full, _cli_gaussians(full, args.lam_cov)) if args.method == "m_uni"
+                  else MetricMatrix.identity(full.dim))
     # the dimensions the geodesic spectrum supports are known only here
     with _input_error(f"--dim {args.dim}"):
         emb = isomap_embed(full.features, metric, args.neighbors, args.dim)

@@ -180,32 +180,36 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("override, message", [
-        ({"grids": {"C": 5}}, "grids.C must be a non-empty list of finite numbers, got 5"),
-        ({"grids": {"k": 3}}, "grids.k must be a non-empty list of finite numbers, got 3"),
+        ({"grids": {"C": 5}}, "grids.C must be a non-empty list of positive numbers, got 5"),
+        ({"grids": {"k": 3}}, "grids.k must be a non-empty list of positive integers, got 3"),
         ({"grids": []}, "grids must be a JSON object, got []"),
-        ({"lam_cov": "x"}, "lam_cov must be a finite number, got 'x'"),
+        ({"lam_cov": "x"}, "lam_cov must be a finite non-negative number, got 'x'"),
         ({"preprocess": 5}, "preprocess must be a JSON object, got 5"),
         ({"methods": [5]}, "each method must be a name or an object, got 5"),
-        ({"grids": {"lam_int": "ab"}}, "grids.lam_int must be a non-empty list of finite numbers"),
-        ({"grids": {"C": []}}, "grids.C must be a non-empty list of finite numbers, got []"),
+        ({"grids": {"lam_int": "ab"}},
+         "grids.lam_int must be a non-empty list of numbers in [0, 1], got 'ab'"),
+        ({"grids": {"C": []}}, "grids.C must be a non-empty list of positive numbers, got []"),
         ({"grids": {"beta": [1.0, True]}}, "grids.beta must be a non-empty list of finite"),
         ({"grids": {"lam_cov": [1e-3, float("inf")]}}, "grids.lam_cov must be a non-empty list"),
-        ({"lam_cov": float("nan")}, "lam_cov must be a finite number, got nan"),
-        ({"lam_cov": True}, "lam_cov must be a finite number, got True"),
-        ({"grids": {"C": [1.0, 0.0]}}, "each C of grids.C must be positive, got [1.0, 0.0]"),
-        ({"grids": {"lam_int": [0.5, 1.5]}}, "each value of grids.lam_int must lie in [0, 1]"),
+        ({"lam_cov": float("nan")}, "lam_cov must be a finite non-negative number, got nan"),
+        ({"lam_cov": True}, "lam_cov must be a finite non-negative number, got True"),
+        ({"grids": {"C": [1.0, 0.0]}},
+         "grids.C must be a non-empty list of positive numbers, got [1.0, 0.0]"),
+        ({"grids": {"lam_int": [0.5, 1.5]}},
+         "grids.lam_int must be a non-empty list of numbers in [0, 1], got [0.5, 1.5]"),
         ({"grids": {"cluster_lam_int": [-0.25]}},
-         "each value of grids.cluster_lam_int must lie in [0, 1]"),
+         "grids.cluster_lam_int must be a non-empty list of numbers in [0, 1], got [-0.25]"),
         ({"split": [0.6, 0.2, 0.2]}, "split must be a JSON object"),
         ({"dataset": "data/iris.csv"}, "dataset must be a JSON object"),
-        ({"methods": "euclidean"}, "config needs a non-empty list of methods, got 'euclidean'"),
-        ({"lam_cov": -1e-3}, "lam_cov must be non-negative, got -0.001"),
+        ({"methods": "euclidean"},
+         "methods must be a non-empty list of method names or objects, got 'euclidean'"),
+        ({"lam_cov": -1e-3}, "lam_cov must be a finite non-negative number, got -0.001"),
         ({"grids": {"lam_cov": [1e-3, -0.1]}},
-         "each lam_cov of grids.lam_cov must be non-negative, got [0.001, -0.1]"),
+         "grids.lam_cov must be a non-empty list of non-negative numbers, got [0.001, -0.1]"),
         ({"dataset": {"csv": "data/iris.csv", "label_column": 4.7, "has_header": True}},
-         "dataset label_column must be a non-negative integer, got 4.7"),
+         "dataset label_column must be a non-negative integer or a column name, got 4.7"),
         ({"dataset": {"csv": "data/iris.csv", "label_column": -1, "has_header": True}},
-         "dataset label_column must be a non-negative integer, got -1"),
+         "dataset label_column must be a non-negative integer or a column name, got -1"),
         ({"dataset": {"csv": "data/iris.csv", "label_column": "label", "has_header": "no"}},
          "dataset has_header must be true or false, got 'no'"),
         ({"split": {"n_repeats": 1, "base_seed": 1000, "stratified": "no"}},
@@ -469,6 +473,16 @@ class TestConfig:
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and "Is a directory" in line
         assert line.endswith(f"{str(tmp_path)!r}")
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit-metric", "mkl", "cluster", "embed"])
+    def test_empty_data_path_exits_2_with_one_error_line(self, tmp_path, capsys, command):
+        # mkl read an empty --data as no CSV and ran its synthetic default
+        out = tmp_path / "out"
+        assert main([command, "--data", "", "--label-column", "label", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ") and line.endswith("''")
         assert captured.out == "" and not out.exists()
 
     @pytest.mark.skipif(getattr(os, "geteuid", lambda: -1)() == 0,
@@ -951,6 +965,50 @@ class TestSubcommands:
         assert paths["m_uni", 0].read_bytes() == paths["m_uni", 5].read_bytes()
         assert "seed" not in json.loads(paths["m_uni", 0].read_text())
         assert json.loads(paths["m_kde", 5].read_text())["seed"] == 5
+
+    def test_cluster_metric_file_applies_in_its_training_scale(self, tmp_path):
+        out, preds_csv = tmp_path / "cluster", tmp_path / "preds.csv"
+        assert main(["cluster", *IRIS, "--seed", "3", "--out", str(out)]) == 0
+        saved = json.loads((out / "metric.json").read_text())
+        train, _, _ = split(load_csv("data/iris.csv", "label", has_header=True),
+                            SplitSpec(seed=3))
+        _, params = scale_features(train)
+        assert saved["scale"] == params.to_dict()
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        write_iris_subset(train_csv, [i for i in range(150) if i % 5 != 0])
+        write_iris_subset(test_csv, [i for i in range(150) if i % 5 == 0])
+        assert main(["classify", "--metric", str(out / "metric.json"), "--train",
+                     str(train_csv), "--test", str(test_csv), "--label-column", "label",
+                     "--has-header", "--k", "3", "--out", str(preds_csv)]) == 0
+        train = params.transform(load_csv(train_csv, "label", has_header=True))
+        test = params.transform(load_csv(test_csv, "label", has_header=True))
+        expect = knn_predict_batch(train, 3, MetricMatrix.from_dict(saved["metric"]),
+                                   test.features)
+        got = [int(row["predicted"]) for row in csv.DictReader(open(preds_csv))]
+        assert got == expect.tolist()
+
+    def test_embed_applies_a_metric_file_in_its_coordinates(self, tmp_path):
+        raw_json, scaled_json = tmp_path / "raw.json", tmp_path / "scaled.json"
+        assert main(["fit-metric", *IRIS, "--no-scale", "--out", str(raw_json)]) == 0
+        assert main(["fit-metric", *IRIS, "--out", str(scaled_json)]) == 0
+        flags = ["--neighbors", "10", "--dim", "2"]
+        outs = {name: tmp_path / f"{name}.csv" for name in ("raw", "scaled", "fitted")}
+        assert main(["embed", *IRIS, *flags, "--metric", str(raw_json),
+                     "--out", str(outs["raw"])]) == 0
+        assert main(["embed", *IRIS, *flags, "--metric", str(scaled_json),
+                     "--out", str(outs["scaled"])]) == 0
+        assert main(["embed", *IRIS, *flags, "--method", "m_uni",
+                     "--out", str(outs["fitted"])]) == 0
+        # a --no-scale metric applies to the raw features
+        full = load_csv("data/iris.csv", "label", has_header=True)
+        metric = MetricMatrix.from_dict(json.loads(raw_json.read_text())["metric"])
+        emb = unsupervised.isomap_embed(full.features, metric, 10, 2)
+        rows = list(csv.reader(open(outs["raw"])))[1:]
+        assert [int(row[0]) for row in rows] == emb.kept_indices.tolist()
+        assert [row[1:3] for row in rows] == [[repr(float(v)) for v in coords]
+                                              for coords in emb.coordinates]
+        # a metric fitted in the CSV's own scaling embeds as embed fits it
+        assert outs["scaled"].read_bytes() == outs["fitted"].read_bytes()
 
     def test_embed_line_fixture(self, tmp_path):
         line_csv = tmp_path / "line.csv"

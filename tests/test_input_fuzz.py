@@ -150,3 +150,26 @@ def test_one_bad_value_ends_cleanly(tmp_path, monkeypatch, capsys, draw):
         assert code in (0, 2), (argv, code)
         if code == 2:
             assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+
+# how an error names a key of each CONFIG_KEYS section; a METHODS key is
+# "<key> of method <name>"
+KEY_NAMES = {"config": "{}", "csv": "dataset {}", "synthetic": "dataset {}",
+             "preprocess": "preprocess {}", "split": "split {}", "grids": "grids.{}"}
+
+
+def test_every_value_that_fails_a_rule_gives_the_rule_text(tmp_path, capsys):
+    rules = ([(section, key, KEY_NAMES[section].format(key), rule)
+              for section, keys in cli.CONFIG_KEYS.items() for key, (_, rule) in keys.items()]
+             + [(name, key, f"{key} of method {name}", rule)
+                for name, (_, keys) in cli.METHODS.items() for key, (_, rule) in keys.items()])
+    assert len(rules) == 37
+    path = tmp_path / "config.json"
+    for section, key, name, (summary, test) in rules:
+        failing = [value for value in POOL if not test(value)]
+        assert failing, key
+        for value in failing:
+            path.write_text(json.dumps(config_with(section, key, value)))
+            assert cli.main(["benchmark", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: {name} must be {summary}, got {value!r}"], (section, key, value)
