@@ -18,7 +18,7 @@ x1 = rng.normal(size=(n, 2)) @ np.array([[0.7, 0.0], [0.3, 1.4]]) + [1.5, 0.0]
 train = LabeledDataset(np.vstack([x0, x1]), [0] * n + [1] * n, 2)
 
 models = fit_gaussian_models(train, lam_cov=1e-3)
-print("class means:", [np.round(m.mean, 3) for m in models.models])
+print("class means:", [np.round(mean, 3) for mean in models.means])
 
 for point in ([0.0, 0.0], [1.0, 1.0], [-2.0, 0.5]):
     bias, degenerate = bias_matrix(np.array(point), models)

@@ -8,9 +8,9 @@ energy-based classification, clustering, and geodesic embedding.
 from .dataset import (LabeledDataset, ProjectionParams, ScaleParams, SplitSpec,
                       load_csv, make_synthetic_mixture, pca_reduce,
                       scale_features, split, three_normal_preset)
-from .generative import (GaussianModel, GenerativeModelSet, asymptotic_error_mc,
-                         bias_integrand, bias_matrix, density,
-                         fit_gaussian_models, hessian, log_density)
+from .generative import (GenerativeModelSet, asymptotic_error_mc, bias_integrand,
+                         bias_matrix, density, fit_gaussian_models, hessian,
+                         log_density)
 from .local_metric import (MetricMatrix, compute_all_local_metrics,
                            interpolate_with_euclidean, local_metric_stack,
                            regional_metrics, solve_local_metric)

@@ -37,6 +37,12 @@ def pairwise_sq_dists(q, x, m=None):
     return np.clip(d, 0.0, None)
 
 
+def median_pair_sq_dist(x, m=None):
+    """Median squared Mahalanobis distance (identity metric for m=None) over
+    every pair of distinct rows of x; holds all len(x)^2 distances at once."""
+    return float(np.median(pairwise_sq_dists(x, x, m)[np.triu_indices(len(x), 1)]))
+
+
 def _check_finite(d):
     """Raise ValueError, counting the rows, when a query distance matrix is not finite."""
     bad = int(np.sum(~np.isfinite(d).all(axis=1)))

@@ -708,6 +708,11 @@ def _cmd_cluster(args):
 
 
 def _cmd_embed(args):
+    fit_flags = [flag for flag, value in (("--method", args.method), ("--lam-cov", args.lam_cov))
+                 if value is not None]
+    if args.metric and fit_flags:
+        raise ConfigError(f"{' and '.join(fit_flags)} cannot be given with --metric "
+                          f"{args.metric}, whose file fixes the metric")
     full = _load_cli_csv(args.data, args)
     if args.neighbors >= full.n:
         raise ConfigError(f"--neighbors {args.neighbors} needs more than the {full.n} rows "
@@ -716,7 +721,8 @@ def _cmd_embed(args):
         metric, full = _load_metric(args.metric, (args.data, full))
     else:  # the metric is fitted here, in the CSV's own [-1, 1] scaling
         full, _ = scale_features(full)
-        metric = (_fit_uniform(full, _cli_gaussians(full, args.lam_cov)) if args.method == "m_uni"
+        lam_cov = CONFIG_KEYS["config"]["lam_cov"][0] if args.lam_cov is None else args.lam_cov
+        metric = (_fit_uniform(full, _cli_gaussians(full, lam_cov)) if args.method == "m_uni"
                   else MetricMatrix.identity(full.dim))
     # the dimensions the geodesic spectrum supports are known only here
     with _input_error(f"--dim {args.dim}"):
@@ -800,8 +806,9 @@ def build_parser():
     p.add_argument("--data", required=True)
     _add_csv_flags(p, None)
     p.add_argument("--metric", default=None, help="serialized metric JSON")
-    p.add_argument("--method", choices=["euclidean", "m_uni"], default="euclidean")
-    _add_rule_flag(p, "--lam-cov", float, CONFIG_KEYS["config"]["lam_cov"])
+    # None: not given (the fit without --metric is euclidean at the lam_cov default)
+    p.add_argument("--method", choices=["euclidean", "m_uni"], default=None)
+    _add_rule_flag(p, "--lam-cov", float, (None, CONFIG_KEYS["config"]["lam_cov"][1]))
     _add_rule_flag(p, "--neighbors", int, METHODS["isomap"][1]["n_neighbors"])
     _add_rule_flag(p, "--dim", int, METHODS["isomap"][1]["dim"])
 

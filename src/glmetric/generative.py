@@ -15,7 +15,6 @@ import numpy as np
 from ._linalg import symmetrize
 
 __all__ = [
-    "GaussianModel",
     "GenerativeModelSet",
     "fit_gaussian_models",
     "log_density",
@@ -33,61 +32,51 @@ _LOG_2PI = np.log(2.0 * np.pi)
 
 
 @dataclass(frozen=True, eq=False)
-class GaussianModel:
-    """One class-conditional Gaussian with cached precision and log determinant."""
+class GenerativeModelSet:
+    """One Gaussian per class, stacked over the C classes: means (C, D),
+    covariances and their cached precisions (C, D, D), log determinants and
+    priors (C,). The priors sum to one."""
 
-    mean: np.ndarray
-    covariance: np.ndarray
-    precision: np.ndarray
-    log_det: float
-    prior: float
+    means: np.ndarray
+    covariances: np.ndarray
+    precisions: np.ndarray
+    log_dets: np.ndarray
+    priors: np.ndarray
 
     def __post_init__(self):
-        cov = self.covariance
-        if np.abs(cov - cov.T).max() >= 1e-12 * max(1.0, np.abs(cov).max()):
+        cov = self.covariances
+        # a non-finite row gives its class a NaN trace, which the fit replaces
+        # by the lam_cov * I fallback; the NaN stays in the mean
+        if not (np.isfinite(self.means).all() and np.isfinite(cov).all()):
+            raise ValueError("means and covariances must be finite")
+        scale = np.maximum(1.0, np.abs(cov).max(axis=(1, 2)))
+        if (np.abs(cov - cov.transpose(0, 2, 1)).max(axis=(1, 2)) >= 1e-12 * scale).any():
             raise ValueError("covariance must be symmetric")
         if np.linalg.eigvalsh(cov).min() <= 0:
             raise ValueError("covariance must be positive definite after regularization")
-        resid = np.abs(self.precision @ cov - np.eye(len(cov))).max()
-        if resid > 1e-8 * max(1.0, np.abs(cov).max()):
+        resid = np.abs(self.precisions @ cov - np.eye(self.dim)).max(axis=(1, 2))
+        if (resid > 1e-8 * scale).any():
             raise ValueError("precision is not the inverse of the covariance")
-        if not (0.0 < self.prior <= 1.0):
+        if not ((self.priors > 0.0) & (self.priors <= 1.0)).all():
             raise ValueError("prior must lie in (0, 1]")
-
-    @property
-    def dim(self):
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class GenerativeModelSet:
-    """One Gaussian per class, priors summing to one."""
-
-    models: tuple
-
-    def __post_init__(self):
-        if abs(sum(m.prior for m in self.models) - 1.0) > 1e-12:
+        if abs(self.priors.sum() - 1.0) > 1e-12:
             raise ValueError("class priors must sum to 1")
 
     @property
     def class_count(self):
-        return len(self.models)
+        return len(self.means)
 
     @property
     def dim(self):
-        return self.models[0].dim
-
-    @property
-    def equal_priors(self):
-        p = [m.prior for m in self.models]
-        return max(p) - min(p) <= 1e-12
+        return self.means.shape[1]
 
 
-def _build_model(mean, cov, prior):
-    sign, log_det = np.linalg.slogdet(cov)
-    if sign <= 0:
+def _build_models(means, covs, priors):
+    """The checked model set of the stacks, with one batched slogdet and inverse."""
+    signs, log_dets = np.linalg.slogdet(covs)
+    if (signs <= 0).any():
         raise ValueError("covariance must be positive definite after regularization")
-    return GaussianModel(mean, cov, np.linalg.inv(cov), float(log_det), float(prior))
+    return GenerativeModelSet(means, covs, np.linalg.inv(covs), log_dets, priors)
 
 
 def fit_gaussian_models(train, lam_cov=1e-3):
@@ -99,11 +88,16 @@ def fit_gaussian_models(train, lam_cov=1e-3):
     lam_cov * I. Raises for an absent class or a covariance that stays
     singular.
     """
-    x, y = train.features, train.labels
-    n, d = x.shape
-    models = []
-    for c in range(train.class_count):
-        xc = x[y == c]
+    return _fit_classes(train.features, train.labels, range(train.class_count), lam_cov)
+
+
+def _fit_classes(x, labels, classes, lam_cov):
+    """fit_gaussian_models with model c fitted to the rows of x labelled
+    classes[c]; rows with a label outside classes are left out."""
+    d = x.shape[1]
+    means, covs, counts = [], [], []
+    for c in classes:
+        xc = x[labels == c]
         if len(xc) == 0:
             raise ValueError(f"class {c} has no samples")
         mean = xc.mean(axis=0)
@@ -114,35 +108,40 @@ def fit_gaussian_models(train, lam_cov=1e-3):
             cov = cov + lam_cov * (tr / d) * np.eye(d)
         else:
             cov = lam_cov * np.eye(d)
-        models.append(_build_model(mean, symmetrize(cov), len(xc) / n))
-    return GenerativeModelSet(tuple(models))
+        means.append(mean)
+        covs.append(symmetrize(cov))
+        counts.append(len(xc))
+    return _build_models(np.array(means), np.array(covs), np.array(counts) / sum(counts))
 
 
-def log_density(model: GaussianModel, x):
-    """Finite log density, even where the density itself underflows."""
-    return _log_density_batch([model], np.asarray(x, dtype=float)[None])[0, 0]
+def log_density(ms: GenerativeModelSet, x):
+    """(C,) class log densities at the point x, finite where a density underflows."""
+    return _log_density_batch(ms, np.asarray(x, dtype=float)[None])[0]
 
 
-def density(model: GaussianModel, x):
-    """Gaussian density; underflows to exactly 0.0 far in the tails."""
-    return float(np.exp(log_density(model, x)))
+def density(ms: GenerativeModelSet, x):
+    """(C,) class densities at x; each underflows to exactly 0.0 far in the tails."""
+    return np.exp(log_density(ms, x))
 
 
-def hessian(model: GaussianModel, x):
-    """Second derivative matrix of the density: p(x) (P d d^T P - P), d = x - mean."""
-    delta = np.asarray(x, dtype=float) - model.mean
-    a = model.precision @ delta
-    h = np.exp(log_density(model, x)) * (np.outer(a, a) - model.precision)
-    return symmetrize(h)
+def _hessian_factors(ms, x):
+    """(C, D, D) P d d^T P - P at the point x, d = x - mean: Hessian / density."""
+    a = ms.precisions @ (np.asarray(x, dtype=float) - ms.means)[:, :, None]
+    return a @ a.transpose(0, 2, 1) - ms.precisions
 
 
-def _log_density_batch(models, x):
+def hessian(ms: GenerativeModelSet, x):
+    """(C, D, D) class density Hessians at x: p(x) (P d d^T P - P), d = x - mean."""
+    return symmetrize(density(ms, x)[:, None, None] * _hessian_factors(ms, x))
+
+
+def _log_density_batch(ms, x):
     """(N, C) log densities for every row of x under every class model."""
-    out = np.empty((x.shape[0], len(models)))
-    for c, m in enumerate(models):
-        delta = x - m.mean
-        q = np.einsum("ni,ij,nj->n", delta, m.precision, delta)
-        out[:, c] = -0.5 * (m.dim * _LOG_2PI + m.log_det + q)
+    out = np.empty((x.shape[0], ms.class_count))
+    for c, (mean, precision, log_det) in enumerate(zip(ms.means, ms.precisions, ms.log_dets)):
+        delta = x - mean
+        q = np.einsum("ni,ij,nj->n", delta, precision, delta)
+        out[:, c] = -0.5 * (ms.dim * _LOG_2PI + log_det + q)
     return out
 
 
@@ -162,9 +161,9 @@ def bias_matrices(x, ms: GenerativeModelSet, scale_free=True):
         raise ValueError("bias matrices need at least two classes")
     x = np.atleast_2d(np.asarray(x, dtype=float))
     n, d = x.shape
-    logs = _log_density_batch(ms.models, x)
-    if not ms.equal_priors:
-        logs = logs + np.log([m.prior for m in ms.models])
+    logs = _log_density_batch(ms, x)
+    if ms.priors.max() - ms.priors.min() > 1e-12:
+        logs = logs + np.log(ms.priors)
     max_log = logs.max(axis=1)
     degenerate = ~np.isfinite(max_log) | (np.exp(max_log) == 0.0)
     q = np.exp(logs - max_log[:, None])  # rows have max 1
@@ -178,10 +177,9 @@ def bias_matrices(x, ms: GenerativeModelSet, scale_free=True):
         w[:, c] = (q[:, others] ** 2).sum(axis=1) - q[:, c] * q[:, others].sum(axis=1)
     u = q * w
     a = np.empty((n, ms.class_count, d))
-    precisions = np.stack([m.precision for m in ms.models])
-    for c, m in enumerate(ms.models):
-        a[:, c, :] = (x - m.mean) @ m.precision
-    bias = np.einsum("nc,ncd,nce->nde", u, a, a) - np.einsum("nc,cde->nde", u, precisions)
+    for c, (mean, precision) in enumerate(zip(ms.means, ms.precisions)):
+        a[:, c, :] = (x - mean) @ precision
+    bias = np.einsum("nc,ncd,nce->nde", u, a, a) - np.einsum("nc,cde->nde", u, ms.precisions)
     bias = 0.5 * (bias + bias.transpose(0, 2, 1))
     bias[degenerate] = 0.0
     if not scale_free:
@@ -211,14 +209,11 @@ def asymptotic_error_mc(ms: GenerativeModelSet, samples, seed):
     if ms.class_count != 2:
         raise ValueError("asymptotic error estimate is defined for two classes")
     rng = np.random.default_rng(seed)
-    m1, m2 = ms.models
     comp = rng.integers(0, 2, size=samples)
-    d = ms.dim
-    z = rng.standard_normal((samples, d))
-    chol1 = np.linalg.cholesky(m1.covariance)
-    chol2 = np.linalg.cholesky(m2.covariance)
-    x = np.where(comp[:, None] == 0, m1.mean + z @ chol1.T, m2.mean + z @ chol2.T)
-    logs = _log_density_batch((m1, m2), x)
+    z = rng.standard_normal((samples, ms.dim))
+    (mean1, mean2), (chol1, chol2) = ms.means, np.linalg.cholesky(ms.covariances)
+    x = np.where(comp[:, None] == 0, mean1 + z @ chol1.T, mean2 + z @ chol2.T)
+    logs = _log_density_batch(ms, x)
     # ratio = p1 p2 / ((p1+p2) * mixture) = 2 p1 p2 / (p1+p2)^2
     lse = np.logaddexp(logs[:, 0], logs[:, 1])
     ratio = np.exp(np.log(2.0) + logs[:, 0] + logs[:, 1] - 2.0 * lse)
@@ -239,14 +234,9 @@ def bias_integrand(x, metric_matrix, ms: GenerativeModelSet):
     m = np.asarray(getattr(metric_matrix, "matrix", metric_matrix), dtype=float)
     if np.linalg.cond(m) > 1e14:
         raise ValueError("singular metric")
-    x = np.asarray(x, dtype=float)
-    m1, m2 = ms.models
-    logs = np.array([log_density(m1, x), log_density(m2, x)])
+    logs = log_density(ms, x)
     shift = logs.max()
     p = np.exp(logs - shift)  # densities up to exp(shift)
     dens = p[0] * p[1] * (p[1] - p[0]) / (p[0] + p[1]) ** 2 * np.exp(shift)
-    bs = []
-    for mdl in (m1, m2):
-        a = mdl.precision @ (x - mdl.mean)
-        bs.append(np.outer(a, a) - mdl.precision)
+    bs = _hessian_factors(ms, x)
     return float(dens * np.trace(np.linalg.solve(m, bs[0] - bs[1])))

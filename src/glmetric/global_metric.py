@@ -11,10 +11,10 @@ import logging
 
 import numpy as np
 
-from ._linalg import pairwise_sq_dists, sym_sqrt, symmetrize
+from ._linalg import median_pair_sq_dist, pairwise_sq_dists, sym_sqrt, symmetrize
 from .classify import knn_predict_batch
 from .dataset import LabeledDataset
-from .generative import _log_density_batch, bias_matrices, fit_gaussian_models
+from .generative import _fit_classes, _log_density_batch, bias_matrices, fit_gaussian_models
 from .local_metric import MetricMatrix, _as_stack, local_metric_stack
 
 __all__ = [
@@ -57,9 +57,7 @@ def select_kde_bandwidth(x_train, x_val):
     Candidates are 2^j (j = -3..3) times the median pairwise distance of the
     training points; ties pick the smaller bandwidth.
     """
-    d = pairwise_sq_dists(x_train, x_train)
-    iu = np.triu_indices(len(x_train), 1)
-    med = float(np.sqrt(np.median(d[iu])))
+    med = float(np.sqrt(median_pair_sq_dist(x_train)))
     if med <= 0:
         raise ValueError("degenerate training set: zero median pairwise distance")
     d_val = pairwise_sq_dists(x_val, x_train)
@@ -76,16 +74,11 @@ def select_kde_bandwidth(x_train, x_val):
 
 def _mixture_from_labels(features, labels, lam_cov):
     """Class mixture over the labels that are actually present."""
-    present = np.unique(labels)
-    remap = np.full(labels.max() + 2 if len(labels) else 1, -1)
-    remap[present] = np.arange(len(present))
-    ds = LabeledDataset(features, remap[labels], len(present))
-    return fit_gaussian_models(ds, lam_cov)
+    return _fit_classes(features, labels, np.unique(labels), lam_cov)
 
 
 def _mixture_log_density(ms, x):
-    return _row_logsumexp(_log_density_batch(ms.models, x)
-                          + np.log([m.prior for m in ms.models]))
+    return _row_logsumexp(_log_density_batch(ms, x) + np.log(ms.priors))
 
 
 def density_weighted_combination(train, validation, estimator_kind="kde",

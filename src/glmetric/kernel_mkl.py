@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import pairwise_sq_dists
+from ._linalg import median_pair_sq_dist, pairwise_sq_dists
 from .local_metric import MetricMatrix
 
 __all__ = [
@@ -123,10 +123,9 @@ def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID):
     if not metrics or not len(tau_grid):
         raise ValueError("need at least one metric and one tau value")
     x_train = np.asarray(x_train, dtype=float)
-    upper = np.triu_indices(len(x_train), 1)
     bank = []
     for metric in metrics:
-        sigma0_sq = float(np.median(pairwise_sq_dists(x_train, x_train, metric.matrix)[upper]))
+        sigma0_sq = median_pair_sq_dist(x_train, metric.matrix)
         if sigma0_sq <= 0:
             raise ValueError("degenerate pairwise distances")
         bank += [BaseKernel(metric, sigma0_sq / tau) for tau in tau_grid]

@@ -8,8 +8,7 @@ import numpy as np
 
 from ._linalg import _check_finite, pairwise_sq_dists, sym_sqrt
 from ._lloyd import lloyd, lloyd_best_of, member_means
-from .dataset import LabeledDataset
-from .generative import fit_gaussian_models
+from .generative import _fit_classes
 from .global_metric import uniform_combination
 from .local_metric import MetricMatrix, interpolate_with_euclidean, local_metric_stack
 
@@ -132,11 +131,7 @@ def _refine_metric(x, start, outer_iters, lam_cov, lam_int, memo):
 def _pseudo_label_stack(x, assignments, keep, lam_cov):
     """Local metrics at the rows of x from class Gaussians fitted to the
     clusters in keep, with the cluster ids as labels."""
-    remap = np.full(assignments.max() + 1, -1)
-    remap[keep] = np.arange(len(keep))
-    mask = remap[assignments] >= 0
-    pseudo = LabeledDataset(x[mask], remap[assignments][mask], len(keep))
-    stack, _ = local_metric_stack(x, fit_gaussian_models(pseudo, lam_cov))
+    stack, _ = local_metric_stack(x, _fit_classes(x, assignments, keep, lam_cov))
     return stack
 
 

@@ -99,18 +99,17 @@ def test_criterion_03_hessian_vs_finite_differences():
     for _ in range(100):
         dim = int(rng.integers(1, 5))
         ms = random_model_set(rng, dim)
-        m = ms.models[0]
-        x = m.mean + rng.normal(size=dim)
-        h = hessian(m, x)
+        x = ms.means[0] + rng.normal(size=dim)
+        h = hessian(ms, x)[0]
         step = 1e-4
         fd = np.empty((dim, dim))
         basis = np.eye(dim) * step
         for i in range(dim):
             for j in range(dim):
-                fd[i, j] = (density(m, x + basis[i] + basis[j])
-                            - density(m, x + basis[i] - basis[j])
-                            - density(m, x - basis[i] + basis[j])
-                            + density(m, x - basis[i] - basis[j])) / (4 * step ** 2)
+                fd[i, j] = (density(ms, x + basis[i] + basis[j])[0]
+                            - density(ms, x + basis[i] - basis[j])[0]
+                            - density(ms, x - basis[i] + basis[j])[0]
+                            + density(ms, x - basis[i] - basis[j])[0]) / (4 * step ** 2)
         rel = np.abs(fd - h).max() / np.abs(h).max()
         worst = max(worst, rel)
         assert rel < 1e-5
@@ -127,12 +126,11 @@ def test_criterion_04_binary_bias_matrix_identity():
         x = rng.normal(size=dim) * 2.0
         bias, degenerate = bias_matrix(x, ms)
         assert not degenerate
-        m1, m2 = ms.models
-        p1, p2 = density(m1, x), density(m2, x)
+        p1, p2 = density(ms, x)
         bs = []
-        for m in (m1, m2):
-            a = m.precision @ (x - m.mean)
-            bs.append(np.outer(a, a) - m.precision)
+        for mean, precision in zip(ms.means, ms.precisions):
+            a = precision @ (x - mean)
+            bs.append(np.outer(a, a) - precision)
         oracle = p1 * p2 * (p2 - p1) * (bs[0] - bs[1])
         scale = max(np.abs(oracle).max(), 1e-300)
         rel = np.abs(bias - oracle).max() / scale

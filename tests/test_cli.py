@@ -1010,6 +1010,20 @@ class TestSubcommands:
         # a metric fitted in the CSV's own scaling embeds as embed fits it
         assert outs["scaled"].read_bytes() == outs["fitted"].read_bytes()
 
+    @pytest.mark.parametrize("flags", [["--method", "m_uni"], ["--lam-cov", "5"]],
+                             ids=["method", "lam_cov"])
+    def test_embed_metric_file_rejects_the_flags_of_the_fit(self, tmp_path, capsys, flags):
+        # both flags were read only without --metric, so a metric file ignored them
+        metric_json, out = tmp_path / "m.json", tmp_path / "coords.csv"
+        metric_json.write_text(json.dumps({"metric": MetricMatrix.identity(4).to_dict()}))
+        assert main(["embed", *IRIS, "--metric", str(metric_json), *flags,
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: {flags[0]} cannot be given with --metric {metric_json}, "
+            "whose file fixes the metric"]
+        assert captured.out == "" and not out.exists()
+
     def test_embed_line_fixture(self, tmp_path):
         line_csv = tmp_path / "line.csv"
         with open(line_csv, "w", newline="") as f:

@@ -3,9 +3,10 @@ import pytest
 from scipy.integrate import quad
 
 from glmetric.dataset import LabeledDataset
-from glmetric.generative import (GenerativeModelSet, _build_model, asymptotic_error_mc,
-                                 bias_integrand, bias_matrix, bias_matrices,
-                                 density, fit_gaussian_models, hessian,
+from glmetric._linalg import symmetrize
+from glmetric.generative import (GenerativeModelSet, _build_models, _fit_classes,
+                                 asymptotic_error_mc, bias_integrand, bias_matrix,
+                                 bias_matrices, density, fit_gaussian_models, hessian,
                                  log_density)
 from glmetric.local_metric import MetricMatrix, solve_local_metric
 
@@ -13,10 +14,9 @@ from glmetric.local_metric import MetricMatrix, solve_local_metric
 def model_set(means, covs, priors=None):
     n = len(means)
     priors = priors or [1.0 / n] * n
-    return GenerativeModelSet(tuple(
-        _build_model(np.atleast_1d(np.asarray(m, dtype=float)),
-                     np.atleast_2d(np.asarray(c, dtype=float)), p)
-        for m, c, p in zip(means, covs, priors)))
+    return _build_models(np.array([np.atleast_1d(np.asarray(m, dtype=float)) for m in means]),
+                         np.array([np.atleast_2d(np.asarray(c, dtype=float)) for c in covs]),
+                         np.array(priors, dtype=float))
 
 
 def random_model_set(rng, dim, classes=2):
@@ -35,25 +35,25 @@ class TestFit:
         with pytest.raises(ValueError, match="positive definite"):
             fit_gaussian_models(ds, 0.0)
         ms = fit_gaussian_models(ds, 1e-3)
-        np.testing.assert_allclose(ms.models[0].mean, [1.0, 0.0])
+        np.testing.assert_allclose(ms.means[0], [1.0, 0.0])
         # sample covariance diag(1, 0) plus 1e-3 * (trace/2) * I
-        np.testing.assert_allclose(ms.models[0].covariance,
+        np.testing.assert_allclose(ms.covariances[0],
                                    np.diag([1.0005, 0.0005]), atol=1e-12)
-        assert np.linalg.eigvalsh(ms.models[0].covariance).min() > 0
+        assert np.linalg.eigvalsh(ms.covariances[0]).min() > 0
 
     def test_class_without_spread_falls_back_to_lam_cov_identity(self):
         ds = LabeledDataset(np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [6.0, 7.0]]),
                             [0, 0, 1, 1], 2)
         ms = fit_gaussian_models(ds, 1e-2)
-        np.testing.assert_array_equal(ms.models[0].mean, [1.0, 2.0])
-        np.testing.assert_array_equal(ms.models[0].covariance, 1e-2 * np.eye(2))
+        np.testing.assert_array_equal(ms.means[0], [1.0, 2.0])
+        np.testing.assert_array_equal(ms.covariances[0], 1e-2 * np.eye(2))
 
     def test_identical_classes_give_identical_models(self):
         x = np.random.default_rng(0).normal(size=(20, 3))
         ds = LabeledDataset(np.vstack([x, x]), [0] * 20 + [1] * 20, 2)
         ms = fit_gaussian_models(ds, 1e-3)
-        np.testing.assert_array_equal(ms.models[0].mean, ms.models[1].mean)
-        np.testing.assert_array_equal(ms.models[0].covariance, ms.models[1].covariance)
+        np.testing.assert_array_equal(ms.means[0], ms.means[1])
+        np.testing.assert_array_equal(ms.covariances[0], ms.covariances[1])
 
     def test_estimates_shrink_like_root_n(self):
         mu = np.array([1.0, -2.0])
@@ -64,9 +64,9 @@ class TestFit:
             rng = np.random.default_rng(seed)
             x = mu + rng.standard_normal((n, 2)) @ chol.T
             ds = LabeledDataset(np.vstack([x, x + 50]), [0] * n + [1] * n, 2)
-            m = fit_gaussian_models(ds, 0.0).models[0]
-            return (np.linalg.norm(m.mean - mu),
-                    np.linalg.norm(m.covariance - cov, "fro"))
+            ms = fit_gaussian_models(ds, 0.0)
+            return (np.linalg.norm(ms.means[0] - mu),
+                    np.linalg.norm(ms.covariances[0] - cov, "fro"))
 
         small = np.mean([errs(500, s) for s in range(5)], axis=0)
         large = np.mean([errs(50000, s) for s in range(5)], axis=0)
@@ -83,24 +83,117 @@ class TestFit:
         ds = LabeledDataset(np.random.default_rng(1).normal(size=(30, 2)),
                             [0] * 10 + [1] * 20, 2)
         ms = fit_gaussian_models(ds)
-        assert ms.models[0].prior == pytest.approx(1 / 3)
-        assert sum(m.prior for m in ms.models) == pytest.approx(1.0, abs=1e-12)
+        assert ms.priors[0] == pytest.approx(1 / 3)
+        assert sum(ms.priors) == pytest.approx(1.0, abs=1e-12)
+
+
+def oracle_fit(train, lam_cov):
+    """The per-class fit that the stacked one replaced: (mean, covariance,
+    precision, log determinant, prior) of each class, one matrix at a time."""
+    x, y = train.features, train.labels
+    n, d = x.shape
+    out = []
+    for c in range(train.class_count):
+        xc = x[y == c]
+        mean = xc.mean(axis=0)
+        centered = xc - mean
+        cov = (centered.T @ centered) / len(xc)
+        tr = np.trace(cov)
+        cov = symmetrize(cov + lam_cov * (tr / d) * np.eye(d) if tr > 0 else lam_cov * np.eye(d))
+        _, log_det = np.linalg.slogdet(cov)
+        out.append((mean, cov, np.linalg.inv(cov), float(log_det), len(xc) / n))
+    return out
+
+
+FIELDS = ("means", "covariances", "precisions", "log_dets", "priors")
+
+
+def assert_equals_oracle(ms, train, lam_cov):
+    for field, want in zip(FIELDS, zip(*oracle_fit(train, lam_cov))):
+        np.testing.assert_array_equal(getattr(ms, field), np.array(want), err_msg=field)
+
+
+class TestStackedFit:
+    @pytest.mark.parametrize("dim, classes, lam_cov", [(1, 2, 1e-3), (4, 3, 0.0),
+                                                       (10, 3, 1e-3), (6, 5, 1e-1)])
+    def test_fit_equals_the_per_class_oracle_bit_for_bit(self, dim, classes, lam_cov):
+        rng = np.random.default_rng(10 * dim + classes)
+        labels = np.concatenate([np.arange(classes), rng.integers(0, classes, 40 * classes)])
+        x = rng.normal(size=(len(labels), dim)) * rng.uniform(0.5, 3.0, dim) + labels[:, None]
+        ds = LabeledDataset(x, labels, classes)
+        assert_equals_oracle(fit_gaussian_models(ds, lam_cov), ds, lam_cov)
+
+    def test_class_without_spread_matches_the_oracle(self):
+        x = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, 5.0], [6.0, 7.0], [4.0, 1.0]])
+        ds = LabeledDataset(x, [0, 0, 1, 1, 1], 2)
+        assert_equals_oracle(fit_gaussian_models(ds, 1e-2), ds, 1e-2)
+
+    def test_relabelled_subset_equals_the_remapped_dataset(self):
+        # the cluster path: fit the clusters in keep, leave the other rows out
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(80, 3))
+        assignments = rng.integers(0, 5, size=80)
+        keep = np.array([0, 2, 3])
+        remap = np.full(assignments.max() + 1, -1)
+        remap[keep] = np.arange(len(keep))
+        mask = remap[assignments] >= 0
+        pseudo = LabeledDataset(x[mask], remap[assignments][mask], len(keep))
+        assert_equals_oracle(_fit_classes(x, assignments, keep, 1e-3), pseudo, 1e-3)
+        # the density-weighting path: every row, over the labels present
+        labels = np.array([4, 1, 4, 6] * 20)
+        present = np.unique(labels)
+        remap = np.full(labels.max() + 1, -1)
+        remap[present] = np.arange(len(present))
+        assert_equals_oracle(_fit_classes(x, labels, present, 1e-3),
+                             LabeledDataset(x, remap[labels], len(present)), 1e-3)
+
+    def test_non_finite_rows_are_rejected(self):
+        x = np.random.default_rng(13).normal(size=(20, 2))
+        x[3, 1] = np.nan
+        with pytest.raises(ValueError, match="means and covariances must be finite"):
+            _fit_classes(x, np.arange(20) % 2, [0, 1], 1e-3)
+
+
+def valid_stacks():
+    covs = np.array([[[2.0, 0.5], [0.5, 1.0]], [[1.0, 0.0], [0.0, 3.0]]])
+    return {"means": np.array([[0.0, 0.0], [1.0, 1.0]]), "covariances": covs,
+            "precisions": np.linalg.inv(covs),
+            "log_dets": np.linalg.slogdet(covs)[1], "priors": np.array([0.25, 0.75])}
+
+
+@pytest.mark.parametrize("field, first, message", [
+    ("covariances", [[2.0, 0.501], [0.5, 1.0]], "symmetric"),
+    ("covariances", [[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+    ("covariances", [[2.0, np.nan], [np.nan, 1.0]], "finite"),
+    ("means", [np.inf, 0.0], "finite"),
+    ("precisions", [[2.0, 0.0], [0.0, 2.0]], "inverse of the covariance"),
+    ("priors", -0.5, r"\(0, 1\]"),
+    ("priors", 0.3, "sum to 1"),
+], ids=["asymmetric", "indefinite", "non_finite", "non_finite_mean", "wrong_precision",
+        "prior_out_of_range", "priors_not_summing_to_1"])
+def test_batched_check_rejects_each_bad_stack(field, first, message):
+    stacks = valid_stacks()
+    GenerativeModelSet(**stacks)  # the valid stacks pass
+    stacks[field][0] = first  # class 0 of one stack goes bad
+    if field == "covariances":  # a matching precision, so only the covariance is bad
+        stacks["precisions"][0] = np.linalg.inv(np.nan_to_num(stacks[field][0]))
+    with pytest.raises(ValueError, match=message):
+        GenerativeModelSet(**stacks)
 
 
 class TestDensity:
     def test_standard_normal_at_zero(self):
         ms = model_set([[0.0], [10.0]], [[[1.0]], [[1.0]]])
-        assert density(ms.models[0], [0.0]) == pytest.approx(0.398942, abs=1e-6)
+        assert density(ms, [0.0])[0] == pytest.approx(0.398942, abs=1e-6)
 
     def test_bivariate_at_center(self):
         ms = model_set([[0.0, 0.0], [9.0, 9.0]], [np.eye(2), np.eye(2)])
-        assert density(ms.models[0], [0.0, 0.0]) == pytest.approx(1 / (2 * np.pi), rel=1e-12)
+        assert density(ms, [0.0, 0.0])[0] == pytest.approx(1 / (2 * np.pi), rel=1e-12)
 
     def test_log_density_finite_when_density_underflows(self):
         ms = model_set([[0.0], [1.0]], [[[1.0]], [[1.0]]])
-        m = ms.models[0]
-        assert log_density(m, [50.0]) == pytest.approx(-1250.918939, abs=1e-6)
-        assert density(m, [50.0]) == 0.0
+        assert log_density(ms, [50.0])[0] == pytest.approx(-1250.918939, abs=1e-6)
+        assert density(ms, [50.0])[0] == 0.0
 
     def test_transform_jacobian_invariance(self):
         rng = np.random.default_rng(3)
@@ -112,8 +205,8 @@ class TestDensity:
         ms_z = model_set([l @ mu, l @ (mu + 20)],
                          [l @ cov @ l.T, l @ cov @ l.T])
         x = rng.normal(size=3)
-        p_x = density(ms.models[0], x)
-        p_z = density(ms_z.models[0], l @ x)
+        p_x = density(ms, x)[0]
+        p_z = density(ms_z, l @ x)[0]
         assert p_z == pytest.approx(p_x / abs(np.linalg.det(l)), rel=1e-8)
 
 
@@ -121,36 +214,36 @@ class TestHessian:
     def test_at_mean_is_negative_scaled_precision(self):
         rng = np.random.default_rng(4)
         ms = random_model_set(rng, 3)
-        m = ms.models[0]
-        h = hessian(m, m.mean)
-        np.testing.assert_allclose(h, -density(m, m.mean) * m.precision, rtol=1e-12)
+        mean = ms.means[0]
+        h = hessian(ms, mean)[0]
+        np.testing.assert_allclose(h, -density(ms, mean)[0] * ms.precisions[0], rtol=1e-12)
 
     def test_univariate_inflection_point(self):
         ms = model_set([[0.0], [5.0]], [[[1.0]], [[1.0]]])
-        assert hessian(ms.models[0], [1.0])[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert hessian(ms, [1.0])[0][0, 0] == pytest.approx(0.0, abs=1e-15)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(5)
         ms = random_model_set(rng, 2)
-        m = ms.models[0]
-        x = m.mean + rng.normal(size=2) * 0.8
-        h = hessian(m, x)
+        x = ms.means[0] + rng.normal(size=2) * 0.8
+        h = hessian(ms, x)[0]
         step = 1e-4
         fd = np.empty((2, 2))
         for i in range(2):
             for j in range(2):
                 ei = np.eye(2)[i] * step
                 ej = np.eye(2)[j] * step
-                fd[i, j] = (density(m, x + ei + ej) - density(m, x + ei - ej)
-                            - density(m, x - ei + ej) + density(m, x - ei - ej)) / (4 * step ** 2)
+                fd[i, j] = (density(ms, x + ei + ej)[0] - density(ms, x + ei - ej)[0]
+                            - density(ms, x - ei + ej)[0] + density(ms, x - ei - ej)[0]
+                            ) / (4 * step ** 2)
         assert np.abs(fd - h).max() / np.abs(h).max() < 1e-5
 
     def test_trace_at_mean(self):
         rng = np.random.default_rng(6)
         ms = random_model_set(rng, 4)
-        m = ms.models[0]
-        assert np.trace(hessian(m, m.mean)) == pytest.approx(
-            -density(m, m.mean) * np.trace(m.precision), rel=1e-12)
+        mean = ms.means[0]
+        assert np.trace(hessian(ms, mean)[0]) == pytest.approx(
+            -density(ms, mean)[0] * np.trace(ms.precisions[0]), rel=1e-12)
 
 
 class TestBiasMatrix:
@@ -173,12 +266,11 @@ class TestBiasMatrix:
             ms = random_model_set(rng, dim)
             x = rng.normal(size=dim) * 2
             bias, _ = bias_matrix(x, ms)
-            m1, m2 = ms.models
-            p1, p2 = density(m1, x), density(m2, x)
+            p1, p2 = density(ms, x)
             bs = []
-            for m in (m1, m2):
-                a = m.precision @ (x - m.mean)
-                bs.append(np.outer(a, a) - m.precision)
+            for mean, precision in zip(ms.means, ms.precisions):
+                a = precision @ (x - mean)
+                bs.append(np.outer(a, a) - precision)
             oracle = p1 * p2 * (p2 - p1) * (bs[0] - bs[1])
             assert np.abs(bias - oracle).max() <= 1e-10 * max(np.abs(oracle).max(), 1e-300)
 
@@ -203,13 +295,12 @@ class TestBiasMatrix:
         x = np.array([0.4])
         skewed = model_set([[-1.0], [1.0]], [[[1.0]], [[4.0]]], priors=[0.8, 0.2])
         bias, _ = bias_matrix(x, skewed)
-        m1, m2 = skewed.models
-        p1 = 0.8 * density(m1, x)
-        p2 = 0.2 * density(m2, x)
+        p1 = 0.8 * density(skewed, x)[0]
+        p2 = 0.2 * density(skewed, x)[1]
         bs = []
-        for m in (m1, m2):
-            a = m.precision @ (x - m.mean)
-            bs.append(np.outer(a, a) - m.precision)
+        for mean, precision in zip(skewed.means, skewed.precisions):
+            a = precision @ (x - mean)
+            bs.append(np.outer(a, a) - precision)
         oracle = p1 * p2 * (p2 - p1) * (bs[0] - bs[1])
         np.testing.assert_allclose(bias, oracle, rtol=1e-10)
         # and the prior weighting changes more than an overall scale
