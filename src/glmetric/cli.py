@@ -291,7 +291,7 @@ def _run_mkl(train, validation, test, metrics, grids):
     # the chosen C's models, then per-C totals over the whole grid that
     # mkl_fit_s times
     counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
-              "reused_gradients")
+              "reused_gradients", "backtracks", "early_rejects")
     totals = [{key: sum(getattr(m, key) for m in ms) for key in counts} for ms in per_c]
     diagnostics = dict(totals[best],
                        unconverged_solves=sum(m.unconverged_solves for m in models),

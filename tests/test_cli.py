@@ -738,7 +738,7 @@ class TestRunExperiment:
             # solver diagnostics sit beside chosen, never inside it
             (diag,) = saved[key]["diagnostics"]
             counts = {"svm_solves", "smo_iterations", "reused_solves", "gradients",
-                      "reused_gradients"}
+                      "reused_gradients", "backtracks", "early_rejects"}
             assert set(diag) == counts | {"unconverged_solves", "max_kkt_violation",
                                           "grid"}
             assert diag["svm_solves"] >= 3  # one-vs-all on 3 classes
@@ -863,7 +863,7 @@ def oracle_run_mkl(train, validation, test, metrics, grids):
     models = per_c[best]
     test_err = float(np.mean(kernel_mkl.predict_one_vs_all(models, k_te) != test.labels))
     counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
-              "reused_gradients")
+              "reused_gradients", "backtracks", "early_rejects")
     totals = [{key: sum(getattr(m, key) for m in ms) for key in counts} for ms in per_c]
     diagnostics = dict(totals[best],
                        unconverged_solves=sum(m.unconverged_solves for m in models),

@@ -7,7 +7,7 @@ from glmetric import kernel_mkl, make_synthetic_mixture, three_normal_preset
 from glmetric._linalg import pairwise_sq_dists, sym_sqrt
 from glmetric.dataset import SplitSpec, scale_features, split
 from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution, _combine,
-                                 _decision_values, build_kernel_bank, gram_bank,
+                                 _decision_values, _reject_level, build_kernel_bank, gram_bank,
                                  gram_matrix, mkl_train,
                                  predict_one_vs_all, project_simplex,
                                  svm_solve, train_one_vs_all, DEFAULT_TAU_GRID)
@@ -17,10 +17,12 @@ from test_local_metric import random_symmetric_indefinite
 logger = logging.getLogger(__name__)
 
 
-# Oracles: the column-read SMO loop, the sum-every-kernel combination and the
-# one-distance-matrix-per-kernel Gram that the row-read, masked-gradient loop,
-# the zero-weight-skipping combination and the one-distance-matrix-per-metric
-# bank replaced. The fast paths must reproduce them bit for bit.
+# Oracles: the column-read SMO loop run to the end, the whole-matrix
+# sum-every-kernel combination and the one-distance-matrix-per-kernel Gram
+# that the row-read, masked-gradient loop with its early stop at a rejection
+# bound, the blocked zero-weight-skipping combination and the
+# one-distance-matrix-per-metric bank replaced. The fast paths must
+# reproduce them bit for bit.
 
 def oracle_svm_solve(k, y, c, tol=1e-4, max_iter=200000):
     """Soft-margin SVM dual by most-violating-pair coordinate ascent.
@@ -98,14 +100,7 @@ def oracle_mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
     if m == 0:
         raise ValueError("need at least one kernel")
     weights = np.full(m, 1.0 / m)
-
-    def combine(a):
-        out = a[0] * grams[0]
-        for ak, kk in zip(a[1:], grams[1:]):
-            out = out + ak * kk
-        return out
-
-    sol = oracle_svm_solve(combine(weights), y, c, tol=svm_tol)
+    sol = oracle_svm_solve(oracle_combine(weights, grams), y, c, tol=svm_tol)
     curve = [sol.objective]
     step = 1.0
     converged = False
@@ -118,7 +113,7 @@ def oracle_mkl_train(grams, y, c, tol=1e-4, max_outer=50, svm_tol=1e-4):
             move = np.abs(cand - weights).sum()
             if move < 1e-14:
                 break
-            cand_sol = oracle_svm_solve(combine(cand), y, c, tol=svm_tol)
+            cand_sol = oracle_svm_solve(oracle_combine(cand, grams), y, c, tol=svm_tol)
             if cand_sol.objective <= curve[-1] + 1e-12:
                 accepted = (cand, cand_sol, move)
                 break
@@ -149,11 +144,16 @@ def oracle_gram_matrix(bk: BaseKernel, x, x2=None):
     return k
 
 
+def oracle_combine(weights, grams):
+    """sum_k a_k K_k over every kernel, whole matrices at a time."""
+    out = weights[0] * grams[0]
+    for a, kk in zip(weights[1:], grams[1:]):
+        out = out + a * kk
+    return out
+
+
 def oracle_decision_values(model: MklModel, test_grams):
-    combined = None
-    for a, kk in zip(model.weights, test_grams):
-        combined = a * kk if combined is None else combined + a * kk
-    return combined @ (model.beta * model.labels) + model.bias
+    return oracle_combine(model.weights, test_grams) @ (model.beta * model.labels) + model.bias
 
 
 def kernel_value(bk, x, y):
@@ -381,6 +381,7 @@ def assert_same_solution(got, want):
     assert got.converged == want.converged
     assert got.kkt_violation == want.kkt_violation
     assert got.peak == want.peak
+    assert got.stopped == want.stopped
 
 
 class TestSvmMatchesOracle:
@@ -583,11 +584,11 @@ class TestGridReuse:
                              ids=["increasing", "decreasing"])
     def test_grid_models_equal_fresh_per_c_fits(self, monkeypatch, c_grid):
         grams, labels = overlapping_three_class_problem()
-        runs = []  # (kernel bytes, C, solution) of every solve actually run
+        runs = []  # (kernel bytes, C, bound, solution) of every solve actually run
 
-        def recording_solve(k, y, c):
-            sol = svm_solve(k, y, c)
-            runs.append((k.tobytes() + y.tobytes(), c, sol))
+        def recording_solve(k, y, c, reject_above=None):
+            sol = svm_solve(k, y, c, reject_above)
+            runs.append((k.tobytes() + y.tobytes(), c, reject_above, sol))
             return sol
 
         monkeypatch.setattr("glmetric.kernel_mkl.svm_solve", recording_solve)
@@ -616,13 +617,17 @@ class TestGridReuse:
                 reused_across_c += model.reused_solves - fresh.reused_solves
         assert reused_across_c > 0
         assert sum(m.svm_solves for ms in per_c for m in ms) == len(runs)
-        # a problem solved again at another C had touched the box of one of them
+        # a problem solved again at another C had touched the box of one of
+        # them, or its first solve stopped at a bound that does not prove
+        # this rejection
         first = {}
         resolved = 0
-        for key, c, sol in runs:
+        for key, c, bound, sol in runs:
             if key in first:
                 c0, sol0 = first[key]
-                assert c0 != c and sol0.peak >= min(c0, c) - 1e-8
+                assert ((c0 != c and sol0.peak >= min(c0, c) - 1e-8)
+                        or (sol0.stopped and (bound is None
+                                              or sol0.objective <= _reject_level(bound))))
                 resolved += 1
             else:
                 first[key] = (c, sol)
@@ -692,6 +697,188 @@ class TestGridReuse:
         assert again.reused_solves == model.svm_solves + model.reused_solves
         assert again.reused_gradients == model.gradients + model.reused_gradients
         np.testing.assert_array_equal(again.beta, model.beta)
+
+
+def small_three_normal_bank():
+    """The 90-point train bank of a three-normal draw, identity metric over
+    four bandwidths, with its class labels."""
+    data = make_synthetic_mixture(three_normal_preset(), 150, seed=3)
+    train, _, _ = split(data, SplitSpec(seed=1000))
+    train, _ = scale_features(train)
+    bank = build_kernel_bank([MetricMatrix.identity(train.dim)], train.features,
+                             (0.25, 1.0, 4.0, 16.0))
+    return gram_bank(bank, train.features), train.labels
+
+
+def assert_same_fit(got, want):
+    np.testing.assert_array_equal(got.weights, want.weights)
+    np.testing.assert_array_equal(got.beta, want.beta)
+    np.testing.assert_array_equal(got.labels, want.labels)
+    assert got.bias == want.bias
+    assert got.C == want.C
+    assert got.objective_curve == want.objective_curve
+    assert got.converged == want.converged
+
+
+def solve_ignoring_bound(k, y, c, reject_above=None):
+    return svm_solve(k, y, c)
+
+
+class TestEarlyReject:
+    """A candidate solve stops once its dual clears the rejection bound, and
+    no weight, dual, bias or objective moves."""
+
+    GRID = (0.1, 1.0, 10.0, 100.0)
+
+    @pytest.mark.parametrize("problem", [overlapping_three_class_problem,
+                                         small_three_normal_bank])
+    def test_one_vs_all_equals_oracle_and_unbounded_solves(self, monkeypatch, problem):
+        grams, labels = problem()
+        per_c = train_one_vs_all(grams, labels, 3, self.GRID)
+        monkeypatch.setattr(kernel_mkl, "svm_solve", solve_ignoring_bound)
+        unbounded = train_one_vs_all(grams, labels, 3, self.GRID)
+        monkeypatch.undo()
+        assert sum(m.early_rejects for ms in per_c for m in ms) > 0
+        for c, models, fulls in zip(self.GRID, per_c, unbounded):
+            for cls, (model, full) in enumerate(zip(models, fulls)):
+                assert_same_fit(model, full)
+                assert_same_fit(model, oracle_mkl_train(
+                    grams, np.where(labels == cls, 1.0, -1.0), c))
+                # the same decisions: a full solve whose objective clears
+                # the bound counts as the early reject it would have been
+                assert model.backtracks == full.backtracks >= model.early_rejects
+                assert model.early_rejects == full.early_rejects
+                assert model.unconverged_solves == full.unconverged_solves
+                assert model.max_kkt_violation == full.max_kkt_violation
+
+    @pytest.mark.parametrize("problem", [overlapping_three_class_problem,
+                                         small_three_normal_bank])
+    def test_every_stopped_solve_ends_above_its_bound(self, caplog, monkeypatch, problem):
+        grams, labels = problem()
+        stopped = []  # (kernel, labels, C, bound, solution)
+
+        def recording_solve(k, y, c, reject_above=None):
+            sol = svm_solve(k, y, c, reject_above)
+            if sol.stopped:
+                stopped.append((k.copy(), y, c, reject_above, sol))
+            return sol
+
+        monkeypatch.setattr(kernel_mkl, "svm_solve", recording_solve)
+        with caplog.at_level(logging.WARNING, logger="glmetric.kernel_mkl"):
+            train_one_vs_all(grams, labels, 3, self.GRID)
+        monkeypatch.undo()
+        assert not caplog.records  # a stop is not the iteration cap
+        assert len(stopped) >= 10
+        for k, y, c, bound, sol in stopped:
+            assert not sol.converged and sol.objective > _reject_level(bound)
+            full = svm_solve(k, y, c)
+            assert full.converged and not full.stopped
+            assert full.objective >= sol.objective > bound + 1e-12
+            assert full.peak >= sol.peak
+            # the stopped iterate is the path of the full solve up to there
+            monkeypatch.setattr(kernel_mkl, "SVM_MAX_ITER", sol.iterations)
+            with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
+                prefix = svm_solve(k, y, c)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(prefix.beta, sol.beta)
+            assert prefix.peak == sol.peak
+            assert prefix.objective == sol.objective
+
+    def test_a_bound_within_the_margin_of_the_optimum_changes_nothing(self):
+        k, y = three_normal_problem()
+        sol = svm_solve(k, y, 10.0)
+        assert not sol.stopped
+        # the optimum is above the second bound, but by less than the margin
+        for bound in (sol.objective, sol.objective * (1.0 - 5e-10)):
+            assert_same_solution(svm_solve(k, y, 10.0, reject_above=bound), sol)
+        stopped = svm_solve(k, y, 10.0, reject_above=0.5 * sol.objective)
+        assert stopped.stopped and stopped.iterations < sol.iterations
+
+    def test_partial_entries_serve_only_the_rejections_they_prove(self, caplog, monkeypatch):
+        grams, labels = overlapping_three_class_problem()
+        y, c = np.where(labels == 1, 1.0, -1.0), 100.0
+        bounds = {}  # id of each stopped solution -> its bound
+
+        def recording_solve(k, y, c, reject_above=None):
+            sol = svm_solve(k, y, c, reject_above)
+            bounds[id(sol)] = reject_above
+            return sol
+
+        monkeypatch.setattr(kernel_mkl, "svm_solve", recording_solve)
+        memo = {}
+        want = mkl_train(grams, y, c, memo=memo)
+        monkeypatch.undo()
+        partial = [(key, e[1]) for key, known in memo.items() for e in known
+                   if e[1].stopped]
+        assert len(partial) >= 2 and all(sol.peak < c - 1e-8 for _, sol in partial)
+
+        def refit(entries):
+            """A fit from a memo of the given (weight bytes, C, solution)."""
+            memo = {}
+            for key, c0, sol in entries:
+                memo.setdefault(key, []).append([c0, sol, None])
+            model = mkl_train(grams, y, c, memo=memo)
+            assert_same_fit(model, want)
+            assert model.svm_solves + model.reused_solves == want.svm_solves + want.reused_solves
+            # a stopped solution never gets a gradient
+            assert all(e[2] is None for known in memo.values() for e in known
+                       if e[1].stopped)
+            return model
+
+        # reused at its own C and at any C over its partial path's peak
+        for c0 in (c, 1e3):
+            model = refit([(key, c0, sol) for key, sol in partial])
+            assert model.svm_solves == want.svm_solves - len(partial)
+        # solved again under the peak rule's other side
+        model = refit([(key, 0.5 * sol.peak, sol) for key, sol in partial])
+        assert model.svm_solves == want.svm_solves
+        # solved again when its objective does not clear the fit's own bound:
+        # the same candidates stopped at a bound under the dual one step
+        # before their own stop
+        lower = []
+        for key, sol in partial:
+            k = _combine(np.frombuffer(key), grams)
+            monkeypatch.setattr(kernel_mkl, "SVM_MAX_ITER", sol.iterations - 1)
+            with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
+                before = svm_solve(k, y, c).objective
+            monkeypatch.undo()
+            low = svm_solve(k, y, c, reject_above=before - 1e-6)
+            assert low.stopped and low.objective <= _reject_level(bounds[id(sol)])
+            lower.append((key, c, low))
+        model = refit(lower)
+        assert model.svm_solves == want.svm_solves
+        # a stopped solution never serves a first solve, which has no bound
+        uniform = np.full(len(grams), 1.0 / len(grams))
+        first = svm_solve(_combine(uniform, grams), y, c, reject_above=0.0)
+        assert first.stopped
+        model = refit([(uniform.tobytes(), c, first)])
+        assert model.svm_solves == want.svm_solves
+
+
+class TestBlockedCombine:
+    """_combine sums blocks of rows over every kernel; each element must get
+    the whole-matrix sum's value."""
+
+    @pytest.mark.parametrize("shape, block_rows", [
+        ((60, 60), 4),  # square, a block that divides the rows
+        ((25, 60), 4),  # validation x train, a block that does not
+        ((60, 60), 7),
+        ((360, 360), None),  # the default block: 91 of 360 rows
+        ((3, 360), None),  # fewer rows than one default block
+    ])
+    @pytest.mark.parametrize("nonzero", [1, 4])
+    def test_equals_whole_matrix_sum(self, monkeypatch, shape, block_rows, nonzero):
+        rng = np.random.default_rng(shape[0] + nonzero)
+        grams = [rng.random(shape) for _ in range(6)]
+        weights = np.zeros(6)
+        weights[rng.choice(6, nonzero, replace=False)] = rng.dirichlet(np.ones(nonzero))
+        if block_rows is not None:
+            monkeypatch.setattr(kernel_mkl, "COMBINE_BLOCK_BYTES", 8 * shape[1] * block_rows)
+        want = oracle_combine(weights, grams)
+        np.testing.assert_array_equal(_combine(weights, grams), want)
+        out = np.full(shape, np.nan)
+        assert _combine(weights, grams, out) is out
+        np.testing.assert_array_equal(out, want)
 
 
 class TestInputChecks:
@@ -830,16 +1017,24 @@ class TestMkl:
                  for s in (0.5, 2.0, 8.0, 32.0)]
         seen = []
 
-        def recording_solve(k, y, c):
-            seen.append(svm_solve(k, y, c))
+        def recording_solve(k, y, c, reject_above=None):
+            seen.append(svm_solve(k, y, c, reject_above))
             return seen[-1]
 
         monkeypatch.setattr("glmetric.kernel_mkl.svm_solve", recording_solve)
         model = mkl_train(grams, y, 1.0)
         assert model.svm_solves == len(seen) >= len(model.objective_curve)
         assert model.smo_iterations == sum(s.iterations for s in seen)
-        assert model.unconverged_solves == sum(not s.converged for s in seen) == 0
-        assert model.max_kkt_violation == max(s.kkt_violation for s in seen) < 1e-4
+        # convergence is counted over the solves run to the end
+        ended = [s for s in seen if not s.stopped]
+        assert model.unconverged_solves == sum(not s.converged for s in ended) == 0
+        assert model.max_kkt_violation == max(s.kkt_violation for s in ended) < 1e-4
+        # every candidate run or reused is accepted or backtracked from; the
+        # bound alone rejects each stopped solve, and maybe a reused solution
+        assert (model.backtracks == model.svm_solves + model.reused_solves
+                - len(model.objective_curve) >= model.early_rejects)
+        stopped = len(seen) - len(ended)
+        assert 0 < stopped <= model.early_rejects <= stopped + model.reused_solves
 
 
 class TestMklPredict:
