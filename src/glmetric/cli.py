@@ -257,7 +257,8 @@ def _fit_density(method, train, validation, lam_cov):
 
 def _run_mkl(train, validation, test, metrics, grids):
     """One MKL cell. It holds one Gram bank at a time: the train bank while the
-    C grid is fitted, then the validation bank to choose C, then the test bank.
+    C grid is fitted, then the validation bank to choose C, then the test bank,
+    each of these two only over the kernels that some model it serves weights.
     A train bank over MKL_TRAIN_BANK_BYTES raises ValueError before the bank's
     bandwidths, which read all n x n training distances, or any gram is
     built."""
@@ -278,8 +279,12 @@ def _run_mkl(train, validation, test, metrics, grids):
         del k_tr  # prediction needs no train gram
 
     def errors(portion, per_model):  # one bank of grams against train, freed on return
+        # only the kernels some model weights: the others' grams are never read
+        used = np.any([m.weights != 0 for models in per_model for m in models], axis=0)
         with _phase(phases, "gram_bank_s"):
-            grams = gram_bank(banks, portion.features, train.features)
+            built = iter(gram_bank([bk for bk, u in zip(banks, used) if u],
+                                   portion.features, train.features))
+            grams = [next(built) if u else None for u in used]
         with _phase(phases, "predict_s"):
             return [float(np.mean(predict_one_vs_all(models, grams) != portion.labels))
                     for models in per_model]

@@ -30,15 +30,17 @@ continues from a reused solution reuses its gradient too, and each distinct
 solution gets one gradient per memo.
 
 A candidate weight step is rejected when its optimal dual exceeds the last
-accepted objective by more than 1e-12. The dual rises at every SMO step from
-0, so mkl_train passes that objective to svm_solve as reject_above, and the
-solve stops as soon as the dual of its current iterate clears the bound by a
-rounding margin (see svm_solve): the rest of the path could only raise it.
-Such a stopped solution is a rejection proof and nothing more. The memo
-serves it only to a later candidate whose own bound it clears, under the same
-peak rule for its partial path; it never serves a first solve and never gets
-a gradient. Every accept/reject decision, and so every weight, dual, bias and
-objective curve, is the one the solve run to the end gives.
+accepted objective by more than REJECT_TOL (_rejects). The dual rises at
+every SMO step from 0, so mkl_train passes that objective to svm_solve as
+reject_above, and the solve stops as soon as a lower bound of its final
+objective, the dual of its current iterate less a rounding margin that
+scales with n, sum(beta), C and max|K| (see svm_solve), is rejected: the
+rest of the path could only raise it. Such a stopped solution is a
+rejection proof and nothing more. The memo serves it only to a later
+candidate whose own bound it rejects, under the same peak rule for its
+partial path; it never serves a first solve and never gets a gradient.
+Every accept/reject decision, and so every weight, dual, bias and objective
+curve, is the one the solve run to the end gives.
 
 Weighted kernel sums run over blocks of about COMBINE_BLOCK_BYTES of rows,
 adding every kernel into a block before moving on, so the block stays in
@@ -74,6 +76,7 @@ MKL_TOL = 1e-4  # mkl_train stops when a step moves the weights or lowers the ob
 MKL_MAX_OUTER = 50  # most weight steps of one mkl_train fit
 SVM_TOL = 1e-4  # KKT tolerance of every SVM solve
 SVM_MAX_ITER = 200000  # most coordinate steps of one SVM solve
+REJECT_TOL = 1e-12  # mkl_train rejects a candidate whose objective tops the last by more
 COMBINE_BLOCK_BYTES = 2 ** 18  # rows of a weighted kernel sum are summed in blocks of this size
 
 
@@ -98,8 +101,9 @@ class SvmSolution:
     converged: bool
     kkt_violation: float
     peak: float = np.inf  # largest dual on the solver's path; inf if unknown
-    # True when the solve stopped once its dual cleared reject_above (see
-    # svm_solve): objective is then a lower bound of the optimum, not it
+    # True when the solve stopped once it proved its rejection against
+    # reject_above (see svm_solve): objective is then a lower bound of the
+    # objective the solve run to the end returns, not that objective
     stopped: bool = False
 
 
@@ -117,10 +121,12 @@ class MklModel:
     # SVM solver record of the fit that produced this model: the solves run
     # and their iterations, the solutions taken from the memo instead, the
     # weight gradients computed and those taken from the memo, the rejected
-    # candidates (backtracks) and those of them that their bound alone
-    # rejected (early_rejects: solves stopped at it, or reused solutions
-    # that clear it), and the convergence of every other solution the fit
-    # used, run or reused, each of which ran to the end
+    # candidates (backtracks) and those of them that a stopped solution
+    # rejected (early_rejects: solves stopped at their bound, or stopped
+    # solutions reused), and the convergence of the solutions the fit rests
+    # on: its first solve and every accepted step. A rejected candidate's
+    # objective only has to exceed its bound, and a solve that ends short of
+    # its optimum only underrates it, so its convergence decides nothing.
     svm_solves: int = 0
     smo_iterations: int = 0
     reused_solves: int = 0
@@ -201,29 +207,40 @@ def svm_solve(k, y, c, reject_above=None):
     same k, y, SVM_TOL and SVM_MAX_ITER.
 
     reject_above, when given, stops the solve as soon as it proves that the
-    objective of the solve run to the end exceeds reject_above + 1e-12. A
-    step of length t along the pair (i, j) raises the dual by
-    t * (violation - t * q / 2), with q = K_ii + K_jj - 2 K_ij before its
-    1e-12 floor. Since t <= violation / max(q, 1e-12), that rise is at least
-    t * violation / 2 > 0: the ascent is monotone from the dual 0 at beta = 0.
-    The loop keeps the dual as this running sum, a few float operations a
-    step. When the sum passes _reject_level(reject_above) = reject_above +
-    1e-12 + 1e-9 * max(1, |reject_above|), the dual of the current beta is
-    computed by the formula that gives the final objective. If that value
-    also passes the level, the solve returns the current iterate with
-    stopped=True, converged=False, objective set to that value (a lower bound
-    of the final one) and peak the largest dual so far; otherwise the running
-    sum restarts from it. The margin covers the rounding of the formula at
-    both ends, and of the float path between them. For n duals the formula
-    rounds by at most about n * u * (S + 2 * max|K| * S^2), with u = 2^-53
-    and S = sum(beta). On RBF grams (max|K| = 1) near the optimum, where
-    S <= 2 * objective, that stays under the margin at n = 360 for
-    objectives up to about 3,000; errors of mixed sign keep it far smaller.
-    On the shipped three_normal_mkl fits (objectives up to 133) it measured
-    at most 6e-15 of the objective against long double arithmetic. So a
-    solve stops only when running it to the end gives an objective above
-    the bound, and a caller that rejects above the bound decides exactly as
-    it would with the full solve.
+    solve run to the end returns an objective that _rejects against
+    reject_above (over reject_above + REJECT_TOL). A step of length t along
+    the pair (i, j) raises the dual by t * (violation - t * q / 2), with
+    q = K_ii + K_jj - 2 K_ij before its 1e-12 floor. Since t <= violation /
+    max(q, 1e-12), that rise is at least t * violation / 2 > 0: the ascent is
+    monotone from the dual 0 at beta = 0. (A float step keeps that rise
+    while the rounding the kept gradient has gathered stays under
+    violation / 4, at least SVM_TOL / 4; it gathers about 2^-53 times the
+    gradient's size a step, with errors of mixed sign.) The loop keeps the
+    dual as this running sum, a few float operations a step. When the sum
+    passes reject_above, the dual D of the current beta is computed by
+    _dual_objective, the formula of the final objective, and from it a lower
+    bound L of what that formula returns at the end:
+
+        L = D - e(sum(beta)) - e(n * C),
+        e(s) = _objective_rounding(n, s, max|K|) = 2 (n + 1) 2^-53 (s + max|K| s^2).
+
+    e(s) bounds the rounding of the formula for n duals summing to s: the
+    sum of beta rounds by about n 2^-53 s at most, and half of
+    (beta y)^T K (beta y) by about n 2^-53 max|K| s^2 (each entry of
+    (beta y)^T K by n 2^-53 max|K| s, its product with beta as much again);
+    the factor 2 covers the second-order terms and the final subtraction.
+    The true dual at the end is at least the true dual now, which is at
+    least D - e(sum(beta)); the final beta sums to at most n * C, so the
+    formula there loses at most e(n * C). If L _rejects, the solve returns
+    the current iterate with stopped=True, converged=False, objective = L
+    and peak the largest dual so far. Otherwise the running sum restarts
+    from D, and the next check waits until it passes reject_above + (D - L).
+    The bound holds for any n, C and kernel; on the shipped three_normal_mkl
+    fits (n = 360, C <= 100) e(n * C) is at most 1.1e-4, and every solve
+    stopped at the same iteration as under a margin of 1e-9 of the bound.
+    So a solve stops only when running it to the end gives an objective that
+    _rejects, and a caller that rejects by _rejects decides exactly as it
+    would with the full solve.
     """
     y = np.asarray(y, dtype=float)
     if set(np.unique(y)) - {-1.0, 1.0}:
@@ -237,7 +254,10 @@ def svm_solve(k, y, c, reject_above=None):
     if not c > 0:
         raise ValueError(f"C must be positive, got {c}")
     tol, max_iter = SVM_TOL, SVM_MAX_ITER
-    stop_at = np.inf if reject_above is None else _reject_level(reject_above)
+    # the running dual at which the bound is next checked, and max|K|, read
+    # at the first check
+    check_at = np.inf if reject_above is None else reject_above
+    kmax = None
     # Only the two chosen duals change per step, so only their entries of the
     # index sets and of beta are updated. The signed gradient yg = -y * grad
     # moves by step * (K[:, j] - K[:, i]), which equals the product form bit
@@ -313,11 +333,17 @@ def svm_solve(k, y, c, reject_above=None):
                 n_low += l - low[r]
                 up[r], low[r] = u, l
         dual += step * (violation - 0.5 * step * q)
-        if dual > stop_at:
-            dual = _dual_objective(np.array(beta), y, k)
-            if dual > stop_at:
+        if dual > check_at:
+            now = np.array(beta)
+            dual = _dual_objective(now, y, k)
+            if kmax is None:
+                kmax = float(max(k.max(), -k.min()))
+            lower = (dual - _objective_rounding(n, now.sum(), kmax)
+                     - _objective_rounding(n, n * c, kmax))
+            if _rejects(lower, reject_above):
                 stopped = True
                 break
+            check_at = reject_above + (dual - lower)
     converged = violation < tol
     if not converged and not stopped:
         logger.warning("SVM solver hit the iteration cap (violation %.3g)", violation)
@@ -330,7 +356,7 @@ def svm_solve(k, y, c, reject_above=None):
         hi = yg[up].max() if n_up else 0.0
         lo = yg[low].min() if n_low else 0.0
         bias = float(0.5 * (hi + lo))
-    objective = dual if stopped else _dual_objective(beta, y, k)
+    objective = lower if stopped else _dual_objective(beta, y, k)
     return SvmSolution(beta, bias, objective, it, converged,
                        float(max(violation, 0.0)), float(peak), stopped)
 
@@ -345,10 +371,17 @@ def _dual_objective(beta, y, k):
     return float(beta.sum() - 0.5 * yb_k @ beta)
 
 
-def _reject_level(bound):
-    """The dual value above which svm_solve(..., reject_above=bound) stops:
-    the rejection bound bound + 1e-12 plus a rounding margin (see svm_solve)."""
-    return bound + 1e-12 + 1e-9 * max(1.0, abs(bound))
+def _objective_rounding(n, s, kmax):
+    """A bound on the rounding error of _dual_objective for n duals summing
+    to s, on a kernel whose entries are at most kmax in size (see svm_solve)."""
+    return 2.0 * (n + 1) * 2.0 ** -53 * (s + kmax * s * s)
+
+
+def _rejects(objective, bound):
+    """Whether a candidate of this dual objective is rejected against the
+    last accepted objective bound: mkl_train's backtracking test, and the
+    test svm_solve stops by."""
+    return objective > bound + REJECT_TOL
 
 
 def project_simplex(v):
@@ -381,9 +414,10 @@ def mkl_train(grams, y, c, memo=None):
     bit for bit (see svm_solve), so every iterate stays what a fit without the
     memo computes. A solution stopped at a bound is the solve at c only up to
     where it stopped, and serves only a candidate whose rejection it proves:
-    besides that peak rule, its objective must clear the candidate's own
-    _reject_level. Otherwise the candidate is solved again, so a stopped
-    solution never serves a first solve and never gets a gradient. The
+    besides that peak rule, its objective (the lower bound svm_solve
+    certified) must be rejected against the candidate's own bound.
+    Otherwise the candidate is solved again, so a stopped solution never
+    serves a first solve and never gets a gradient. The
     weight gradient depends only on the grams, y and the solution, so it is
     computed once per entry, the first time a fit steps from that solution,
     and every later fit that steps from the entry reuses it. The memos of
@@ -400,11 +434,12 @@ def mkl_train(grams, y, c, memo=None):
              "early_rejects": 0, "unconverged_solves": 0, "max_kkt_violation": 0.0}
 
     def solve(a, bound=None, k=None):  # k: the combined kernel of a, when already summed
-        level = np.inf if bound is None else _reject_level(bound)
         known = memo.setdefault(a.tobytes(), [])
         entry = next((e for e in known
                       if (e[0] == c or e[1].peak < min(e[0], c) - 1e-8)
-                      and (not e[1].stopped or e[1].objective > level)), None)
+                      and (not e[1].stopped
+                           or bound is not None and _rejects(e[1].objective, bound))),
+                     None)
         if entry is None:
             s = svm_solve(_combine(a, grams, combined) if k is None else k, y, c,
                           reject_above=bound)
@@ -414,16 +449,15 @@ def mkl_train(grams, y, c, memo=None):
             stats["smo_iterations"] += s.iterations
         else:
             stats["reused_solves"] += 1
-        s = entry[1]
-        if s.objective > level:  # rejected by the bound alone, stopped or not
-            stats["early_rejects"] += 1
-        else:
-            stats["unconverged_solves"] += not s.converged
-            stats["max_kkt_violation"] = max(stats["max_kkt_violation"], s.kkt_violation)
         return entry
 
+    def use(s):  # the fit rests on s: its first solve or an accepted step
+        stats["unconverged_solves"] += not s.converged
+        stats["max_kkt_violation"] = max(stats["max_kkt_violation"], s.kkt_violation)
+        return s
+
     entry = solve(weights, k=getattr(memo, "uniform", None))
-    sol = entry[1]
+    sol = use(entry[1])
     curve = [sol.objective]
     step = 1.0
     converged = False
@@ -442,16 +476,17 @@ def mkl_train(grams, y, c, memo=None):
             if move < 1e-14:
                 break
             cand_entry = solve(cand, curve[-1])
-            if cand_entry[1].objective <= curve[-1] + 1e-12:
+            if not _rejects(cand_entry[1].objective, curve[-1]):
                 accepted = (cand, cand_entry, move)
                 break
             stats["backtracks"] += 1
+            stats["early_rejects"] += cand_entry[1].stopped
             step *= 0.5
         if accepted is None:
             converged = True  # no descent direction left at this scale
             break
         weights, entry, move = accepted
-        sol = entry[1]
+        sol = use(entry[1])
         decrease = curve[-1] - sol.objective
         curve.append(sol.objective)
         if move < MKL_TOL or decrease < MKL_TOL * max(1.0, abs(curve[0])):
@@ -524,6 +559,10 @@ def train_one_vs_all(grams, labels, class_count, c_grid):
 
 
 def predict_one_vs_all(models, test_grams):
-    """Class with the largest decision value; ties pick the lower index."""
+    """Class with the largest decision value; ties pick the lower index.
+
+    A gram is read only where some model weights its kernel, so the grams of
+    kernels that every model weights zero may be None.
+    """
     scores = np.stack([_decision_values(m, test_grams) for m in models], axis=1)
     return scores.argmax(axis=1)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -7,7 +8,8 @@ from glmetric import kernel_mkl, make_synthetic_mixture, three_normal_preset
 from glmetric._linalg import pairwise_sq_dists, sym_sqrt
 from glmetric.dataset import SplitSpec, scale_features, split
 from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution, _combine,
-                                 _decision_values, _reject_level, build_kernel_bank, gram_bank,
+                                 _decision_values, _objective_rounding, _rejects,
+                                 build_kernel_bank, gram_bank,
                                  gram_matrix, mkl_train,
                                  predict_one_vs_all, project_simplex,
                                  svm_solve, train_one_vs_all, DEFAULT_TAU_GRID)
@@ -617,20 +619,18 @@ class TestGridReuse:
                 reused_across_c += model.reused_solves - fresh.reused_solves
         assert reused_across_c > 0
         assert sum(m.svm_solves for ms in per_c for m in ms) == len(runs)
-        # a problem solved again at another C had touched the box of one of
-        # them, or its first solve stopped at a bound that does not prove
-        # this rejection
-        first = {}
+        # a problem solved again had no earlier solution that mkl_train's
+        # memo rule lets serve it: each had touched the box at another C, or
+        # stopped at a bound that does not prove this rejection
+        earlier = {}
         resolved = 0
         for key, c, bound, sol in runs:
-            if key in first:
-                c0, sol0 = first[key]
-                assert ((c0 != c and sol0.peak >= min(c0, c) - 1e-8)
-                        or (sol0.stopped and (bound is None
-                                              or sol0.objective <= _reject_level(bound))))
-                resolved += 1
-            else:
-                first[key] = (c, sol)
+            for c0, sol0 in earlier.get(key, ()):
+                assert not ((c0 == c or sol0.peak < min(c0, c) - 1e-8)
+                            and (not sol0.stopped
+                                 or bound is not None and _rejects(sol0.objective, bound)))
+            resolved += key in earlier
+            earlier.setdefault(key, []).append((c, sol))
         assert resolved > 0
 
     def test_grid_computes_one_gradient_per_solution(self, monkeypatch):
@@ -744,12 +744,28 @@ class TestEarlyReject:
                 assert_same_fit(model, full)
                 assert_same_fit(model, oracle_mkl_train(
                     grams, np.where(labels == cls, 1.0, -1.0), c))
-                # the same decisions: a full solve whose objective clears
-                # the bound counts as the early reject it would have been
+                # the same decisions, some of them proved by a stopped solve
                 assert model.backtracks == full.backtracks >= model.early_rejects
-                assert model.early_rejects == full.early_rejects
+                assert full.early_rejects == 0
                 assert model.unconverged_solves == full.unconverged_solves
                 assert model.max_kkt_violation == full.max_kkt_violation
+
+    def test_reject_tol_moves_the_stop_and_the_decision_together(self, monkeypatch):
+        # mkl_train's acceptance and svm_solve's stop share one rejection
+        # test: at a wider tolerance the fits change, and stopping still
+        # changes nothing
+        grams, labels = overlapping_three_class_problem()
+        default = train_one_vs_all(grams, labels, 3, self.GRID)
+        monkeypatch.setattr(kernel_mkl, "REJECT_TOL", 1e-2)
+        per_c = train_one_vs_all(grams, labels, 3, self.GRID)
+        monkeypatch.setattr(kernel_mkl, "svm_solve", solve_ignoring_bound)
+        unbounded = train_one_vs_all(grams, labels, 3, self.GRID)
+        assert sum(m.early_rejects for ms in per_c for m in ms) > 0
+        assert any(m.objective_curve != d.objective_curve
+                   for ms, ds in zip(per_c, default) for m, d in zip(ms, ds))
+        for models, fulls in zip(per_c, unbounded):
+            for model, full in zip(models, fulls):
+                assert_same_fit(model, full)
 
     @pytest.mark.parametrize("problem", [overlapping_three_class_problem,
                                          small_three_normal_bank])
@@ -770,7 +786,7 @@ class TestEarlyReject:
         assert not caplog.records  # a stop is not the iteration cap
         assert len(stopped) >= 10
         for k, y, c, bound, sol in stopped:
-            assert not sol.converged and sol.objective > _reject_level(bound)
+            assert not sol.converged and _rejects(sol.objective, bound)
             full = svm_solve(k, y, c)
             assert full.converged and not full.stopped
             assert full.objective >= sol.objective > bound + 1e-12
@@ -782,19 +798,42 @@ class TestEarlyReject:
             monkeypatch.undo()
             np.testing.assert_array_equal(prefix.beta, sol.beta)
             assert prefix.peak == sol.peak
-            assert prefix.objective == sol.objective
+            # its objective is the dual there less both rounding margins
+            n, kmax = len(y), np.abs(k).max()
+            assert sol.objective == (prefix.objective
+                                     - _objective_rounding(n, prefix.beta.sum(), kmax)
+                                     - _objective_rounding(n, n * c, kmax))
 
     def test_a_bound_within_the_margin_of_the_optimum_changes_nothing(self):
         k, y = three_normal_problem()
         sol = svm_solve(k, y, 10.0)
         assert not sol.stopped
         # the optimum is above the second bound, but by less than the margin
-        for bound in (sol.objective, sol.objective * (1.0 - 5e-10)):
+        # that a stop keeps for the rounding of the final objective
+        margin = _objective_rounding(len(y), len(y) * 10.0, np.abs(k).max())
+        for bound in (sol.objective, sol.objective - 0.5 * margin):
             assert_same_solution(svm_solve(k, y, 10.0, reject_above=bound), sol)
         stopped = svm_solve(k, y, 10.0, reject_above=0.5 * sol.objective)
         assert stopped.stopped and stopped.iterations < sol.iterations
 
-    def test_partial_entries_serve_only_the_rejections_they_prove(self, caplog, monkeypatch):
+    def test_the_margin_grows_with_n_and_c(self):
+        # n = 360, C = 1e4: the final objective's rounding bound is about 1,
+        # far over 1e-9 of the objective; a stop still proves a rejection,
+        # and a bound within that margin of the optimum stops nothing
+        k, y = three_normal_problem()
+        c = 1e4
+        full = svm_solve(k, y, c)
+        assert full.converged and not full.stopped
+        margin = _objective_rounding(len(y), len(y) * c, np.abs(k).max())
+        assert margin > 1e-3 * full.objective
+        bound = 0.5 * full.objective
+        stopped = svm_solve(k, y, c, reject_above=bound)
+        assert stopped.stopped and stopped.iterations < full.iterations
+        assert full.objective >= stopped.objective and _rejects(stopped.objective, bound)
+        assert_same_solution(svm_solve(k, y, c, reject_above=full.objective - 0.5 * margin),
+                             full)
+
+    def test_partial_entries_serve_only_the_rejections_they_prove(self, monkeypatch):
         grams, labels = overlapping_three_class_problem()
         y, c = np.where(labels == 1, 1.0, -1.0), 100.0
         bounds = {}  # id of each stopped solution -> its bound
@@ -832,19 +871,10 @@ class TestEarlyReject:
         # solved again under the peak rule's other side
         model = refit([(key, 0.5 * sol.peak, sol) for key, sol in partial])
         assert model.svm_solves == want.svm_solves
-        # solved again when its objective does not clear the fit's own bound:
-        # the same candidates stopped at a bound under the dual one step
-        # before their own stop
-        lower = []
-        for key, sol in partial:
-            k = _combine(np.frombuffer(key), grams)
-            monkeypatch.setattr(kernel_mkl, "SVM_MAX_ITER", sol.iterations - 1)
-            with caplog.at_level(logging.ERROR, logger="glmetric.kernel_mkl"):
-                before = svm_solve(k, y, c).objective
-            monkeypatch.undo()
-            low = svm_solve(k, y, c, reject_above=before - 1e-6)
-            assert low.stopped and low.objective <= _reject_level(bounds[id(sol)])
-            lower.append((key, c, low))
+        # solved again when its objective does not reject against the fit's
+        # own bound: the same stopped solutions, certified only up to it
+        lower = [(key, c, dataclasses.replace(sol, objective=bounds[id(sol)]))
+                 for key, sol in partial]
         model = refit(lower)
         assert model.svm_solves == want.svm_solves
         # a stopped solution never serves a first solve, which has no bound
@@ -1015,25 +1045,28 @@ class TestMkl:
         x, y = self.two_blob_problem(rng)
         grams = [gram_matrix(BaseKernel(MetricMatrix.identity(2), s), x)
                  for s in (0.5, 2.0, 8.0, 32.0)]
-        seen = []
+        seen = []  # (bound, solution) of every solve
 
         def recording_solve(k, y, c, reject_above=None):
-            seen.append(svm_solve(k, y, c, reject_above))
-            return seen[-1]
+            seen.append((reject_above, svm_solve(k, y, c, reject_above)))
+            return seen[-1][1]
 
         monkeypatch.setattr("glmetric.kernel_mkl.svm_solve", recording_solve)
         model = mkl_train(grams, y, 1.0)
         assert model.svm_solves == len(seen) >= len(model.objective_curve)
-        assert model.smo_iterations == sum(s.iterations for s in seen)
-        # convergence is counted over the solves run to the end
-        ended = [s for s in seen if not s.stopped]
-        assert model.unconverged_solves == sum(not s.converged for s in ended) == 0
-        assert model.max_kkt_violation == max(s.kkt_violation for s in ended) < 1e-4
-        # every candidate run or reused is accepted or backtracked from; the
-        # bound alone rejects each stopped solve, and maybe a reused solution
+        assert model.smo_iterations == sum(s.iterations for _, s in seen)
+        # convergence is counted over the solutions the fit rests on: its
+        # first solve and the accepted steps, whose objectives are the curve
+        used = [next(s for bound, s in seen if s.objective == v and not s.stopped
+                     and (bound is None or not _rejects(v, bound)))
+                for v in model.objective_curve]
+        assert model.unconverged_solves == sum(not s.converged for s in used) == 0
+        assert model.max_kkt_violation == max(s.kkt_violation for s in used) < 1e-4
+        # every other candidate run or reused is backtracked from; each
+        # stopped solve rejects its candidate, and maybe a reused candidate
         assert (model.backtracks == model.svm_solves + model.reused_solves
                 - len(model.objective_curve) >= model.early_rejects)
-        stopped = len(seen) - len(ended)
+        stopped = sum(s.stopped for _, s in seen)
         assert 0 < stopped <= model.early_rejects <= stopped + model.reused_solves
 
 
@@ -1076,3 +1109,16 @@ class TestMklPredict:
         np.testing.assert_array_equal(combined, expect)
         train_pred = predict_one_vs_all(models, grams)
         assert np.mean(train_pred == labels) > 0.95
+
+    def test_grams_of_unweighted_kernels_may_be_none(self):
+        grams, labels = overlapping_three_class_problem()
+        per_c = train_one_vs_all(grams, labels, 3, [0.1, 100.0])
+        for models in per_c:
+            used = np.any([m.weights != 0 for m in models], axis=0)
+            assert 0 < used.sum() < len(grams)
+            sparse = [k if u else None for k, u in zip(grams, used)]
+            for m in models:
+                np.testing.assert_array_equal(_decision_values(m, sparse),
+                                              _decision_values(m, grams))
+            np.testing.assert_array_equal(predict_one_vs_all(models, sparse),
+                                          predict_one_vs_all(models, grams))
