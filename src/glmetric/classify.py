@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import _check_finite, pairwise_sq_dists
+from ._linalg import _check_finite, block_rows, pairwise_sq_dists
 from .generative import fit_gaussian_models
 from .local_metric import MetricMatrix, interpolate_with_euclidean, local_metric_stack
 
@@ -79,7 +79,12 @@ def _vote_grid(d, labels, class_count, k_grid):
     nq, n = d.shape
     top = max((k for k in k_grid if k < n), default=0)
     if top:
-        part = np.argpartition(d, top, axis=1)[:, :top + 1]
+        # rows partition independently, so a row block at a time keeps only
+        # the first top + 1 indices of each, not an (nq, n) index array
+        part = np.empty((nq, top + 1), dtype=np.intp)
+        rows = block_rows(n)
+        for lo in range(0, nq, rows):
+            part[lo:lo + rows] = np.argpartition(d[lo:lo + rows], top, axis=1)[:, :top + 1]
         order = np.argsort(np.take_along_axis(d, part, axis=1), axis=1, kind="stable")
         ranked = np.take_along_axis(part, order, axis=1)
         ranked_d = np.take_along_axis(d, ranked, axis=1)
@@ -108,10 +113,14 @@ def _sorted_by_class(d, labels, class_count, k):
     Non-finite distances raise ValueError.
     """
     _check_finite(d)
-    own = [np.sort(np.compress(labels == c, d, axis=1), axis=1)[:, :k]
-           for c in range(class_count)]
-    other = [np.sort(np.compress(labels != c, d, axis=1), axis=1)[:, :k]
-             for c in range(class_count)]
+
+    def smallest(cols):
+        part = np.compress(cols, d, axis=1)
+        part.sort(axis=1)
+        return part[:, :k].copy()
+
+    own = [smallest(labels == c) for c in range(class_count)]
+    other = [smallest(labels != c) for c in range(class_count)]
     return np.stack(own, axis=1), np.stack(other, axis=1)
 
 
@@ -157,7 +166,8 @@ def margin_candidates(train, metric: MetricMatrix, beta_grid=DEFAULT_BETA_GRID):
     d = pairwise_sq_dists(train.features, train.features, metric.matrix)
     np.fill_diagonal(d, np.inf)
     same = train.labels[:, None] == train.labels[None, :]
-    diffs = np.where(~same, d, np.inf).min(axis=1) - np.where(same, d, np.inf).min(axis=1)
+    diffs = (np.min(d, axis=1, where=~same, initial=np.inf)
+             - np.min(d, axis=1, where=same, initial=np.inf))
     if not np.isfinite(diffs).all():
         raise ValueError("every training point needs a same-class and an other-class neighbor")
     gamma0 = float(np.median(diffs))
@@ -174,19 +184,24 @@ def _per_query_sq_dists(q, ms, x):
 
     The train term vec(M_i) . vec(x_j x_j^T) is a product with the
     _outer_rows table of x, built and used in chunks of train rows of at
-    most OUTER_TABLE_BYTES each (one chunk when the whole table fits). Tiny
-    negative values from cancellation are clipped to 0, as in
+    most OUTER_TABLE_BYTES each (one chunk when the whole table fits). The
+    query term and the doubled cross product are added to and taken from
+    that product in place (IEEE addition commutes, so rx + rq is rq + rx).
+    Tiny negative values from cancellation are clipped to 0, as in
     pairwise_sq_dists.
     """
     qm = np.einsum("ij,ijk->ik", q, ms)
     rq = np.einsum("ij,ij->i", qm, q)
-    flat = ms.reshape(len(ms), -1)
+    flat = ms.reshape(len(ms), q.shape[1] ** 2)
     step = max(1, OUTER_TABLE_BYTES // (8 * flat.shape[1]))
-    rx = np.empty((len(q), len(x)))
+    d = np.empty((len(q), len(x)))
     for s in range(0, len(x), step):
-        rx[:, s:s + step] = flat @ _outer_rows(x[s:s + step]).T
-    d = rq[:, None] + rx - 2.0 * (qm @ x.T)
-    return np.clip(d, 0.0, None)
+        d[:, s:s + step] = flat @ _outer_rows(x[s:s + step]).T
+    d += rq[:, None]
+    cross = qm @ x.T
+    cross *= 2.0
+    d -= cross
+    return np.clip(d, 0.0, None, out=d)
 
 
 def _vote_errors(train, labels, k_grid, second_grid, dists):

@@ -38,17 +38,23 @@ def uniform_combination(local_metrics):
 
 
 def _row_logsumexp(logs):
-    """Log of the sum of exp(logs) over each row, shifted by the row maximum."""
+    """Log of the sum of exp(logs) over each row, shifted by the row maximum.
+    Works in place: logs is overwritten."""
     m = logs.max(axis=1)
     with np.errstate(under="ignore"):
-        return m + np.log(np.exp(logs - m[:, None]).sum(axis=1))
+        logs -= m[:, None]
+        np.exp(logs, out=logs)
+        return m + np.log(logs.sum(axis=1))
 
 
 def _kde_log_density(sq_dists, dim, sigma):
     """Log of (1/h) sum_i exp(-||q - x_i||^2 / sigma^2), h normalizing to 1, for
-    every row of the query-to-train squared distances of dim-dimensional points."""
+    every row of the query-to-train squared distances of dim-dimensional points.
+    Uses one work array the size of sq_dists, which it leaves unchanged."""
     log_h = np.log(sq_dists.shape[1]) + 0.5 * dim * np.log(np.pi) + dim * np.log(sigma)
-    return _row_logsumexp(-(sq_dists / sigma ** 2)) - log_h
+    work = np.divide(sq_dists, sigma ** 2)
+    np.negative(work, out=work)
+    return _row_logsumexp(work) - log_h
 
 
 def select_kde_bandwidth(x_train, x_val):
@@ -58,8 +64,8 @@ def select_kde_bandwidth(x_train, x_val):
     training points; ties pick the smaller bandwidth.
     """
     med = float(np.sqrt(median_pair_sq_dist(x_train)))
-    if med <= 0:
-        raise ValueError("degenerate training set: zero median pairwise distance")
+    if not med > 0:
+        raise ValueError(f"degenerate training set: median pairwise distance {med}")
     d_val = pairwise_sq_dists(x_val, x_train)
     best = None
     for j in range(-3, 4):

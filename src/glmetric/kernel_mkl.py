@@ -42,7 +42,7 @@ partial path; it never serves a first solve and never gets a gradient.
 Every accept/reject decision, and so every weight, dual, bias and objective
 curve, is the one the solve run to the end gives.
 
-Weighted kernel sums run over blocks of about COMBINE_BLOCK_BYTES of rows,
+Weighted kernel sums run over blocks of about _linalg.ROW_BLOCK_BYTES of rows,
 adding every kernel into a block before moving on, so the block stays in
 cache; each element gets the same multiplies and adds in the same order.
 """
@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._linalg import median_pair_sq_dist, pairwise_sq_dists
+from ._linalg import block_rows, median_pair_sq_dist, pairwise_sq_dists
 from .local_metric import MetricMatrix
 
 __all__ = [
@@ -77,7 +77,6 @@ MKL_MAX_OUTER = 50  # most weight steps of one mkl_train fit
 SVM_TOL = 1e-4  # KKT tolerance of every SVM solve
 SVM_MAX_ITER = 200000  # most coordinate steps of one SVM solve
 REJECT_TOL = 1e-12  # mkl_train rejects a candidate whose objective tops the last by more
-COMBINE_BLOCK_BYTES = 2 ** 18  # rows of a weighted kernel sum are summed in blocks of this size
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +155,7 @@ def build_kernel_bank(metrics, x_train, tau_grid=DEFAULT_TAU_GRID):
     bank = []
     for metric in metrics:
         sigma0_sq = median_pair_sq_dist(x_train, metric.matrix)
-        if sigma0_sq <= 0:
+        if not sigma0_sq > 0:
             raise ValueError("degenerate pairwise distances")
         bank += [BaseKernel(metric, sigma0_sq / tau) for tau in tau_grid]
     return bank
@@ -522,13 +521,13 @@ def _combine(weights, grams, out=None):
     """sum_k a_k K_k into out, adding only the non-zero weights in index order.
 
     A zero weight would add +0.0, so skipping it changes no value. The rows
-    are summed in blocks of about COMBINE_BLOCK_BYTES, each over every kernel
+    are summed in blocks of about ROW_BLOCK_BYTES, each over every kernel
     before the next, through a one-block scratch; each element gets the same
     multiplies and adds in the same order as summing whole matrices.
     """
     (a0, k0), *rest = [(a, kk) for a, kk in zip(weights, grams) if a != 0]
     out = np.empty(k0.shape) if out is None else out
-    rows = max(1, COMBINE_BLOCK_BYTES // (8 * k0.shape[1]))
+    rows = block_rows(k0.shape[1])
     scratch = np.empty((min(rows, len(k0)), k0.shape[1]))
     for lo in range(0, len(k0), rows):
         block = np.multiply(k0[lo:lo + rows], a0, out=out[lo:lo + rows])

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import _check_finite, pairwise_sq_dists, sym_sqrt
+from ._linalg import _check_finite, pairwise_sq_dists, sym_sqrt, upper_pairs
 from ._lloyd import lloyd, lloyd_best_of, member_means
 from .generative import _fit_classes
 from .global_metric import uniform_combination
@@ -236,10 +236,11 @@ def cluster_transfer_tune(train, validation, k, lam_cov_grid, lam_int_grid,
 def _neighbor_graph(z, n_neighbors):
     from scipy.sparse import csr_matrix  # scipy loads only on the Isomap path
 
-    d = np.sqrt(pairwise_sq_dists(z, z))
+    d = pairwise_sq_dists(z, z)
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, np.inf)
     n = len(z)
-    idx = np.argsort(d, axis=1)[:, :n_neighbors]
+    idx = np.argsort(d, axis=1)[:, :n_neighbors].copy()
     rows = np.repeat(np.arange(n), n_neighbors)
     cols = idx.ravel()
     vals = d[rows, cols]
@@ -286,7 +287,7 @@ def isomap_embed(x, metric, n_neighbors, d):
     coords = u[:, :d] * np.sqrt(w[:d])
     coords = coords - coords.mean(axis=0)
 
-    iu = np.triu_indices(len(geo), 1)
-    emb = np.sqrt(pairwise_sq_dists(coords, coords))
-    r = np.corrcoef(geo[iu], emb[iu])[0, 1]
+    emb = pairwise_sq_dists(coords, coords)
+    np.sqrt(emb, out=emb)
+    r = np.corrcoef(upper_pairs(geo), upper_pairs(emb))[0, 1]
     return Embedding(coords, float(1.0 - r ** 2), n_neighbors, kept)

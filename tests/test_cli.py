@@ -806,6 +806,20 @@ class TestRunExperiment:
                                       tmp_path / "out2")
         assert code == 0 and not report["methods"]["mkl_baseline"]["failures"]
 
+    def test_one_point_mkl_train_set_fails_its_cell(self, tmp_path):
+        # one training point has no pair, so no median bandwidth; the cell
+        # used to fit on a NaN bandwidth and report a test error
+        cfg = json.loads((ROOT / "configs" / "three_normal_mkl.json").read_text())
+        cfg["split"]["n_repeats"] = 1
+        cfg["methods"] = [{"name": "mkl_baseline", "max_train": 1}]
+        report, code = run_experiment(parse_experiment_config(cfg), tmp_path / "out")
+        entry = report["methods"]["mkl_baseline"]
+        assert code == 1 and entry["per_split"] == [] and "mean" not in entry
+        (failure,) = entry["failures"]
+        assert failure["error"] == ("ValueError: a median pairwise distance needs at "
+                                    "least two points, got 1")
+        assert "in build_kernel_bank" in failure["traceback"]
+
     def test_mkl_train_bank_bound_names_largest_fitting_max_train(self, monkeypatch):
         # M = 75 kernels (5 partitions x 15 bandwidths) under the shipped 1 GiB,
         # checked before the bandwidths read the n x n training distances

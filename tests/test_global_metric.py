@@ -234,6 +234,14 @@ class TestKde:
         sigma = select_kde_bandwidth(x, v)
         assert 0.05 < sigma < 20.0
 
+    def test_bandwidth_needs_a_positive_median(self):
+        v = np.zeros((3, 2))
+        for x in (np.zeros((4, 2)), np.array([[0.0, np.nan], [1.0, 0.0], [2.0, 0.0]])):
+            with pytest.raises(ValueError, match="degenerate training set: median pairwise"):
+                select_kde_bandwidth(x, v)
+        with pytest.raises(ValueError, match="needs at least two points, got 1"):
+            select_kde_bandwidth(np.ones((1, 2)), v)
+
     @pytest.mark.parametrize("dim,seed", [(1, 0), (3, 1), (5, 2)])
     def test_bandwidths_and_weights_match_per_candidate_oracle(self, dim, seed):
         ds = gaussian_classes(dim, 3, 150, seed=seed)

@@ -4,7 +4,7 @@ import logging
 import numpy as np
 import pytest
 
-from glmetric import kernel_mkl, make_synthetic_mixture, three_normal_preset
+from glmetric import _linalg, kernel_mkl, make_synthetic_mixture, three_normal_preset
 from glmetric._linalg import pairwise_sq_dists, sym_sqrt
 from glmetric.dataset import SplitSpec, scale_features, split
 from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution, _combine,
@@ -221,6 +221,14 @@ class TestKernelBank:
         x = np.zeros((10, 2))
         with pytest.raises(ValueError, match="degenerate pairwise distances"):
             build_kernel_bank([MetricMatrix.identity(2)], x)
+
+    def test_nan_median_and_one_point_rejected(self):
+        x = np.zeros((10, 2))
+        x[3, 1] = np.nan  # every pair with row 3 is NaN, and so is the median
+        with pytest.raises(ValueError, match="degenerate pairwise distances"):
+            build_kernel_bank([MetricMatrix.identity(2)], x)
+        with pytest.raises(ValueError, match="needs at least two points, got 1"):
+            build_kernel_bank([MetricMatrix.identity(2)], np.ones((1, 2)))
 
 
 class TestGram:
@@ -903,7 +911,7 @@ class TestBlockedCombine:
         weights = np.zeros(6)
         weights[rng.choice(6, nonzero, replace=False)] = rng.dirichlet(np.ones(nonzero))
         if block_rows is not None:
-            monkeypatch.setattr(kernel_mkl, "COMBINE_BLOCK_BYTES", 8 * shape[1] * block_rows)
+            monkeypatch.setattr(_linalg, "ROW_BLOCK_BYTES", 8 * shape[1] * block_rows)
         want = oracle_combine(weights, grams)
         np.testing.assert_array_equal(_combine(weights, grams), want)
         out = np.full(shape, np.nan)
