@@ -19,7 +19,7 @@ from .global_metric import (density_weighted_combination, fixed_point_residual,
 from .classify import (TunedResult, energy_predict_batch, knn_predict_batch,
                        margin_candidates, tune_and_test)
 from .kernel_mkl import (BaseKernel, MklModel, build_kernel_bank, gram_bank,
-                         gram_matrix, mkl_train, svm_solve)
+                         gram_matrix, mkl_cell, mkl_train, svm_solve)
 from .unsupervised import (ClusteringResult, Embedding, cluster_transfer_tune,
                            isomap_embed, iterative_metric_kmeans, kmeans,
                            rand_score)

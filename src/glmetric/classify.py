@@ -93,7 +93,9 @@ def _vote_grid(d, labels, class_count, k_grid):
         if k < n:
             idx = ranked[:, :k].copy()
             tied = np.flatnonzero(ranked_d[:, k - 1] == ranked_d[:, k])
-            idx[tied] = np.argpartition(d[tied], k, axis=1)[:, :k]
+            for lo in range(0, len(tied), rows):  # a row block of tied rows at a time
+                block = tied[lo:lo + rows]
+                idx[block] = np.argpartition(d[block], k, axis=1)[:, :k]
         else:
             idx = np.broadcast_to(np.arange(n), (nq, n))
         near = np.take_along_axis(d, idx, axis=1)

@@ -3,7 +3,6 @@ import argparse
 import csv
 import json
 import logging
-import math
 import sys
 import time
 import traceback
@@ -20,8 +19,7 @@ from .dataset import (ScaleParams, SplitSpec, load_csv, make_synthetic_mixture,
                       pca_reduce, scale_features, three_normal_preset)
 from .generative import fit_gaussian_models
 from .global_metric import density_weighted_combination, uniform_combination
-from .kernel_mkl import (DEFAULT_TAU_GRID, build_kernel_bank, gram_bank,
-                         predict_one_vs_all, train_one_vs_all)
+from .kernel_mkl import mkl_cell
 from .local_metric import MetricMatrix, compute_all_local_metrics, regional_metrics
 from .unsupervised import (assign_to_centers, cluster_transfer_tune,
                            isomap_embed, rand_score)
@@ -133,9 +131,6 @@ def _defaults(keys):
 
 
 DEFAULT_GRIDS = _defaults(CONFIG_KEYS["grids"])
-
-# bound on the bytes of an MKL cell's train Gram bank, M float64 (n, n) grams: M * n**2 * 8
-MKL_TRAIN_BANK_BYTES = 2 ** 30
 
 
 @dataclass
@@ -255,59 +250,6 @@ def _fit_density(method, train, validation, lam_cov):
     return density_weighted_combination(train, validation, kind, lam_cov=lam_cov)[0]
 
 
-def _run_mkl(train, validation, test, metrics, grids):
-    """One MKL cell. It holds one Gram bank at a time: the train bank while the
-    C grid is fitted, then the validation bank to choose C, then the test bank,
-    each of these two only over the kernels that some model it serves weights.
-    A train bank over MKL_TRAIN_BANK_BYTES raises ValueError before the bank's
-    bandwidths, which read all n x n training distances, or any gram is
-    built."""
-    phases = {}
-    with _phase(phases, "gram_bank_s"):
-        kernels = len(metrics) * len(DEFAULT_TAU_GRID)
-        need = kernels * train.n ** 2 * 8
-        if need > MKL_TRAIN_BANK_BYTES:
-            fits = math.isqrt(MKL_TRAIN_BANK_BYTES // (8 * kernels))
-            raise ValueError(
-                f"the train Gram bank of {kernels} kernels at {train.n} training points "
-                f"needs {need / 2 ** 20:.0f} MiB, over the {MKL_TRAIN_BANK_BYTES / 2 ** 20:.0f} "
-                f"MiB bound; set max_train to {fits} or less")
-        banks = build_kernel_bank(metrics, train.features)
-        k_tr = gram_bank(banks, train.features)
-    with _phase(phases, "mkl_fit_s"):
-        per_c = train_one_vs_all(k_tr, train.labels, train.class_count, grids["C"])
-        del k_tr  # prediction needs no train gram
-
-    def errors(portion, per_model):  # one bank of grams against train, freed on return
-        # only the kernels some model weights: the others' grams are never read
-        used = np.any([m.weights != 0 for models in per_model for m in models], axis=0)
-        with _phase(phases, "gram_bank_s"):
-            built = iter(gram_bank([bk for bk, u in zip(banks, used) if u],
-                                   portion.features, train.features))
-            grams = [next(built) if u else None for u in used]
-        with _phase(phases, "predict_s"):
-            return [float(np.mean(predict_one_vs_all(models, grams) != portion.labels))
-                    for models in per_model]
-
-    val_errs = errors(validation, per_c)
-    best = int(np.argmin(val_errs))  # the first C of the lowest validation error
-    models = per_c[best]
-    (test_err,) = errors(test, [models])
-    # the chosen C's models, then per-C totals over the whole grid that
-    # mkl_fit_s times
-    counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
-              "reused_gradients", "backtracks", "early_rejects")
-    totals = [{key: sum(getattr(m, key) for m in ms) for key in counts} for ms in per_c]
-    diagnostics = dict(totals[best],
-                       unconverged_solves=sum(m.unconverged_solves for m in models),
-                       max_kkt_violation=max(m.max_kkt_violation for m in models),
-                       grid={"C": list(grids["C"]),
-                             **{key: [t[key] for t in totals] for key in counts}})
-    return {"value": test_err, "validation_error": val_errs[best],
-            "chosen": {"C": grids["C"][best], "kernels": len(banks)},
-            "diagnostics": diagnostics, "phases": phases}
-
-
 def _cluster_cell(train, validation, test, k, grids, seed,
                   outer_iters=METHODS["cluster_uni"][1]["outer_iters"][0]):
     """Transfer-tuned metric clustering scored on test: (the tuning result,
@@ -342,12 +284,12 @@ def _run_method(entry, train, validation, test, cfg, seed, uniform_metric):
     if name in ("mkl_baseline", "mkl_metric"):
         tr = _maybe_subsample(train, opts["max_train"], seed)
         if name == "mkl_baseline":
-            return _run_mkl(tr, validation, test, [MetricMatrix.identity(tr.dim)], grids)
+            return mkl_cell(tr, validation, test, [MetricMatrix.identity(tr.dim)], grids["C"])
         with _phase(phases, "fit_metric_s"):
             metrics, _ = regional_metrics(
                 compute_all_local_metrics(tr, fit_gaussian_models(tr, cfg.lam_cov)),
                 tr.features, opts["partitions"], seed)
-        cell = _run_mkl(tr, validation, test, metrics, grids)
+        cell = mkl_cell(tr, validation, test, metrics, grids["C"])
         cell["chosen"]["partitions"] = opts["partitions"]
         cell["phases"].update(phases)
         return cell

@@ -34,7 +34,7 @@ def uniform_combination(local_metrics):
     # same contraction as the weighted combination, so uniform weights there
     # reproduce this result bit for bit
     weights = np.full(len(stack), 1.0 / len(stack))
-    return MetricMatrix(np.einsum("n,nij->ij", weights, stack), "global:UNI")
+    return MetricMatrix(np.einsum("n,nij->ij", weights, stack))
 
 
 def _row_logsumexp(logs):
@@ -143,7 +143,7 @@ def density_weighted_combination(train, validation, estimator_kind="kde",
                 labels = knn_predict_batch(ref, min(3, len(v)), MetricMatrix.identity(d), x)
     total_matrix = symmetrize(t_prev.T @ combined @ t_prev)
     info["factors"].append(sym_sqrt(combined))
-    return MetricMatrix(total_matrix, f"global:{estimator_kind.upper()}"), info
+    return MetricMatrix(total_matrix), info
 
 
 def fixed_point_residual(train, metric: MetricMatrix, lam_cov=0.0):

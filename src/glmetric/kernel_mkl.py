@@ -47,6 +47,8 @@ adding every kernel into a block before moving on, so the block stays in
 cache; each element gets the same multiplies and adds in the same order.
 """
 import logging
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +69,7 @@ __all__ = [
     "mkl_train",
     "train_one_vs_all",
     "predict_one_vs_all",
+    "mkl_cell",
 ]
 
 logger = logging.getLogger(__name__)
@@ -77,6 +80,11 @@ MKL_MAX_OUTER = 50  # most weight steps of one mkl_train fit
 SVM_TOL = 1e-4  # KKT tolerance of every SVM solve
 SVM_MAX_ITER = 200000  # most coordinate steps of one SVM solve
 REJECT_TOL = 1e-12  # mkl_train rejects a candidate whose objective tops the last by more
+# bound on the bytes of an MKL cell's train Gram bank, M float64 (n, n) grams: M * n**2 * 8
+MKL_TRAIN_BANK_BYTES = 2 ** 30
+# the MklModel solver counters that a fit counts up and a cell sums over its models
+SOLVER_COUNTS = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
+                 "reused_gradients", "backtracks", "early_rejects")
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,9 +436,7 @@ def mkl_train(grams, y, c, memo=None):
     weights = np.full(len(grams), 1.0 / len(grams))
     combined = np.empty_like(grams[0])
     memo = {} if memo is None else memo
-    stats = {"svm_solves": 0, "smo_iterations": 0, "reused_solves": 0,
-             "gradients": 0, "reused_gradients": 0, "backtracks": 0,
-             "early_rejects": 0, "unconverged_solves": 0, "max_kkt_violation": 0.0}
+    stats = {**dict.fromkeys(SOLVER_COUNTS, 0), "unconverged_solves": 0, "max_kkt_violation": 0.0}
 
     def solve(a, bound=None, k=None):  # k: the combined kernel of a, when already summed
         known = memo.setdefault(a.tobytes(), [])
@@ -565,3 +571,65 @@ def predict_one_vs_all(models, test_grams):
     """
     scores = np.stack([_decision_values(m, test_grams) for m in models], axis=1)
     return scores.argmax(axis=1)
+
+
+def mkl_cell(train, validation, test, metrics, c_grid):
+    """One MKL cell: the kernels of metrics x DEFAULT_TAU_GRID, one-vs-all
+    models fitted on train at each C of c_grid, the first C of the lowest
+    validation error, and the test error of that C's models.
+
+    It holds one Gram bank at a time: the train bank while the C grid is
+    fitted, then the validation bank to choose C, then the test bank, each of
+    these two only over the kernels that some model it serves weights. A
+    train bank over MKL_TRAIN_BANK_BYTES raises ValueError before the bank's
+    bandwidths, which read all n x n training distances, or any gram is
+    built.
+
+    Returns {value: the test error, validation_error, chosen, diagnostics,
+    phases: wall seconds, models: the chosen C's}; diagnostics sums
+    SOLVER_COUNTS over the chosen models and, under grid, over each C's.
+    """
+    t0 = time.perf_counter()
+    kernels = len(metrics) * len(DEFAULT_TAU_GRID)
+    need = kernels * train.n ** 2 * 8
+    if need > MKL_TRAIN_BANK_BYTES:
+        fits = math.isqrt(MKL_TRAIN_BANK_BYTES // (8 * kernels))
+        raise ValueError(
+            f"the train Gram bank of {kernels} kernels at {train.n} training points "
+            f"needs {need / 2 ** 20:.0f} MiB, over the {MKL_TRAIN_BANK_BYTES / 2 ** 20:.0f} "
+            f"MiB bound; set max_train to {fits} or less")
+    bank = build_kernel_bank(metrics, train.features)
+    k_tr = gram_bank(bank, train.features)
+    t1 = time.perf_counter()
+    per_c = train_one_vs_all(k_tr, train.labels, train.class_count, c_grid)
+    del k_tr  # prediction needs no train gram
+    phases = {"gram_bank_s": t1 - t0, "mkl_fit_s": time.perf_counter() - t1, "predict_s": 0.0}
+
+    def errors(portion, per_model):  # one bank of grams against train, freed on return
+        # only the kernels some model weights: the others' grams are never read
+        used = np.any([m.weights != 0 for models in per_model for m in models], axis=0)
+        t0 = time.perf_counter()
+        built = iter(gram_bank([bk for bk, u in zip(bank, used) if u],
+                               portion.features, train.features))
+        grams = [next(built) if u else None for u in used]
+        t1 = time.perf_counter()
+        errs = [float(np.mean(predict_one_vs_all(models, grams) != portion.labels))
+                for models in per_model]
+        phases["gram_bank_s"] += t1 - t0
+        phases["predict_s"] += time.perf_counter() - t1
+        return errs
+
+    val_errs = errors(validation, per_c)
+    best = int(np.argmin(val_errs))  # the first C of the lowest validation error
+    models = per_c[best]
+    (test_err,) = errors(test, [models])
+    totals = [{key: sum(getattr(m, key) for m in ms) for key in SOLVER_COUNTS}
+              for ms in per_c]
+    diagnostics = dict(totals[best],
+                       unconverged_solves=sum(m.unconverged_solves for m in models),
+                       max_kkt_violation=max(m.max_kkt_violation for m in models),
+                       grid={"C": list(c_grid),
+                             **{key: [t[key] for t in totals] for key in SOLVER_COUNTS}})
+    return {"value": test_err, "validation_error": val_errs[best],
+            "chosen": {"C": c_grid[best], "kernels": len(bank)},
+            "diagnostics": diagnostics, "phases": phases, "models": models}

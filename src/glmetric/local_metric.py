@@ -39,14 +39,11 @@ DEFAULT_EPS_REL = 1e-9
 class MetricMatrix:
     """Symmetric PSD matrix acting as a squared-distance metric.
 
-    provenance records how the metric was produced (for example "euclidean",
-    "local:12", "regional:3", "global:UNI"). det_normalized metrics carry
-    determinant 1 within 1e-6. degenerate marks identity fallbacks at points
-    where the bias matrix vanished.
+    det_normalized metrics carry determinant 1 within 1e-6. degenerate marks
+    identity fallbacks at points where the bias matrix vanished.
     """
 
     matrix: np.ndarray
-    provenance: str = "euclidean"
     det_normalized: bool = False
     degenerate: bool = False
 
@@ -63,13 +60,15 @@ class MetricMatrix:
         return cls(np.eye(dim), det_normalized=True, degenerate=degenerate)
 
     def to_dict(self):
-        return {"matrix": self.matrix.tolist(), "provenance": self.provenance,
-                "det_normalized": self.det_normalized, "degenerate": self.degenerate}
+        return {"matrix": self.matrix.tolist(), "det_normalized": self.det_normalized,
+                "degenerate": self.degenerate}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(np.asarray(d["matrix"], dtype=float), d["provenance"],
-                   d["det_normalized"], d.get("degenerate", False))
+        """The metric of a to_dict object. Other keys, such as the provenance
+        that older metric files carry, are ignored."""
+        return cls(np.asarray(d["matrix"], dtype=float), d["det_normalized"],
+                   d.get("degenerate", False))
 
 
 def _check_stack(stack, det_normalized):
@@ -169,8 +168,7 @@ def solve_local_metric(matrix):
     metric with the degenerate flag set.
     """
     stack, degenerate = _solve_stack(_check_symmetric(matrix)[None], DEFAULT_EPS_REL)
-    return MetricMatrix(stack[0], "local", det_normalized=True,
-                        degenerate=bool(degenerate[0]))
+    return MetricMatrix(stack[0], det_normalized=True, degenerate=bool(degenerate[0]))
 
 
 def _as_stack(metrics):
@@ -203,10 +201,9 @@ def compute_all_local_metrics(train, ms):
     the MetricMatrix checks."""
     stack, degenerate = local_metric_stack(train.features, ms)
     metrics = []
-    for i, (m, bad) in enumerate(zip(_check_stack(stack, det_normalized=True), degenerate)):
+    for m, bad in zip(_check_stack(stack, det_normalized=True), degenerate):
         metric = object.__new__(MetricMatrix)  # its row is checked: skip __post_init__
-        metric.__dict__.update(matrix=m, provenance=f"local:{i}", det_normalized=True,
-                               degenerate=bool(bad))
+        metric.__dict__.update(matrix=m, det_normalized=True, degenerate=bool(bad))
         metrics.append(metric)
     return metrics
 
@@ -230,4 +227,4 @@ def regional_metrics(local_metrics, x, p, seed):
     assign, _, _, _ = lloyd_best_of(x, p, np.random.default_rng(seed))
     # lloyd leaves no cell empty: it raises when there are fewer distinct points than p
     means = member_means(stack, assign, p)
-    return [MetricMatrix(m, f"regional:{j}") for j, m in enumerate(means)], assign
+    return [MetricMatrix(m) for m in means], assign

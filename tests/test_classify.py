@@ -105,7 +105,7 @@ class TestKnn:
         queries = rng.normal(size=(25, 3))
         base = knn_predict_batch(train, 3, metric, queries)
         for s in (1e-3, 7.0, 1e5):
-            scaled = MetricMatrix(s * metric.matrix, "euclidean")
+            scaled = MetricMatrix(s * metric.matrix)
             got = knn_predict_batch(train, 3, scaled, queries)
             np.testing.assert_array_equal(got, base)
 

@@ -371,6 +371,6 @@ class TestBiasIntegrand:
 
     def test_singular_metric_rejected(self):
         ms = model_set([[0.0], [2.0]], [[[1.0]], [[1.0]]])
-        bad = MetricMatrix(np.zeros((1, 1)), "euclidean")
+        bad = MetricMatrix(np.zeros((1, 1)))
         with pytest.raises(ValueError, match="singular"):
             bias_integrand([0.2], bad, ms)

@@ -63,7 +63,7 @@ class TestUniform:
         a = uniform_combination(metrics)
         b = uniform_combination(stack)
         np.testing.assert_array_equal(a.matrix, b.matrix)
-        assert (a.provenance, a.det_normalized) == (b.provenance, b.det_normalized)
+        assert (a.det_normalized, a.degenerate) == (b.det_normalized, b.degenerate)
 
 
 class TestSqrtTransform:

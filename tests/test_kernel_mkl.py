@@ -1,19 +1,22 @@
 import dataclasses
 import logging
+import weakref
 
 import numpy as np
 import pytest
 
 from glmetric import _linalg, kernel_mkl, make_synthetic_mixture, three_normal_preset
 from glmetric._linalg import pairwise_sq_dists, sym_sqrt
-from glmetric.dataset import SplitSpec, scale_features, split
+from glmetric.dataset import SplitSpec, load_csv, scale_features, split
+from glmetric.generative import fit_gaussian_models
 from glmetric.kernel_mkl import (BaseKernel, MklModel, SvmSolution, _combine,
                                  _decision_values, _objective_rounding, _rejects,
                                  build_kernel_bank, gram_bank,
                                  gram_matrix, mkl_train,
                                  predict_one_vs_all, project_simplex,
                                  svm_solve, train_one_vs_all, DEFAULT_TAU_GRID)
-from glmetric.local_metric import MetricMatrix, solve_local_metric
+from glmetric.local_metric import (MetricMatrix, compute_all_local_metrics, regional_metrics,
+                                   solve_local_metric)
 from test_local_metric import random_symmetric_indefinite
 
 logger = logging.getLogger(__name__)
@@ -202,7 +205,7 @@ class TestKernelBank:
     def test_sigma0_scales_with_metric(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(40, 2))
-        small = MetricMatrix(0.01 * np.eye(2), "euclidean")
+        small = MetricMatrix(0.01 * np.eye(2))
         bank = build_kernel_bank([MetricMatrix.identity(2), small], x)
         assert bank[15].sigma_sq == pytest.approx(0.01 * bank[0].sigma_sq, rel=1e-9)
 
@@ -1130,3 +1133,71 @@ class TestMklPredict:
                                               _decision_values(m, grams))
             np.testing.assert_array_equal(predict_one_vs_all(models, sparse),
                                           predict_one_vs_all(models, grams))
+
+
+def oracle_mkl_cell(train, validation, test, metrics, c_grid):
+    """mkl_cell with all three Gram banks built before the fit, and the
+    solver counters it sums named here."""
+    banks = kernel_mkl.build_kernel_bank(metrics, train.features, kernel_mkl.DEFAULT_TAU_GRID)
+    k_tr = [kernel_mkl.gram_matrix(bk, train.features) for bk in banks]
+    k_va = [kernel_mkl.gram_matrix(bk, validation.features, train.features) for bk in banks]
+    k_te = [kernel_mkl.gram_matrix(bk, test.features, train.features) for bk in banks]
+    per_c = kernel_mkl.train_one_vs_all(k_tr, train.labels, train.class_count, c_grid)
+    val_errs = [float(np.mean(kernel_mkl.predict_one_vs_all(models, k_va)
+                              != validation.labels)) for models in per_c]
+    best = int(np.argmin(val_errs))
+    models = per_c[best]
+    test_err = float(np.mean(kernel_mkl.predict_one_vs_all(models, k_te) != test.labels))
+    counts = ("svm_solves", "smo_iterations", "reused_solves", "gradients",
+              "reused_gradients", "backtracks", "early_rejects")
+    totals = [{key: sum(getattr(m, key) for m in ms) for key in counts} for ms in per_c]
+    diagnostics = dict(totals[best],
+                       unconverged_solves=sum(m.unconverged_solves for m in models),
+                       max_kkt_violation=max(m.max_kkt_violation for m in models),
+                       grid={"C": list(c_grid),
+                             **{key: [t[key] for t in totals] for key in counts}})
+    return {"value": test_err, "validation_error": val_errs[best],
+            "chosen": {"C": c_grid[best], "kernels": len(banks)},
+            "diagnostics": diagnostics}, models
+
+
+class TestMklCellOrder:
+    C_GRID = [0.1, 1.0, 10.0, 100.0]  # the runner's default grids["C"]
+
+    @pytest.fixture(scope="class")
+    def iris_parts(self):
+        full = load_csv("data/iris.csv", "label", has_header=True)
+        train, validation, test = split(full, SplitSpec(seed=1000))
+        train, params = scale_features(train)
+        return train, params.transform(validation), params.transform(test)
+
+    @pytest.mark.parametrize("partitions", [None, 2])
+    def test_train_bank_dead_before_eval_banks_and_cell_same(
+            self, iris_parts, partitions, monkeypatch):
+        train, validation, test = iris_parts
+        if partitions is None:
+            metrics = [MetricMatrix.identity(train.dim)]
+        else:
+            locals_ = compute_all_local_metrics(train, fit_gaussian_models(train, 1e-3))
+            metrics, _ = regional_metrics(locals_, train.features, partitions, seed=3)
+        train_refs, alive_at_eval = [], []
+
+        def recording(bank, x, x2=None):
+            if x2 is not None and not alive_at_eval:
+                alive_at_eval.append(sum(r() is not None for r in train_refs))
+            grams = gram_bank(bank, x, x2)
+            if x2 is None:
+                train_refs.extend(weakref.ref(k) for k in grams)
+            return grams
+
+        monkeypatch.setattr(kernel_mkl, "gram_bank", recording)
+        cell = kernel_mkl.mkl_cell(train, validation, test, metrics, self.C_GRID)
+        assert len(train_refs) == cell["chosen"]["kernels"] == 15 * len(metrics)
+        assert alive_at_eval == [0]
+        monkeypatch.undo()
+        expected, models = oracle_mkl_cell(train, validation, test, metrics, self.C_GRID)
+        assert {key: cell[key] for key in expected} == expected
+        assert set(cell["phases"]) == {"gram_bank_s", "mkl_fit_s", "predict_s"}
+        assert len(cell["models"]) == len(models) == train.class_count
+        for got, want in zip(cell["models"], models):
+            assert_same_fit(got, want)

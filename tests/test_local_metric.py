@@ -192,8 +192,8 @@ def oracle_interpolate(metric, lam_int):
     if metric.det_normalized:
         w, u = np.linalg.eigh(blended)
         blended = symmetrize((u * det_normalize_eigs(w)) @ u.T)
-    return MetricMatrix(blended, f"{metric.provenance}|int({lam_int:g})",
-                        det_normalized=metric.det_normalized, degenerate=metric.degenerate)
+    return MetricMatrix(blended, det_normalized=metric.det_normalized,
+                        degenerate=metric.degenerate)
 
 
 def mixed_local_inputs(dim, seed=0):
@@ -226,7 +226,7 @@ class TestInterpolation:
         out = interpolate_with_euclidean(stack, lam)
         assert out.shape == stack.shape
         for row, m, bad in zip(out, stack, degenerate):
-            single = MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
+            single = MetricMatrix(m, det_normalized=True, degenerate=bool(bad))
             expect = oracle_interpolate(single, lam)
             np.testing.assert_array_equal(row, expect.matrix)
             np.testing.assert_array_equal(interpolate_with_euclidean(m[None], lam)[0],
@@ -246,7 +246,7 @@ class TestInterpolation:
     @pytest.mark.parametrize("lam", [0.0, 0.5])
     def test_list_input_gives_the_stack_result(self, lam):
         stack, degenerate = mixed_local_stack(3)
-        metrics = [MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
+        metrics = [MetricMatrix(m, det_normalized=True, degenerate=bool(bad))
                    for m, bad in zip(stack, degenerate)]
         out = interpolate_with_euclidean(metrics, lam)
         assert isinstance(out, np.ndarray)
@@ -262,7 +262,7 @@ class TestInterpolation:
         assert interpolate_with_euclidean(stack, 0.0) is stack
 
     def test_hand_worked_midpoint(self):
-        m = MetricMatrix(np.diag([2.0, 0.5]), "local", det_normalized=True)
+        m = MetricMatrix(np.diag([2.0, 0.5]), det_normalized=True)
         out = interpolate_with_euclidean(m.matrix[None], 0.5)
         np.testing.assert_allclose(np.diag(out[0]), [1.414214, 0.707107], atol=1e-6)
 
@@ -313,11 +313,10 @@ class TestComputeAll:
         metrics = compute_all_local_metrics(train, ms)
         assert len(metrics) == len(stack) and degenerate.any()
         for i, (metric, row, bad) in enumerate(zip(metrics, stack, degenerate)):
-            expect = MetricMatrix(row, f"local:{i}", det_normalized=True, degenerate=bool(bad))
+            expect = MetricMatrix(row, det_normalized=True, degenerate=bool(bad))
             np.testing.assert_array_equal(metric.matrix, expect.matrix)
             np.testing.assert_array_equal(metric.matrix, oracle_check_metric(row, True))
-            assert (metric.provenance, metric.det_normalized, metric.degenerate) == (
-                expect.provenance, True, expect.degenerate)
+            assert (metric.det_normalized, metric.degenerate) == (True, expect.degenerate)
 
 
 def oracle_check_metric(matrix, det_normalized):
@@ -468,4 +467,14 @@ class TestMetricMatrix:
         clone = MetricMatrix.from_dict(m.to_dict())
         np.testing.assert_array_equal(clone.matrix, m.matrix)
         assert clone.det_normalized == m.det_normalized
-        assert clone.provenance == m.provenance
+        assert clone.degenerate == m.degenerate
+        assert m.to_dict().keys() == {"matrix", "det_normalized", "degenerate"}
+
+    def test_from_dict_reads_files_with_provenance(self):
+        # metric files written before MetricMatrix dropped provenance carry the key
+        d = {"matrix": [[2.0, 0.0], [0.0, 0.5]], "provenance": "global:UNI",
+             "det_normalized": True, "degenerate": False}
+        m = MetricMatrix.from_dict(d)
+        np.testing.assert_array_equal(m.matrix, np.diag([2.0, 0.5]))
+        assert (m.det_normalized, m.degenerate) == (True, False)
+        assert not hasattr(m, "provenance")

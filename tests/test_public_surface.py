@@ -77,6 +77,9 @@ def test_direct_call_signatures():
     assert (kernel_mkl.MKL_TOL, kernel_mkl.MKL_MAX_OUTER, kernel_mkl.SVM_TOL) == (1e-4, 50, 1e-4)
     assert kernel_mkl.SVM_MAX_ITER == 200000
     assert str(inspect.signature(kernel_mkl.svm_solve)) == "(k, y, c, reject_above=None)"
+    assert str(inspect.signature(kernel_mkl.mkl_cell)) == (
+        "(train, validation, test, metrics, c_grid)")
+    assert glmetric.mkl_cell is kernel_mkl.mkl_cell
     bank_params = inspect.signature(kernel_mkl.build_kernel_bank).parameters
     assert list(bank_params) == ["metrics", "x_train", "tau_grid"]
     assert bank_params["tau_grid"].default is kernel_mkl.DEFAULT_TAU_GRID

@@ -180,13 +180,13 @@ def oracle_iterative_metric_kmeans(x, k, outer_iters=10, lam_cov=1e-3, lam_int=0
         ms = fit_gaussian_models(
             LabeledDataset(x[mask], remap[result.assignments][mask], len(keep)), lam_cov)
         stack, degenerate = local_metric_stack(x, ms)
-        locals_ = [MetricMatrix(m, "local", det_normalized=True, degenerate=bool(bad))
+        locals_ = [MetricMatrix(m, det_normalized=True, degenerate=bool(bad))
                    for m, bad in zip(stack, degenerate)]
         if lam_int > 0:
             locals_ = [oracle_interpolate(m, lam_int) for m in locals_]
         stack = np.stack([m.matrix for m in locals_])
         metric = MetricMatrix(np.einsum("n,nij->ij", np.full(len(stack), 1.0 / len(stack)),
-                                        stack), "global:UNI")
+                                        stack))
         new_result = _warm_kmeans(x, k, metric, result.centers)
         done = np.array_equal(new_result.assignments, result.assignments)
         result = new_result
@@ -238,14 +238,14 @@ class TestIterativeMetricKmeans:
         np.testing.assert_array_equal(res.centers, o_res.centers)
         assert res.inertia == o_res.inertia
         np.testing.assert_array_equal(metric.matrix, o_metric.matrix)
-        assert metric.provenance == o_metric.provenance == "global:UNI"
+        assert metric.det_normalized is o_metric.det_normalized is False
 
-    @pytest.mark.parametrize("blobs, k, message, provenance", [
-        (2, 3, "skipping 1 collapsed cluster(s) this round", "global:UNI"),
-        (1, 2, "fewer than two usable clusters; stopping metric updates", "euclidean"),
+    @pytest.mark.parametrize("blobs, k, message, updated", [
+        (2, 3, "skipping 1 collapsed cluster(s) this round", True),
+        (1, 2, "fewer than two usable clusters; stopping metric updates", False),
     ], ids=["skip", "stop"])
     def test_one_point_clusters_are_left_out_of_the_metric(self, caplog, blobs, k, message,
-                                                           provenance):
+                                                           updated):
         # a far outlier is a cluster of its own, too small for a class Gaussian
         rng = np.random.default_rng(7)
         x = np.vstack([rng.normal(size=(20, 2)) + 10.0 * b for b in range(blobs)]
@@ -256,7 +256,9 @@ class TestIterativeMetricKmeans:
         o_res, o_metric = oracle_iterative_metric_kmeans(x, k, seed=0)
         np.testing.assert_array_equal(res.assignments, o_res.assignments)
         np.testing.assert_array_equal(metric.matrix, o_metric.matrix)
-        assert metric.provenance == provenance
+        # an updated metric is a uniform combination; a stopped one stays the identity
+        assert metric.det_normalized is not updated
+        assert np.array_equal(metric.matrix, np.eye(2)) is not updated
         assert np.bincount(res.assignments).min() == 1
 
     def test_deterministic_given_seed(self):
